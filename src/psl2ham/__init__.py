@@ -18,8 +18,8 @@ from .diag import (DiagonalEquation, WeilReport, count_nonzero_x2,
 from .errors import InvariantViolation, ParameterError
 from .gf import Field, is_prime
 from .orbital import (OrbitalGraph, Suborbit, build_graph, neighborhood,
-                      suborbits)
-from .psl2 import PSL2, SubgroupSpec, mulclose
+                      orbital_of, suborbits)
+from .psl2 import PSL2, mulclose
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        build_quotient, certificate_to_text, lift_cycle,
                        parse_certificate, unroll_lift, verify_certificate)
@@ -33,8 +33,9 @@ __all__ = [
     "weil_check",
     "InvariantViolation", "ParameterError",
     "Field", "is_prime",
-    "OrbitalGraph", "Suborbit", "build_graph", "neighborhood", "suborbits",
-    "PSL2", "SubgroupSpec", "mulclose",
+    "OrbitalGraph", "Suborbit", "build_graph", "neighborhood", "orbital_of",
+    "suborbits",
+    "PSL2", "mulclose",
     "HamiltonCertificate", "QuotientMultigraph", "build_quotient",
     "certificate_to_text", "lift_cycle", "parse_certificate", "unroll_lift",
     "verify_certificate",

@@ -16,8 +16,7 @@ from .action import CosetAction
 from .diag import solvability_report
 from .errors import InvariantViolation, ParameterError
 from .gf import Field, is_prime
-from .orbital import (OrbitalGraph, build_graph, edgelist_lines, to_dot,
-                      union_neighbor_sets)
+from .orbital import build_graph, edgelist_lines, orbital_of, to_dot
 from .psl2 import PSL2
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        VerificationResult, build_quotient, certificate_to_text,
@@ -88,7 +87,7 @@ def list_instances(max_k: int) -> list[InstanceParams]:
 @dataclass
 class PipelineResult:
     params: InstanceParams
-    graph: OrbitalGraph
+    action: CosetAction
     quotient: QuotientMultigraph
     certificate: HamiltonCertificate
     verification: VerificationResult
@@ -110,22 +109,18 @@ def build_action(params: InstanceParams) -> CosetAction:
     return CosetAction(field, PSL2(field))
 
 
-def run_pipeline(params: InstanceParams, i: int,
-                 action: CosetAction | None = None) -> PipelineResult:
-    """field -> group -> action -> graph -> quotient -> lift -> verify."""
+def run_pipeline(params: InstanceParams, i: int) -> PipelineResult:
+    """field -> group -> action -> quotient -> lift -> verify."""
     if not 0 <= i <= 4:
         raise ParameterError(f"orbital index {i} out of range 0..4")
-    if action is None:
-        with _stage("gf"):
-            field = Field(params.s, params.m)
-        with _stage("psl2"):
-            group = PSL2(field)
-        with _stage("action"):
-            action = CosetAction(field, group)
-    with _stage("orbital"):
-        graph = build_graph(action, i)
+    with _stage("gf"):
+        field = Field(params.s, params.m)
+    with _stage("psl2"):
+        group = PSL2(field)
+    with _stage("action"):
+        action = CosetAction(field, group)
     with _stage("quotient"):
-        quot = build_quotient(graph, action.s_orbits)
+        quot = build_quotient(action, i)
         cert = lift_cycle(quot)
     with _stage("verify"):
         result = verify_certificate(action.field, cert)
@@ -133,11 +128,11 @@ def run_pipeline(params: InstanceParams, i: int,
             raise InvariantViolation(
                 f"emitted certificate failed verification: {result.failure}",
                 stage="verify")
-    return PipelineResult(params=params, graph=graph, quotient=quot,
+    return PipelineResult(params=params, action=action, quotient=quot,
                           certificate=cert, verification=result)
 
 
-def full_graph_mode(params: InstanceParams, subset) -> HamiltonCertificate:
+def full_graph_mode(params: InstanceParams, subset) -> PipelineResult:
     """Certificate for the union of the chosen orbital graphs.
 
     Computes the cycle on the smallest chosen index and re-checks every
@@ -148,17 +143,14 @@ def full_graph_mode(params: InstanceParams, subset) -> HamiltonCertificate:
         raise ParameterError("orbital subset must be nonempty")
     if any(not 0 <= i <= 4 for i in subset):
         raise ParameterError("orbital indices must lie in 0..4")
-    action = build_action(params)
-    result = run_pipeline(params, subset[0], action=action)
-    cert = result.certificate
-    union = union_neighbor_sets(action, subset)
-    n = len(cert.vertices)
+    result = run_pipeline(params, subset[0])
+    verts = result.certificate.vertices
+    n = len(verts)
     for idx in range(n):
-        v, w = cert.vertices[idx], cert.vertices[(idx + 1) % n]
-        if w not in union[action.index[v]]:
+        if orbital_of(result.action, verts[idx], verts[(idx + 1) % n]) not in subset:
             raise InvariantViolation(
                 "certificate cycle leaves the union graph", stage="full-graph")
-    return cert
+    return result
 
 
 # --- argument handling ---
@@ -282,17 +274,14 @@ def run(argv=None) -> int:
             params = _resolve_params(args)
             if not 0 <= args.orbital <= 4:
                 raise ParameterError("orbital index out of range 0..4")
-            action = build_action(params)
-            graph = build_graph(action, args.orbital)
-            quot = build_quotient(graph, action.s_orbits)
+            quot = build_quotient(build_action(params), args.orbital)
             _write_out(_quotient_text(quot), args.out)
             return 0
 
         if args.command == "hamilton":
             params = _resolve_params(args)
             result = run_pipeline(params, args.orbital)
-            text = certificate_to_text(result.graph.action.field,
-                                       result.certificate)
+            text = certificate_to_text(result.action.field, result.certificate)
             _write_out(text, args.out)
             if args.out not in (None, "-"):
                 print(f"verified Hamilton cycle on {len(result.certificate.vertices)} "
@@ -320,9 +309,9 @@ def run(argv=None) -> int:
         if args.command == "full-graph":
             params = _resolve_params(args)
             subset = _parse_subset(args.orbitals)
-            cert = full_graph_mode(params, subset)
-            field = Field(params.s, params.m)
-            _write_out(certificate_to_text(field, cert), args.out)
+            result = full_graph_mode(params, subset)
+            cert = result.certificate
+            _write_out(certificate_to_text(result.action.field, cert), args.out)
             if args.out not in (None, "-"):
                 print(f"verified Hamilton cycle on {len(cert.vertices)} vertices "
                       f"inside the union of orbitals {sorted(set(subset))}")

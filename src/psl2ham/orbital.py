@@ -6,7 +6,11 @@ The stabilizer H has ten orbits on the point set: five fixed points
     { point_of([[0, -theta^i], [theta^-i, x]]) : x in GF(k) }
 
 and the neighborhood of any point omega in the i-th orbital graph is the
-image of that set under rep(omega) acting on the right.  Graphs are
+image of that set under rep(omega) acting on the right.  Since
+point_of of that matrix is (-x*theta^i, dlog(-theta^i) mod 5) and
+dlog(-1) = (k-1)/2 = 0 (mod 5), long suborbit i is exactly the set of
+finite points of fiber i.  So adjacency is decided in O(1) by
+`orbital_of`, and only `build` exports need the full graph.  Graphs are
 stored as sorted neighbor lists over a fixed vertex order so that exports
 are byte-stable.
 """
@@ -24,16 +28,6 @@ class Suborbit:
     kind: str  # "singleton" | "long"
     i: int
     points: frozenset
-
-
-def base_neighborhood(action: CosetAction, i: int) -> set[OmegaPoint]:
-    """Neighbors of the base point (inf, 0) in the i-th orbital graph."""
-    F = action.field
-    th_i = F.pow(F.theta, i)
-    th_mi = F.inv(th_i)
-    neg_th_i = F.neg(th_i)
-    pof = action.point_of
-    return {pof((0, neg_th_i, th_mi, x)) for x in range(F.order)}
 
 
 def neighborhood(action: CosetAction, i: int, p: OmegaPoint) -> set[OmegaPoint]:
@@ -54,13 +48,24 @@ def neighborhood(action: CosetAction, i: int, p: OmegaPoint) -> set[OmegaPoint]:
     return out
 
 
+def orbital_of(action: CosetAction, v: OmegaPoint, w: OmegaPoint) -> int | None:
+    """The i with w ~ v in Y(i), or None when w is not adjacent to v.
+
+    w ~ v in Y(i) iff H*rep(w)*rep(v)^-1 lies in long suborbit i, the
+    finite points of fiber i.
+    """
+    G = action.group
+    beta, fiber = action.point_of(G.mul(action.rep(w), G.inv(action.rep(v))))
+    return None if beta is None else fiber
+
+
 def suborbits(action: CosetAction) -> list[Suborbit]:
     """The ten H-orbits: five singletons then five of size k."""
     k = action.field.order
     subs = [Suborbit("singleton", i, frozenset({OmegaPoint(None, i)}))
             for i in range(5)]
     for i in range(5):
-        pts = frozenset(base_neighborhood(action, i))
+        pts = frozenset(neighborhood(action, i, action.alpha))
         if len(pts) != k:
             raise InvariantViolation(
                 f"long suborbit {i} has size {len(pts)}, expected {k}",
@@ -162,15 +167,6 @@ def build_graph(action: CosetAction, i: int) -> OrbitalGraph:
     neighbors = tuple(tuple(sorted(s)) for s in nb_sets)
     return OrbitalGraph(i=i, action=action, vertices=verts,
                         index=index, neighbors=neighbors)
-
-
-def union_neighbor_sets(action: CosetAction, subset) -> list[set[OmegaPoint]]:
-    """Per-vertex neighborhoods of the union of the chosen orbital graphs."""
-    out = [set() for _ in action.points]
-    for i in sorted(subset):
-        for n, p in enumerate(action.points):
-            out[n] |= neighborhood(action, i, p)
-    return out
 
 
 # --- exports ---

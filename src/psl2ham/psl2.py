@@ -17,7 +17,6 @@ Distinguished elements and subgroups (all for 10 | k-1 where noted):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .gf import Field
@@ -41,13 +40,6 @@ def mulclose(gens, mul, max_size: int | None = None) -> set:
                         return els
         boundary = new
     return els
-
-
-@dataclass(frozen=True)
-class SubgroupSpec:
-    name: str
-    order: int
-    description: str
 
 
 class PSL2:
@@ -93,10 +85,6 @@ class PSL2:
         a, b, c, d = g
         n = self.field._neg
         return self.canon((d, n[b], n[c], a))
-
-    def conj(self, g: Mat, h: Mat) -> Mat:
-        """h^-1 g h."""
-        return self.mul(self.mul(self.inv(h), g), h)
 
     def power(self, g: Mat, e: int) -> Mat:
         if e < 0:
@@ -187,28 +175,3 @@ class PSL2:
         if len(set(out)) != k * (k - 1) // 10:
             raise AssertionError("H enumeration produced duplicates")
         return tuple(out)
-
-    def unipotents(self) -> tuple[Mat, ...]:
-        """U = {[[1,x],[0,1]]}, order k."""
-        return tuple(self.canon((1, x, 0, 1)) for x in self.field.elements_lex)
-
-    def subgroup_specs(self) -> dict[str, SubgroupSpec]:
-        k = self.field.order
-        return {
-            "K": SubgroupSpec("K", k * (k - 1) // 2, "<u, t>: stabilizer of infinity"),
-            "H": SubgroupSpec("H", k * (k - 1) // 10, "U.<t^5>: index-5 subgroup of K"),
-            "S": SubgroupSpec("S", (k + 1) // 2, "cyclic torus {s(a,b): a^2-b^2*theta=1}"),
-            "U": SubgroupSpec("U", k, "unipotent group {[[1,x],[0,1]]}"),
-        }
-
-
-def mat_str(field: Field, g: Mat) -> str:
-    """Row-major, space-separated field-element strings."""
-    return " ".join(field.element_str(e) for e in g)
-
-
-def parse_mat(field: Field, text: str) -> Mat:
-    parts = text.split()
-    if len(parts) != 4:
-        raise ValueError(f"expected 4 entries, got {len(parts)}")
-    return tuple(field.parse_element(p) for p in parts)  # type: ignore[return-value]

@@ -4,13 +4,16 @@ Collapsing an orbital graph along the ten S-orbits gives a multigraph on
 10 vertices: orbits A and B are joined by d(A,B) parallel edges, one per
 neighbor of A's base vertex inside B.  Each such edge carries a voltage
 w in Z_p, the position of that neighbor in B's cyclic order, so that
-v_A(c) ~ v_B(c + w) for every offset c.
+v_A(c) ~ v_B(c + w) for every offset c.  Since S acts by automorphisms,
+the neighborhoods of the ten orbit bases determine the quotient; the
+full orbital graph is never built.
 
 A closed walk through all ten orbits whose chosen voltages sum to w != 0
 (mod p) unrolls to a single cycle through all 10p vertices; if w = 0 it
 unrolls to p disjoint 10-cycles.  The certificate records the walk, the
 chosen voltages and the full vertex cycle, and can be re-verified from
-scratch using only closed-form neighborhoods.
+scratch with the O(1) adjacency oracle `orbital.orbital_of`, which is
+independent of the neighborhoods the quotient is built from.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from .action import CosetAction, OmegaPoint, parse_point, point_str
 from .errors import InvariantViolation
 from .gf import Field
-from .orbital import OrbitalGraph, neighborhood
+from .orbital import neighborhood, orbital_of
 from .psl2 import PSL2
 
 CERT_FORMAT = "psl2ham-certificate"
@@ -40,34 +43,45 @@ class QuotientMultigraph:
         return self.orbits[a][0]
 
 
-def build_quotient(graph: OrbitalGraph, orbits) -> QuotientMultigraph:
-    """Collapse graph along the given S-orbits, recording voltages.
+def build_quotient(action: CosetAction, i: int) -> QuotientMultigraph:
+    """Collapse Y(i) along the ten S-orbits, recording voltages.
 
-    Checks S-invariance by recounting at a second vertex of each orbit.
+    Reads the neighborhoods of only 20 vertices: the base of each orbit,
+    and its position 1 to check S-invariance by recounting.
     """
-    action = graph.action
+    if not 0 <= i <= 4:
+        raise ValueError(f"orbital index {i} out of range")
     k = action.field.order
     p = (k + 1) // 2
+    orbits = action.s_orbits
     pos: dict[OmegaPoint, tuple[int, int]] = {}
     for a, orb in enumerate(orbits):
         for w, pt in enumerate(orb):
             pos[pt] = (a, w)
 
+    def nbrs(v: OmegaPoint) -> set[OmegaPoint]:
+        nb = neighborhood(action, i, v)
+        if len(nb) != k:
+            raise InvariantViolation(
+                f"vertex {v} has {len(nb)} neighbors, expected {k}",
+                stage="orbital")
+        if v in nb:
+            raise InvariantViolation(f"loop at vertex {v}", stage="orbital")
+        return nb
+
     nmat = [[None] * 10 for _ in range(10)]
     for a in range(10):
-        base_idx = graph.index[orbits[a][0]]
         volts: list[set[int]] = [set() for _ in range(10)]
-        for v in graph.neighbors[base_idx]:
-            b, w = pos[graph.vertices[v]]
+        for v in nbrs(orbits[a][0]):
+            b, w = pos[v]
             volts[b].add(w)
         for b in range(10):
             nmat[a][b] = tuple(sorted(volts[b]))
 
         # S-invariance: counts at position 1 must match those at the base
-        other_idx = graph.index[orbits[a][1]]
         counts = [0] * 10
-        for v in graph.neighbors[other_idx]:
-            counts[pos[graph.vertices[v]][0]] += 1
+        for v in nbrs(orbits[a][1]):
+            counts[pos[v][0]] += 1
         if counts != [len(nmat[a][b]) for b in range(10)]:
             raise InvariantViolation(
                 f"neighbor counts differ across orbit {a}: S-invariance broken",
@@ -89,7 +103,7 @@ def build_quotient(graph: OrbitalGraph, orbits) -> QuotientMultigraph:
                     f"voltage sets at ({a},{b}) are not negations",
                     stage="quotient")
     return QuotientMultigraph(
-        field=action.field, orbital_index=graph.i, p=p,
+        field=action.field, orbital_index=i, p=p,
         orbits=tuple(tuple(o) for o in orbits),
         mult=mult, voltages=tuple(tuple(row) for row in nmat))
 
@@ -203,8 +217,9 @@ class VerificationResult:
 def verify_certificate(field: Field, cert: HamiltonCertificate) -> VerificationResult:
     """Re-check a certificate from scratch.
 
-    Rebuilds the group action from the field alone and tests adjacency
-    with closed-form neighborhoods only; never consults a stored graph.
+    Rebuilds the group action from the field alone and tests every cycle
+    edge with the O(1) adjacency oracle `orbital_of`; never consults a
+    stored graph or a quotient.
     """
     k = field.order
     if cert.k != k or cert.s != field.s or cert.m != field.m:
@@ -235,7 +250,7 @@ def verify_certificate(field: Field, cert: HamiltonCertificate) -> VerificationR
     i = cert.orbital_index
     for idx in range(n):
         v, w = cert.vertices[idx], cert.vertices[(idx + 1) % n]
-        if w not in neighborhood(action, i, v):
+        if orbital_of(action, v, w) != i:
             where = "closing edge" if idx == n - 1 else f"step {idx}->{idx + 1}"
             return VerificationResult(
                 False,
@@ -273,6 +288,8 @@ def parse_certificate(text: str) -> tuple[Field, HamiltonCertificate]:
     if int(head[1]) != CERT_VERSION:
         raise ValueError(f"unsupported certificate version {head[1]}")
 
+    if len(lines) < 10:
+        raise ValueError(f"certificate header has {len(lines)} lines, expected 10")
     fields: dict[str, str] = {}
     for pos, key in enumerate(
             ["s", "m", "k", "p", "orbital", "cycle", "voltages", "total",
@@ -283,11 +300,15 @@ def parse_certificate(text: str) -> tuple[Field, HamiltonCertificate]:
         fields[key] = val
 
     s, m, k, p = (int(fields[x]) for x in ("s", "m", "k", "p"))
-    field = Field(s, m)
-    if field.order != k:
-        raise ValueError(f"s^m = {field.order} does not match k = {k}")
-    n = int(fields["vertices"])
     body = lines[10:]
+    # GF(k) has 5(k+1) points, so these bound every table by the input size
+    if m < 1 or s < 2 or k > len(body):
+        raise ValueError(f"header s={s}, m={m}, k={k} does not fit "
+                         f"{len(body)} vertex lines")
+    if m > k.bit_length() or s**m != k:
+        raise ValueError(f"s^m does not match k = {k}")
+    field = Field(s, m)
+    n = int(fields["vertices"])
     if len(body) != n:
         raise ValueError(f"expected {n} vertex lines, found {len(body)}")
     cert = HamiltonCertificate(

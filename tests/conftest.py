@@ -60,8 +60,7 @@ class GraphCache:
 
     def quotient(self, k, i):
         if (k, i) not in self._quotients:
-            self._quotients[(k, i)] = build_quotient(
-                self.graph(k, i), self.actions[k].s_orbits)
+            self._quotients[(k, i)] = build_quotient(self.actions[k], i)
         return self._quotients[(k, i)]
 
 

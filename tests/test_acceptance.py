@@ -99,7 +99,7 @@ def structural_checks(k: int) -> tuple[list, float, CosetAction]:
         graph = build_graph(action, i)  # raises on asymmetry/disconnection
         if graph.degree != k:
             failures.append(f"Y({i}) degree {graph.degree}")
-        quot = build_quotient(graph, orbits)
+        quot = build_quotient(action, i)
         offdiag = [(a, b) for a in range(10) for b in range(10)
                    if a != b and quot.mult[a][b] < 1]
         if offdiag:

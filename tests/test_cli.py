@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from psl2ham import (InstanceParams, ParameterError, full_graph_mode,
-                     list_instances, run_pipeline)
+                     list_instances, orbital_of, run_pipeline)
 from psl2ham.cli import factor_prime_power, run
 
 
@@ -53,10 +53,10 @@ def test_run_pipeline_rejects_bad_orbital():
 
 def test_full_graph_mode_subsets():
     params = InstanceParams.create(61, 1)
-    cert01 = full_graph_mode(params, [0, 1])
+    cert01 = full_graph_mode(params, [0, 1]).certificate
     assert len(cert01.vertices) == 310
     assert cert01.orbital_index == 0
-    cert3 = full_graph_mode(params, [3])
+    cert3 = full_graph_mode(params, [3]).certificate
     direct = run_pipeline(params, 3).certificate
     assert cert3 == direct
     with pytest.raises(ParameterError):
@@ -65,11 +65,10 @@ def test_full_graph_mode_subsets():
         full_graph_mode(params, [9])
 
 
-def test_full_graph_union_is_5k_regular(actions):
-    from psl2ham.orbital import union_neighbor_sets
-    action = actions[61]
-    union = union_neighbor_sets(action, range(5))
-    assert all(len(nb) == 5 * 61 for nb in union)
+def test_full_graph_union_is_5k_regular(action61):
+    pts = action61.points
+    for v in pts:
+        assert sum(orbital_of(action61, v, w) is not None for w in pts) == 5 * 61
 
 
 def test_cli_instances(capsys):
@@ -94,6 +93,51 @@ def test_cli_verify_rejects_tampered(tmp_path, capsys):
     cert.write_text("\n".join(lines) + "\n")
     assert run(["verify", "--cert", str(cert)]) == 4
     assert "INVALID" in capsys.readouterr().out
+
+
+def test_cli_verify_truncated_header_exits_2(tmp_path):
+    cert = tmp_path / "c.txt"
+    assert run(["hamilton", "--k", "61", "--out", str(cert)]) == 0
+    head = cert.read_text().splitlines()[:10]
+    cut = tmp_path / "cut.txt"
+    for n in range(1, 10):
+        cut.write_text("\n".join(head[:n]) + "\n")
+        assert run(["verify", "--cert", str(cut)]) == 2, f"{n} header lines"
+
+
+def test_cli_verify_short_consistent_body_exits_4(tmp_path):
+    cert = tmp_path / "c.txt"
+    assert run(["hamilton", "--k", "61", "--out", str(cert)]) == 0
+    lines = cert.read_text().splitlines()
+    del lines[50]
+    lines[9] = f"vertices {len(lines) - 10}"
+    cert.write_text("\n".join(lines) + "\n")
+    assert run(["verify", "--cert", str(cert)]) == 4
+
+
+HOSTILE_HEADERS = [
+    (3, 20, 3486784401, 3),  # 3^20-entry tables for a 3-line body
+    (61, 0, 1, 3),           # m < 1
+    (1, 7, 1, 3),            # s < 2
+    (2, 10**6, 64, 70),      # m far above k.bit_length()
+    (3, 4, 82, 90),          # s^m != k
+]
+
+
+@pytest.mark.parametrize("s,m,k,body", HOSTILE_HEADERS)
+def test_cli_verify_rejects_hostile_header_before_field(s, m, k, body, tmp_path,
+                                                        monkeypatch, capsys):
+    def no_field(*args):
+        raise AssertionError("Field built from an unchecked header")
+
+    monkeypatch.setattr("psl2ham.quotient.Field", no_field)
+    head = ["psl2ham-certificate 1", f"s {s}", f"m {m}", f"k {k}",
+            f"p {(k + 1) // 2}", "orbital 0", "cycle 0 1 2 3 4 5 6 7 8 9",
+            "voltages 1 1 1 1 1 1 1 1 1 1", "total 10", f"vertices {body}"]
+    cert = tmp_path / "c.txt"
+    cert.write_text("\n".join(head + ["inf:0"] * body) + "\n")
+    assert run(["verify", "--cert", str(cert)]) == 2
+    assert "parameter error" in capsys.readouterr().err
 
 
 def test_cli_parameter_errors(tmp_path, capsys):

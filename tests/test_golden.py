@@ -1,0 +1,79 @@
+"""Byte-identity gates: pinned SHA-256 of CLI output files.
+
+The hashes are the `out` entries of perfbench/golden.json for the same
+command lines, made with the full-graph pipeline that `build_graph`
+drove before the adjacency oracle replaced it.  Any change to vertex
+order, voltage choice or text layout shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from psl2ham.cli import run
+
+HAMILTON_SHA256 = {
+    61: (
+        "eecebedbae06502648e78c30ce85818d66ba81a13675144ac307ec5f9ff55f01",
+        "5a04bc2af43bf848bdf58fe1838b45a8d9ae865be8822620d5c4e55a4b199540",
+        "03182100dcf622bb0336752d344be9cdbb85e81d60c12b5e887df5e8491d6d5a",
+        "f619b4fcb22b7efa680451fe08e82df72489a59686389276bbfd8637045ac45d",
+        "be26ac12de07271c5f204acd6f81912405df50c7b6ebef6223ee0f2fd49fc1bf",
+    ),
+    81: (
+        "d57553f741dbc70b98e1df4526662cba200bdf2a62b70a6fa6872b97c11fef93",
+        "617c3f39bbe3e84cd08bf202e6307f8964b6b54cf861e83fbabf046c40ebf731",
+        "db735ddd4b82d1ce7192ac0398a1c7c68d43e7d6d0162d3636c6a640fcd44c86",
+        "e944b7a90133c1b505094758c19bb6965ebba43cff6a37d090c2466c40cdcedb",
+        "e0de48dbc449580fb45a4c3847798f9ade05d1e3f39bfcc9e11efe6ed85565ab",
+    ),
+    121: (
+        "140ad55b6514eecfb59fb1e14b55c838b45c3b16c9fe68c9b133b92bfae9caf3",
+        "517b59498decba837b6b052f8d39928fd3c0f786dc8b15a394b595dc6ed095fb",
+        "b598fa189716077b798607baf0d35e86cb6c499d5770c686886e467b5dffc346",
+        "c745cb1d235d2df4aa9b44e8795ec4e251a945fcbbd37655d63531e7e02097fc",
+        "9ca61b5aa30f6c6ef105172446291a50be007ff6bfb6d376b84a19a9ab2549b8",
+    ),
+}
+
+QUOTIENT_SHA256 = {
+    61: "52852e56e421416ebbd31047416d88fe8c425c17a082daca309438578c7c52c3",
+    81: "f9ec05d9a7dd2266a296c1882c33a4bf6afe72566b7d7a5eb8b8ce99a56af594",
+    121: "9f985d3b922cd8c517158023bd7329b44dec6601b12b8499afb651497ced5706",
+}
+
+
+def output_sha256(argv, path):
+    assert run(argv + ["--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("k", sorted(HAMILTON_SHA256))
+def test_hamilton_certificates_are_byte_identical(k, tmp_path):
+    got = tuple(output_sha256(["hamilton", "--k", str(k), "--orbital", str(i)],
+                              tmp_path / f"c{i}.txt")
+                for i in range(5))
+    assert got == HAMILTON_SHA256[k]
+
+
+@pytest.mark.parametrize("k", sorted(QUOTIENT_SHA256))
+def test_quotient_output_is_byte_identical(k, tmp_path):
+    got = output_sha256(["quotient", "--k", str(k)], tmp_path / "q.txt")
+    assert got == QUOTIENT_SHA256[k]
+
+
+def test_pipelines_never_build_the_full_graph(tmp_path, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("build_graph called")
+
+    for mod in ("psl2ham", "psl2ham.orbital", "psl2ham.cli"):
+        monkeypatch.setattr(f"{mod}.build_graph", forbidden)
+    cert, union = tmp_path / "c.txt", tmp_path / "u.txt"
+    assert run(["hamilton", "--k", "61", "--out", str(cert)]) == 0
+    assert run(["verify", "--cert", str(cert)]) == 0
+    assert run(["quotient", "--k", "61", "--out", str(tmp_path / "q.txt")]) == 0
+    assert run(["full-graph", "--k", "61", "--out", str(union)]) == 0
+    assert run(["verify", "--cert", str(union)]) == 0
+    # the patch does reach the one command that still needs the graph
+    with pytest.raises(AssertionError, match="build_graph called"):
+        run(["build", "--k", "61", "--out", str(tmp_path / "g.edges")])

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from psl2ham import OmegaPoint, neighborhood, suborbits
-from psl2ham.orbital import (base_neighborhood, edgelist_lines,
-                             suborbits_by_h_orbits, to_dot)
+from psl2ham import OmegaPoint, neighborhood, orbital_of, suborbits
+from psl2ham.orbital import edgelist_lines, suborbits_by_h_orbits, to_dot
 
 from util import random_words
 
@@ -53,10 +52,36 @@ def test_neighborhood_symmetry(action61):
                 assert p in neighborhood(action61, i, q)
 
 
-def test_base_neighborhood_is_long_suborbit(action61):
-    subs = suborbits(action61)
-    for i in range(5):
-        assert base_neighborhood(action61, i) == set(subs[5 + i].points)
+def test_base_neighborhood_is_long_suborbit(actions):
+    # long suborbit i is the set of finite points of fiber i, which is
+    # what makes orbital_of exact
+    for action in actions.values():
+        subs = suborbits(action)
+        for i in range(5):
+            base = neighborhood(action, i, action.alpha)
+            assert base == set(subs[5 + i].points)
+            assert base == {p for p in action.points
+                            if p.beta is not None and p.fiber == i}
+
+
+def assert_oracle_matches_neighborhoods(action, sources):
+    for v in sources:
+        nbs = [neighborhood(action, i, v) for i in range(5)]
+        for w in action.points:
+            hits = [i for i in range(5) if w in nbs[i]]
+            assert len(hits) <= 1
+            assert orbital_of(action, v, w) == (hits[0] if hits else None)
+
+
+def test_orbital_of_matches_neighborhoods_k61(action61):
+    assert_oracle_matches_neighborhoods(action61, action61.points)
+
+
+@pytest.mark.parametrize("k", [81, 121])
+def test_orbital_of_matches_neighborhoods_sampled(actions, k):
+    rng = random.Random(k)
+    action = actions[k]
+    assert_oracle_matches_neighborhoods(action, rng.sample(action.points, 20))
 
 
 def test_graph_structure_k61(cache):

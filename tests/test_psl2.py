@@ -5,7 +5,6 @@ import random
 import pytest
 
 from psl2ham import Field, PSL2, mulclose
-from psl2ham.psl2 import mat_str, parse_mat
 
 from util import random_words
 
@@ -42,7 +41,7 @@ def test_generators_need_k_1_mod_4():
 
 def test_l_conjugates_t_to_inverse(group61):
     l, t, u = group61.generators()
-    assert group61.conj(t, l) == group61.inv(t)
+    assert group61.mul(group61.mul(group61.inv(l), t), l) == group61.inv(t)
 
 
 def test_ti_l_are_involutions(group61):
@@ -152,25 +151,3 @@ def test_literal_closure_agrees_for_prime_fields(group61):
     t5 = group61.power(t, 5)
     assert mulclose([u, t5], group61.mul) == set(group61.H)
 
-
-def test_unipotents(group61):
-    U = group61.unipotents()
-    assert len(set(U)) == 61
-    assert group61.identity in U
-
-
-def test_subgroup_specs(group61):
-    specs = group61.subgroup_specs()
-    assert specs["K"].order == 61 * 60 // 2
-    assert specs["H"].order == 366
-    assert specs["S"].order == 31
-    assert specs["U"].order == 61
-
-
-def test_mat_serialization_round_trip(group61, groups):
-    F = group61.field
-    l, t, u = group61.generators()
-    assert parse_mat(F, mat_str(F, t)) == t
-    G81 = groups[81]
-    g = G81.generators()[1]
-    assert parse_mat(G81.field, mat_str(G81.field, g)) == g

@@ -45,6 +45,35 @@ def test_voltages_realize_adjacency(cache, action61):
         assert hits == set(q.voltages[3][b])
 
 
+def collapse(graph, orbits):
+    """Reference quotient read off the full graph: the voltage sets from
+    every vertex of each orbit, which S-invariance makes all equal."""
+    p = len(orbits[0])
+    pos = {pt: (a, w) for a, orb in enumerate(orbits) for w, pt in enumerate(orb)}
+    volts = [[None] * 10 for _ in range(10)]
+    for a, orb in enumerate(orbits):
+        rows = set()
+        for c, pt in enumerate(orb):
+            row = [set() for _ in range(10)]
+            for v in graph.neighbors[graph.index[pt]]:
+                b, w = pos[graph.vertices[v]]
+                row[b].add((w - c) % p)
+            rows.add(tuple(tuple(sorted(vs)) for vs in row))
+        assert len(rows) == 1, f"orbit {a}: voltages depend on the offset"
+        volts[a] = rows.pop()
+    return tuple(volts)
+
+
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_quotient_equals_collapse_of_full_graph(k, cache, actions):
+    for i in range(5):
+        q = cache.quotient(k, i)
+        volts = collapse(cache.graph(k, i), actions[k].s_orbits)
+        assert q.voltages == volts
+        assert q.mult == tuple(tuple(len(vs) for vs in row) for row in volts)
+        assert q.orbital_index == i
+
+
 def expected_single_edge_pairs(i):
     """The crossing pairs that degenerate to a single edge over GF(81).
 
