@@ -205,16 +205,21 @@ def equation_for_orbit_pair(field: Field, orbital_index: int, a: int,
 def solvability_report(field: Field) -> list[str]:
     """One row per (k, pair_type, i, j, n): exact counts and the bound.
 
-    Columns: k type i j n N_total N_nonzero bound holds.
+    Columns: k type i j n N_total N_nonzero bound holds.  The 375 rows
+    hold 26 distinct equations (e = 2(j-i+n) takes 13 values and the two
+    same-family types agree), so each is counted once.
     """
     rows = ["k type i j n N_total N_nonzero bound holds"]
+    counted: dict[DiagonalEquation, tuple[WeilReport, int]] = {}
     for pair_type in (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO):
         for i in range(5):
             for j in range(5):
                 for n in range(5):
                     eq = double_edge_equation(field, pair_type, i, j, n)
-                    rep = weil_check(field, eq)
-                    nz = count_nonzero_x2(field, eq)
+                    if eq not in counted:
+                        counted[eq] = (weil_check(field, eq),
+                                       count_nonzero_x2(field, eq))
+                    rep, nz = counted[eq]
                     rows.append(
                         f"{field.order} {pair_type} {i} {j} {n} "
                         f"{rep.N} {nz} {rep.bound:.4f} {rep.holds}")

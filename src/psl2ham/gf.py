@@ -10,8 +10,9 @@ Construction is deterministic: the reducing polynomial is the
 lexicographically smallest monic irreducible of its degree (coefficients
 compared constant term first), and the distinguished generator ``theta``
 is the smallest generator of the multiplicative group in the same
-coordinate order.  Discrete logs are a full precomputed table, which caps
-practical field sizes at a few thousand elements.
+coordinate order.  Discrete logs are full precomputed tables, and
+addition for m > 1 goes through the Zech logarithm
+zech[n] = log(1 + theta^n): x + y = x*(1 + y/x), so every table is O(k).
 """
 
 from __future__ import annotations
@@ -107,11 +108,8 @@ def smallest_irreducible(s: int, m: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
-_ADD_TABLE_MAX_ORDER = 1024
-
-
 class Field:
-    """GF(s^m) with a fixed generator theta and full exp/log tables."""
+    """GF(s^m) with a fixed generator theta and full exp/log/Zech tables."""
 
     def __init__(self, s: int, m: int):
         if not is_prime(s):
@@ -142,15 +140,6 @@ class Field:
 
         self.theta = self._find_generator()
         self._build_log_tables()
-
-        self._add_table = None
-        if m > 1 and k <= _ADD_TABLE_MAX_ORDER:
-            enc, coeffs = self._enc, self._coeffs
-            self._add_table = [
-                [enc[tuple((a + b) % s for a, b in zip(coeffs[x], coeffs[y]))]
-                 for y in range(k)]
-                for x in range(k)
-            ]
 
     # --- construction internals ---
 
@@ -194,20 +183,26 @@ class Field:
             x = self._mul_poly(x, self.theta)
         if x != 1:
             raise AssertionError("theta does not have full order")
-        self._exp = tuple(exp)
+        # doubled, so a sum of two logs indexes it without reduction
+        self._exp = tuple(exp) * 2
         self._log = log
+        # zech[n] = log(1 + theta^n), None where that is 0 (log[0] is None);
+        # adding 1 to a handle adds 1 to its constant coordinate
+        s = self.s
+        self._zech = [log[h + 1 if h % s != s - 1 else h - (s - 1)]
+                      for h in exp]
 
     # --- arithmetic ---
 
     def add(self, x: int, y: int) -> int:
         if self.m == 1:
             return (x + y) % self.s
-        t = self._add_table
-        if t is not None:
-            return t[x][y]
-        s = self.s
-        return self._enc[tuple((a + b) % s
-                               for a, b in zip(self._coeffs[x], self._coeffs[y]))]
+        if x and y:
+            # x + y = x*(1 + y/x); a negative index wraps mod k-1 on zech
+            lx = self._log[x]
+            z = self._zech[self._log[y] - lx]
+            return 0 if z is None else self._exp[lx + z]
+        return x or y
 
     def neg(self, x: int) -> int:
         return self._neg[x]
@@ -218,7 +213,7 @@ class Field:
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        return self._exp[(self._log[x] + self._log[y]) % (self.order - 1)]
+        return self._exp[self._log[x] + self._log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:

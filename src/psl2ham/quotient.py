@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .action import CosetAction, OmegaPoint, parse_point, point_str
 from .errors import InvariantViolation
-from .gf import Field
+from .gf import Field, is_prime
 from .orbital import neighborhood, orbital_of
 from .psl2 import PSL2
 
@@ -307,6 +307,8 @@ def parse_certificate(text: str) -> tuple[Field, HamiltonCertificate]:
                          f"{len(body)} vertex lines")
     if m > k.bit_length() or s**m != k:
         raise ValueError(f"s^m does not match k = {k}")
+    if (k - 1) % 10 or p != (k + 1) // 2 or not is_prime(p):
+        raise ValueError(f"k = {k}, p = {p} is not an admissible instance")
     field = Field(s, m)
     n = int(fields["vertices"])
     if len(body) != n:

@@ -121,6 +121,8 @@ HOSTILE_HEADERS = [
     (1, 7, 1, 3),            # s < 2
     (2, 10**6, 64, 70),      # m far above k.bit_length()
     (3, 4, 82, 90),          # s^m != k
+    (7, 1, 7, 7),            # 10 does not divide k-1
+    (31, 1, 31, 31),         # p = 16 is not prime
 ]
 
 
@@ -138,6 +140,16 @@ def test_cli_verify_rejects_hostile_header_before_field(s, m, k, body, tmp_path,
     cert.write_text("\n".join(head + ["inf:0"] * body) + "\n")
     assert run(["verify", "--cert", str(cert)]) == 2
     assert "parameter error" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_p_other_than_half_k_plus_one(tmp_path, capsys):
+    cert = tmp_path / "c.txt"
+    assert run(["hamilton", "--k", "61", "--out", str(cert)]) == 0
+    text = cert.read_text()
+    assert "\np 31\n" in text
+    cert.write_text(text.replace("\np 31\n", "\np 37\n"))
+    assert run(["verify", "--cert", str(cert)]) == 2
+    assert "not an admissible instance" in capsys.readouterr().err
 
 
 def test_cli_parameter_errors(tmp_path, capsys):

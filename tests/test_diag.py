@@ -269,3 +269,25 @@ def test_report_rows(field61):
     assert len(rows) == 1 + 3 * 125
     assert all(r.startswith("61 ") for r in rows[1:])
     assert all(r.endswith("True") for r in rows[1:])
+
+
+def test_report_counts_each_distinct_equation_once(field61, monkeypatch):
+    counted = []
+
+    def count(field, eq):
+        counted.append(eq)
+        return count_solutions(field, eq)
+
+    monkeypatch.setattr("psl2ham.diag.count_solutions", count)
+    rows = solvability_report(field61)
+    # e = 2(j-i+n) takes 13 values, two pair families: 26 equations, not 375
+    assert len(counted) == len(set(counted)) == 26
+    # rows whose equation an earlier row already counted
+    for pair_type, i, j, n in ((PAIR_INF_ZERO, 1, 3, 2),
+                               (PAIR_ZERO_ZERO, 0, 0, 0),
+                               (PAIR_ZERO_ZERO, 4, 2, 3)):
+        eq = double_edge_equation(field61, pair_type, i, j, n)
+        rep = weil_check(field61, eq)
+        row = (f"61 {pair_type} {i} {j} {n} {rep.N} "
+               f"{count_nonzero_x2(field61, eq)} {rep.bound:.4f} {rep.holds}")
+        assert rows[1 + 125 * (pair_type - 1) + 25 * i + 5 * j + n] == row

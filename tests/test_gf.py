@@ -5,6 +5,7 @@ arithmetic below, plus exhaustive searches) and frozen.
 """
 
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -142,20 +143,27 @@ def test_all_inverses(s, m):
         assert F.mul(x, F.inv(x)) == 1
 
 
-def test_field_axioms_random():
+# every former addition path: m = 1 (%), the k*k table (m > 1, k <= 1024),
+# the tuple encode/decode (k = 2401), and 1 + theta^0 = 0 in GF(2^4)
+ADD_FIELDS = [(3, 4), (11, 2), (29, 2), (7, 4), (2, 4)]
+field = cache(Field)
+
+
+@pytest.mark.parametrize("s,m", [(61, 1)] + ADD_FIELDS)
+def test_field_axioms_random(s, m):
     rng = random.Random(20240811)
-    for F in (Field(61, 1), Field(3, 4), Field(11, 2)):
-        k = F.order
-        for _ in range(1000):
-            x, y, z = (rng.randrange(k) for _ in range(3))
-            assert F.add(x, y) == F.add(y, x)
-            assert F.mul(x, y) == F.mul(y, x)
-            assert F.add(F.add(x, y), z) == F.add(x, F.add(y, z))
-            assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
-            assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
-            assert F.add(x, 0) == x
-            assert F.mul(x, 1) == x
-            assert F.add(x, F.neg(x)) == 0
+    F = field(s, m)
+    k = F.order
+    for _ in range(1000):
+        x, y, z = (rng.randrange(k) for _ in range(3))
+        assert F.add(x, y) == F.add(y, x)
+        assert F.mul(x, y) == F.mul(y, x)
+        assert F.add(F.add(x, y), z) == F.add(x, F.add(y, z))
+        assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
+        assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+        assert F.add(x, 0) == x
+        assert F.mul(x, 1) == x
+        assert F.add(x, F.neg(x)) == 0
 
 
 @pytest.mark.parametrize("s,m", [(3, 4), (11, 2)])
@@ -191,13 +199,25 @@ def test_gf81_tenth_power_of_theta_has_order_eight():
     assert n == 8
 
 
-_GF81 = Field(3, 4)
+@pytest.mark.parametrize("s,m", ADD_FIELDS)
+@given(data=st.data())
+def test_add_matches_coordinatewise(s, m, data):
+    F = field(s, m)
+    x, y = (data.draw(st.integers(min_value=0, max_value=F.order - 1))
+            for _ in range(2))
+    cs = tuple((a + b) % s for a, b in zip(F.coeffs(x), F.coeffs(y)))
+    assert F.coeffs(F.add(x, y)) == cs
 
 
-@given(st.integers(min_value=0, max_value=80), st.integers(min_value=0, max_value=80))
-def test_add_matches_coordinatewise_gf81(x, y):
-    cs = tuple((a + b) % 3 for a, b in zip(_GF81.coeffs(x), _GF81.coeffs(y)))
-    assert _GF81.coeffs(_GF81.add(x, y)) == cs
+@pytest.mark.parametrize("s,m", [(3, 4), (2, 4)])
+def test_add_exhaustive(s, m):
+    F = field(s, m)
+    for x in range(F.order):
+        assert F.add(x, F.neg(x)) == 0
+        for y in range(F.order):
+            cs = tuple((a + b) % s for a, b in zip(F.coeffs(x), F.coeffs(y)))
+            assert F.coeffs(F.add(x, y)) == cs
+            assert F.sub(F.add(x, y), y) == x
 
 
 def test_serialization_round_trip():

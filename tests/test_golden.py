@@ -1,9 +1,11 @@
-"""Byte-identity gates: pinned SHA-256 of CLI output files.
+"""Byte-identity gates: pinned SHA-256 of CLI output files and stdout.
 
-The hashes are the `out` entries of perfbench/golden.json for the same
-command lines, made with the full-graph pipeline that `build_graph`
-drove before the adjacency oracle replaced it.  Any change to vertex
-order, voltage choice or text layout shows up here.
+The hashes are the `out` (and for `weil-report` the `stdout`) entries of
+perfbench/golden.json for the same command lines, made with the
+full-graph pipeline that `build_graph` drove before the adjacency oracle
+replaced it, and with the k*k add table and tuple-encoded field addition
+that the Zech logarithm replaced.  Any change to vertex order, voltage
+choice, solution counts or text layout shows up here.
 """
 
 import hashlib
@@ -42,6 +44,17 @@ QUOTIENT_SHA256 = {
     121: "9f985d3b922cd8c517158023bd7329b44dec6601b12b8499afb651497ced5706",
 }
 
+# m = 1; the former add table (81, 121, 841); the former tuple add (2401,
+# 3481); all of them through the per-equation dedup of solvability_report
+WEIL_SHA256 = {
+    61: "61d08158f0bc5f428301e8b4c2f20464eac66456aac839d432afb9a1f5afbb39",
+    81: "163352d63083c9db6f8e5c0f6a0ce47713bd100c2387a701baad0bdd3b6ebe0c",
+    121: "80c2a1526125fa243631d0e8a35b3ec0c3bf3f4a0c8ecbb3269df663b64199ef",
+    841: "864fa6c7bdfa08476010ee5397ca7b7e7cd473f90aa3664d1aabfb9b7d63fd3c",
+    2401: "08ae990fe4d1b5ee076f0f405144c9a37a37bbfba8a8d053800853f83cdf67df",
+    3481: "d881ba0d2663b4ea7883a32a122da9b742e36efb9000d156b0a2581d03b13c0a",
+}
+
 
 def output_sha256(argv, path):
     assert run(argv + ["--out", str(path)]) == 0
@@ -60,6 +73,13 @@ def test_hamilton_certificates_are_byte_identical(k, tmp_path):
 def test_quotient_output_is_byte_identical(k, tmp_path):
     got = output_sha256(["quotient", "--k", str(k)], tmp_path / "q.txt")
     assert got == QUOTIENT_SHA256[k]
+
+
+@pytest.mark.parametrize("k", sorted(WEIL_SHA256))
+def test_weil_report_is_byte_identical(k, capsys):
+    assert run(["weil-report", "--k", str(k)]) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == WEIL_SHA256[k]
 
 
 def test_pipelines_never_build_the_full_graph(tmp_path, monkeypatch):
