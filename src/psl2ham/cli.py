@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .action import CosetAction
 from .diag import solvability_report
 from .errors import InvariantViolation, ParameterError
-from .gf import Field, is_prime
+from .gf import Field, admissible, is_prime
 from .orbital import build_graph, edgelist_lines, orbital_of, to_dot
 from .psl2 import PSL2
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
@@ -39,14 +39,10 @@ class InstanceParams:
         if m < 1:
             raise ParameterError(f"m = {m} must be >= 1")
         k = s**m
-        if k < 61:
-            raise ParameterError(f"k = {k} is below the smallest admissible 61")
-        if (k - 1) % 10:
-            raise ParameterError(f"10 does not divide k-1 = {k - 1}")
-        p = (k + 1) // 2
-        if not is_prime(p):
-            raise ParameterError(f"(k+1)/2 = {p} is not prime")
-        return cls(s=s, m=m, k=k, p=p)
+        if not admissible(k):
+            raise ParameterError(
+                f"k = {k} is not admissible: need 10 | k-1 and (k+1)/2 prime")
+        return cls(s=s, m=m, k=k, p=(k + 1) // 2)
 
 
 def factor_prime_power(k: int) -> tuple[int, int]:
@@ -71,17 +67,13 @@ def factor_prime_power(k: int) -> tuple[int, int]:
 def list_instances(max_k: int) -> list[InstanceParams]:
     """All admissible (s, m) with 61 <= k <= max_k."""
     out = []
-    for s in range(2, max_k + 1):
-        if not is_prime(s):
-            continue
-        m = 1
-        k = s
-        while k <= max_k:
-            if k >= 61 and (k - 1) % 10 == 0 and is_prime((k + 1) // 2):
-                out.append(InstanceParams(s=s, m=m, k=k, p=(k + 1) // 2))
-            m += 1
-            k *= s
-    return sorted(out, key=lambda ip: ip.k)
+    for k in range(61, max_k + 1):
+        if admissible(k):
+            try:
+                out.append(InstanceParams.create(*factor_prime_power(k)))
+            except ParameterError:  # not a prime power
+                pass
+    return out
 
 
 @dataclass
@@ -147,7 +139,7 @@ def full_graph_mode(params: InstanceParams, subset) -> PipelineResult:
     verts = result.certificate.vertices
     n = len(verts)
     for idx in range(n):
-        if orbital_of(result.action, verts[idx], verts[(idx + 1) % n]) not in subset:
+        if orbital_of(result.action.field, verts[idx], verts[(idx + 1) % n]) not in subset:
             raise InvariantViolation(
                 "certificate cycle leaves the union graph", stage="full-graph")
     return result
@@ -160,7 +152,8 @@ def _add_instance_args(sp):
     sp.add_argument("--m", type=int, default=1, help="extension degree (default 1)")
     sp.add_argument("--k", type=int, help="field order s^m (alternative to --s/--m)")
     sp.add_argument("--allow-large", action="store_true",
-                    help=f"lift the k <= {DESK_SCALE_MAX_K} guard")
+                    help=f"lift the k <= {DESK_SCALE_MAX_K} guard of build; "
+                         "the other commands take any k")
 
 
 def _resolve_params(args) -> InstanceParams:
@@ -172,12 +165,7 @@ def _resolve_params(args) -> InstanceParams:
         s, m = args.s, args.m
     else:
         raise ParameterError("one of --k or --s is required")
-    params = InstanceParams.create(s, m)
-    if params.k > DESK_SCALE_MAX_K and not args.allow_large:
-        raise ParameterError(
-            f"k = {params.k} exceeds the desk-scale guard "
-            f"{DESK_SCALE_MAX_K}; pass --allow-large to proceed")
-    return params
+    return InstanceParams.create(s, m)
 
 
 def _write_out(text: str, out: str | None):
@@ -260,8 +248,10 @@ def run(argv=None) -> int:
 
         if args.command == "build":
             params = _resolve_params(args)
-            if not 0 <= args.orbital <= 4:
-                raise ParameterError("orbital index out of range 0..4")
+            if params.k > DESK_SCALE_MAX_K and not args.allow_large:  # k^2 work
+                raise ParameterError(
+                    f"k = {params.k} exceeds the desk-scale guard "
+                    f"{DESK_SCALE_MAX_K} of build; pass --allow-large to proceed")
             action = build_action(params)
             graph = build_graph(action, args.orbital)
             if args.format == "dot":
@@ -272,8 +262,6 @@ def run(argv=None) -> int:
 
         if args.command == "quotient":
             params = _resolve_params(args)
-            if not 0 <= args.orbital <= 4:
-                raise ParameterError("orbital index out of range 0..4")
             quot = build_quotient(build_action(params), args.orbital)
             _write_out(_quotient_text(quot), args.out)
             return 0

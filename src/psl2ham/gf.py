@@ -34,6 +34,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def admissible(k: int) -> bool:
+    """Prime power k is an instance: 10 | k-1, (k+1)/2 prime (so k >= 61)."""
+    return (k - 1) % 10 == 0 and is_prime((k + 1) // 2)
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n by trial division."""
     out = []
@@ -247,9 +252,6 @@ class Field:
         return sorted({r, self._neg[r]}, key=self._coeffs.__getitem__)
 
     # --- views and serialization ---
-
-    def one(self) -> int:
-        return 1
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         return self._coeffs[x]

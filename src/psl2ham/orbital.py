@@ -1,26 +1,36 @@
 """Suborbits and the five basic orbital graphs Y(i).
 
 The stabilizer H has ten orbits on the point set: five fixed points
-(inf, i) and five orbits of size k.  Long suborbit i has the closed form
+(inf, i) and five orbits of size k.  Long suborbit i is the set
+{ point_of([[0, -theta^i], [theta^-i, x]]) : x in GF(k) }, and the
+neighborhood of omega in Y(i) is its image under rep(omega) acting on
+the right (`neighborhood`).  With chi(x) = dlog(x) mod 5, for which
+chi(-1) = 0 as 10 | k-1, adjacency is one rule on labels:
 
-    { point_of([[0, -theta^i], [theta^-i, x]]) : x in GF(k) }
+    (beta, f) ~ (beta', f') in Y(i)  iff  f + f' = i + chi(beta' - beta)  (mod 5)
 
-and the neighborhood of any point omega in the i-th orbital graph is the
-image of that set under rep(omega) acting on the right.  Since
-point_of of that matrix is (-x*theta^i, dlog(-theta^i) mod 5) and
-dlog(-1) = (k-1)/2 = 0 (mod 5), long suborbit i is exactly the set of
-finite points of fiber i.  So adjacency is decided in O(1) by
-`orbital_of`, and only `build` exports need the full graph.  Graphs are
-stored as sorted neighbor lists over a fixed vertex order so that exports
-are byte-stable.
+for beta != beta', with chi read as 0 when either beta is inf; points
+with beta = beta' are never adjacent.  Proof: if g = [[a,b],[c,d]] has
+c != 0, point_of(g) is finite of fiber chi(a*beta + b) = chi(-1/c) =
+-chi(c), as det g = 1; and rep(w)*rep(v)^-1 = t^f' [[1,0],[beta'-beta,1]]
+t^-f has c = theta^-(f+f') (beta' - beta), or +-theta^-(f+f') when one
+beta is inf, so it lies in long suborbit i, the finite points of fiber i.
+
+`orbital_of` applies the rule in O(1) from the field alone and
+`build_graph` reads whole rows off it; `neighborhood` and `suborbits`
+keep the matrix form as the independent derivation the quotient is
+built from.  Graphs are stored as sorted neighbor lists over a fixed
+vertex order so that exports are byte-stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 from .action import CosetAction, OmegaPoint, point_str
 from .errors import InvariantViolation
+from .gf import Field
 
 
 @dataclass(frozen=True)
@@ -48,15 +58,14 @@ def neighborhood(action: CosetAction, i: int, p: OmegaPoint) -> set[OmegaPoint]:
     return out
 
 
-def orbital_of(action: CosetAction, v: OmegaPoint, w: OmegaPoint) -> int | None:
-    """The i with w ~ v in Y(i), or None when w is not adjacent to v.
-
-    w ~ v in Y(i) iff H*rep(w)*rep(v)^-1 lies in long suborbit i, the
-    finite points of fiber i.
-    """
-    G = action.group
-    beta, fiber = action.point_of(G.mul(action.rep(w), G.inv(action.rep(v))))
-    return None if beta is None else fiber
+def orbital_of(field: Field, v: OmegaPoint, w: OmegaPoint) -> int | None:
+    """The i with w ~ v in Y(i), or None when w is not adjacent to v."""
+    if v.beta == w.beta:
+        return None
+    f = v.fiber + w.fiber
+    if v.beta is None or w.beta is None:
+        return f % 5
+    return (f - field._log[field.sub(w.beta, v.beta)]) % 5
 
 
 def suborbits(action: CosetAction) -> list[Suborbit]:
@@ -71,10 +80,7 @@ def suborbits(action: CosetAction) -> list[Suborbit]:
                 f"long suborbit {i} has size {len(pts)}, expected {k}",
                 stage="orbital")
         subs.append(Suborbit("long", i, pts))
-    cover: set[OmegaPoint] = set()
-    for sb in subs:
-        cover.update(sb.points)
-    if len(cover) != action.size:
+    if len(set().union(*(sb.points for sb in subs))) != action.size:
         raise InvariantViolation("suborbits do not partition the point set",
                                  stage="orbital")
     return subs
@@ -103,86 +109,92 @@ class OrbitalGraph:
     i: int
     action: CosetAction
     vertices: tuple[OmegaPoint, ...]
-    index: dict[OmegaPoint, int]
     neighbors: tuple[tuple[int, ...], ...]  # sorted vertex indices
-    degree: int = dc_field(init=False)
-
-    def __post_init__(self):
-        self.degree = len(self.neighbors[0]) if self.neighbors else 0
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
 
     def edges(self):
         """Each undirected edge once, (u, v) with u < v, u-major order."""
         for u, nb in enumerate(self.neighbors):
-            for v in nb:
-                if u < v:
-                    yield u, v
+            for v in nb[bisect_right(nb, u):]:
+                yield u, v
 
 
 def build_graph(action: CosetAction, i: int) -> OrbitalGraph:
-    """Construct the i-th basic orbital graph and check its invariants."""
+    """Construct the i-th basic orbital graph and check its invariants.
+
+    By the rule, (beta, f) has in fiber g the point inf when f + g = i and
+    the beta' with chi(beta' - beta) = f + g - i.  So one row of
+    chi(x - beta), split into its classes, gives the sorted neighbors of
+    the five vertices over beta.
+    """
     if not 0 <= i <= 4:
         raise ValueError(f"orbital index {i} out of range")
-    k = action.field.order
+    F = action.field
+    k = F.order
     verts = action.points
-    index = action.index
-    nb_sets = []
-    for p in verts:
-        nb = neighborhood(action, i, p)
+    n = len(verts)
+    ids = list(range(n))  # one int object per vertex index, shared by all rows
+    fibers = [ids[g * (k + 1):(g + 1) * (k + 1)] for g in range(5)]
+    # class 5 holds x - beta = 0 (log[0] is None): no edge
+    chi = [5 if e is None else e % 5 for e in F._log]
+    sub, lex = F.sub, F.elements_lex
+    neighbors = [None] * n
+    for f in range(5):
+        neighbors[f * (k + 1)] = tuple(fibers[(i - f) % 5][1:])
+    for j, beta in enumerate(lex, start=1):
+        classes = [[] for _ in range(6)]
+        for pos, x in enumerate(lex, start=1):
+            classes[chi[sub(x, beta)]].append(pos)
+        for f in range(5):
+            nb = []
+            for g, fib in enumerate(fibers):
+                c = (f + g - i) % 5
+                if c == 0:
+                    nb.append(fib[0])
+                nb += [fib[pos] for pos in classes[c]]
+            neighbors[f * (k + 1) + j] = tuple(nb)
+    for u, nb in enumerate(neighbors):
         if len(nb) != k:
             raise InvariantViolation(
-                f"vertex {p} has {len(nb)} neighbors, expected {k}",
+                f"vertex {verts[u]} has {len(nb)} neighbors, expected {k}",
                 stage="orbital")
-        if p in nb:
-            raise InvariantViolation(f"loop at vertex {p}", stage="orbital")
-        nb_sets.append({index[q] for q in nb})
-    for u, nbs in enumerate(nb_sets):
-        for v in nbs:
-            if u not in nb_sets[v]:
-                raise InvariantViolation(
-                    f"asymmetric adjacency between {verts[u]} and {verts[v]}",
-                    stage="orbital")
+        if u in nb:
+            raise InvariantViolation(f"loop at vertex {verts[u]}", stage="orbital")
+    # symmetry: every row equals the same row of the transpose
+    transpose = [[] for _ in range(n)]
+    for u, nb in zip(ids, neighbors):
+        for v in nb:
+            transpose[v].append(u)
+    for v, nb in enumerate(neighbors):
+        if tuple(transpose[v]) != nb:
+            u = min(set(nb) ^ set(transpose[v]))
+            raise InvariantViolation(
+                f"asymmetric adjacency between {verts[u]} and {verts[v]}",
+                stage="orbital")
     # connectivity (breadth-first search)
-    seen = {0}
-    frontier = [0]
+    seen, frontier = {0}, {0}
     while frontier:
-        nxt = []
-        for u in frontier:
-            for v in nb_sets[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    if len(seen) != len(verts):
+        frontier = set().union(*map(neighbors.__getitem__, frontier)) - seen
+        seen |= frontier
+    if len(seen) != n:
         raise InvariantViolation(
-            f"orbital graph {i} is disconnected ({len(seen)}/{len(verts)} reached)",
+            f"orbital graph {i} is disconnected ({len(seen)}/{n} reached)",
             stage="orbital")
-    neighbors = tuple(tuple(sorted(s)) for s in nb_sets)
     return OrbitalGraph(i=i, action=action, vertices=verts,
-                        index=index, neighbors=neighbors)
+                        neighbors=tuple(neighbors))
 
 
 # --- exports ---
 
 def edgelist_lines(graph: OrbitalGraph):
-    F = graph.action.field
-    verts = graph.vertices
+    labels = [point_str(graph.action.field, p) for p in graph.vertices]
     for u, v in graph.edges():
-        yield f"{point_str(F, verts[u])} {point_str(F, verts[v])}"
+        yield f"{labels[u]} {labels[v]}"
 
 
 def to_dot(graph: OrbitalGraph) -> str:
     F = graph.action.field
-    verts = graph.vertices
+    labels = [point_str(F, p) for p in graph.vertices]
     lines = [f'graph "Y{graph.i}_k{F.order}" {{']
-    for u, v in graph.edges():
-        lines.append(f'  "{point_str(F, verts[u])}" -- "{point_str(F, verts[v])}";')
+    lines += [f'  "{labels[u]}" -- "{labels[v]}";' for u, v in graph.edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -97,8 +97,9 @@ def structural_checks(k: int) -> tuple[list, float, CosetAction]:
 
     for i in range(5):
         graph = build_graph(action, i)  # raises on asymmetry/disconnection
-        if graph.degree != k:
-            failures.append(f"Y({i}) degree {graph.degree}")
+        degrees = {len(nb) for nb in graph.neighbors}
+        if degrees != {k}:
+            failures.append(f"Y({i}) degrees {sorted(degrees)}")
         quot = build_quotient(action, i)
         offdiag = [(a, b) for a in range(10) for b in range(10)
                    if a != b and quot.mult[a][b] < 1]

@@ -7,7 +7,8 @@ import pytest
 
 from psl2ham import (InstanceParams, ParameterError, full_graph_mode,
                      list_instances, orbital_of, run_pipeline)
-from psl2ham.cli import factor_prime_power, run
+from psl2ham.cli import DESK_SCALE_MAX_K, factor_prime_power, run
+from psl2ham.gf import admissible
 
 
 def test_list_instances():
@@ -30,6 +31,22 @@ def test_instance_params_validation():
         InstanceParams.create(13, 1)  # 10 does not divide 12
     with pytest.raises(ParameterError):
         InstanceParams.create(3, 3)  # k = 27 < 61
+
+
+def test_one_admissibility_rule_for_params_and_listing():
+    listed = {ip.k for ip in list_instances(2000)}
+    for k in range(2, 2001):
+        try:
+            s, m = factor_prime_power(k)
+        except ParameterError:
+            continue
+        assert (k in listed) == admissible(k)
+        if admissible(k):
+            assert InstanceParams.create(s, m).k == k
+        else:
+            with pytest.raises(ParameterError, match="not admissible"):
+                InstanceParams.create(s, m)
+    assert min(listed) == 61
 
 
 def test_factor_prime_power():
@@ -68,7 +85,7 @@ def test_full_graph_mode_subsets():
 def test_full_graph_union_is_5k_regular(action61):
     pts = action61.points
     for v in pts:
-        assert sum(orbital_of(action61, v, w) is not None for w in pts) == 5 * 61
+        assert sum(orbital_of(action61.field, v, w) is not None for w in pts) == 5 * 61
 
 
 def test_cli_instances(capsys):
@@ -113,6 +130,17 @@ def test_cli_verify_short_consistent_body_exits_4(tmp_path):
     lines[9] = f"vertices {len(lines) - 10}"
     cert.write_text("\n".join(lines) + "\n")
     assert run(["verify", "--cert", str(cert)]) == 4
+
+
+def test_cli_large_k_guard_is_for_build_only(tmp_path, capsys):
+    # hamilton and verify are linear in the 10p points; only build is quadratic
+    assert 5101 > DESK_SCALE_MAX_K
+    cert = tmp_path / "c.txt"
+    assert run(["hamilton", "--k", "5101", "--out", str(cert)]) == 0
+    assert run(["verify", "--cert", str(cert)]) == 0
+    assert "certificate OK: 25510 vertices" in capsys.readouterr().out
+    assert run(["build", "--k", "5101"]) == 2
+    assert "desk-scale guard" in capsys.readouterr().err
 
 
 HOSTILE_HEADERS = [

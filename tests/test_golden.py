@@ -3,9 +3,11 @@
 The hashes are the `out` (and for `weil-report` the `stdout`) entries of
 perfbench/golden.json for the same command lines, made with the
 full-graph pipeline that `build_graph` drove before the adjacency oracle
-replaced it, and with the k*k add table and tuple-encoded field addition
-that the Zech logarithm replaced.  Any change to vertex order, voltage
-choice, solution counts or text layout shows up here.
+replaced it, with the k*k add table and tuple-encoded field addition
+that the Zech logarithm replaced, and with the per-vertex matrix-form
+neighborhoods that the label rule of `build_graph` replaced.  Any change
+to vertex order, voltage choice, solution counts or text layout shows up
+here.
 """
 
 import hashlib
@@ -44,6 +46,16 @@ QUOTIENT_SHA256 = {
     121: "9f985d3b922cd8c517158023bd7329b44dec6601b12b8499afb651497ced5706",
 }
 
+# build exports: every edge of Y(i), read off the label rule of build_graph
+BUILD_SHA256 = {
+    ("--k", "81"): "2f605b8ae0651fe48039a25ae078dc621aaf0d56c9d6669534edae588f126a80",
+    ("--k", "121"): "70d57d5062277e3d5ae15b43faedef93fd0b1dec03e95e7b17e55530664881c8",
+    ("--k", "361", "--orbital", "3", "--format", "edgelist"):
+        "e3801b3ffd8229db2c924be7d21b5794c526edbd1a160895be77c4c933192e2b",
+    ("--k", "421", "--orbital", "1", "--format", "dot"):
+        "ddf180b8e78d7020efd7be50fda8db01a223f6c07e2b80d991a91dfd0e2b4ba3",
+}
+
 # m = 1; the former add table (81, 121, 841); the former tuple add (2401,
 # 3481); all of them through the per-equation dedup of solvability_report
 WEIL_SHA256 = {
@@ -80,6 +92,12 @@ def test_weil_report_is_byte_identical(k, capsys):
     assert run(["weil-report", "--k", str(k)]) == 0
     got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == WEIL_SHA256[k]
+
+
+@pytest.mark.parametrize("args", sorted(BUILD_SHA256))
+def test_build_exports_are_byte_identical(args, tmp_path):
+    got = output_sha256(["build", *args], tmp_path / "g.txt")
+    assert got == BUILD_SHA256[args]
 
 
 def test_pipelines_never_build_the_full_graph(tmp_path, monkeypatch):

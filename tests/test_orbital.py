@@ -1,10 +1,12 @@
 """Suborbits and orbital graphs: sizes, symmetry, regularity, exports."""
 
+import copy
 import random
 
 import pytest
 
-from psl2ham import OmegaPoint, neighborhood, orbital_of, suborbits
+from psl2ham import (InvariantViolation, OmegaPoint, build_graph, neighborhood,
+                     orbital_of, suborbits)
 from psl2ham.orbital import edgelist_lines, suborbits_by_h_orbits, to_dot
 
 from util import random_words
@@ -70,7 +72,7 @@ def assert_oracle_matches_neighborhoods(action, sources):
         for w in action.points:
             hits = [i for i in range(5) if w in nbs[i]]
             assert len(hits) <= 1
-            assert orbital_of(action, v, w) == (hits[0] if hits else None)
+            assert orbital_of(action.field, v, w) == (hits[0] if hits else None)
 
 
 def test_orbital_of_matches_neighborhoods_k61(action61):
@@ -84,12 +86,71 @@ def test_orbital_of_matches_neighborhoods_sampled(actions, k):
     assert_oracle_matches_neighborhoods(action, rng.sample(action.points, 20))
 
 
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_build_graph_matches_neighborhoods(k, cache, actions):
+    # the label rule of build_graph against the matrix-form neighborhoods
+    action = actions[k]
+    for i in range(5):
+        g = cache.graph(k, i)
+        assert list(g.vertices) == list(action.points)
+        for p, nb in zip(action.points, g.neighbors):
+            assert list(nb) == sorted(action.index[q]
+                                      for q in neighborhood(action, i, p))
+
+
+def tampered(action, edit):
+    """A copy of a GF(61) action whose field copy has its log table edited.
+
+    Over a prime field subtraction never reads the log table, so the edit
+    reaches build_graph through chi alone."""
+    field = copy.copy(action.field)
+    field._log = list(field._log)
+    edit(field._log)
+    out = copy.copy(action)
+    out.field = field
+    return out
+
+
+def drop_chi_of_2(log):
+    log[2] = None  # chi(2) undefined: beta + 2 drops out of each row of beta
+
+
+def chi_of_zero_and_drop_2(log):
+    drop_chi_of_2(log)
+    log[0] = 0  # beta' = beta joins class 0: a loop, sizes stay k
+
+
+def shift_chi_of_2(log):
+    log[2] += 1  # chi(2) != chi(-2)
+
+
+def flatten_chi(log):
+    # chi = 0 everywhere: (beta, f) ~ (beta', f') iff f + f' = i, which
+    # pairs the fibers and leaves three components
+    log[:] = [None if e is None else 5 * e for e in log]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (drop_chi_of_2, "has 60 neighbors, expected 61"),
+    (chi_of_zero_and_drop_2, "loop at vertex"),
+    (shift_chi_of_2, "asymmetric adjacency"),
+    (flatten_chi, "is disconnected"),
+])
+def test_build_graph_checks_raise(action61, edit, message):
+    action = tampered(action61, edit)
+    for i in range(5):
+        with pytest.raises(InvariantViolation, match=message) as exc:
+            build_graph(action, i)
+        assert exc.value.stage == "orbital"
+    assert action61.field._log[2] is not None  # the original is untouched
+    build_graph(action61, 0)
+
+
 def test_graph_structure_k61(cache):
     for i in range(5):
         g = cache.graph(61, i)
-        assert g.n_vertices == 310
-        assert g.degree == 61
-        assert g.n_edges == 310 * 61 // 2 == 9455
+        assert len(g.vertices) == 310
+        assert sum(1 for _ in g.edges()) == 310 * 61 // 2 == 9455
         assert all(len(nb) == 61 for nb in g.neighbors)
 
 
@@ -103,7 +164,6 @@ def test_graph_is_connected_and_symmetric(cache):
 
 
 def test_invalid_orbital_index(action61):
-    from psl2ham import build_graph
     with pytest.raises(ValueError):
         build_graph(action61, 5)
 
@@ -111,7 +171,7 @@ def test_invalid_orbital_index(action61):
 def test_group_elements_are_automorphisms(cache, action61):
     g = cache.graph(61, 0)
     rng = random.Random(23)
-    idx = g.index
+    idx = action61.index
     for w in random_words(action61.group, rng, 100):
         perm = {u: idx[action61.act(g.vertices[u], w)] for u in range(310)}
         assert sorted(perm.values()) == list(range(310))

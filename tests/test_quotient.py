@@ -55,7 +55,7 @@ def collapse(graph, orbits):
         rows = set()
         for c, pt in enumerate(orb):
             row = [set() for _ in range(10)]
-            for v in graph.neighbors[graph.index[pt]]:
+            for v in graph.neighbors[graph.action.index[pt]]:
                 b, w = pos[graph.vertices[v]]
                 row[b].add((w - c) % p)
             rows.add(tuple(tuple(sorted(vs)) for vs in row))
