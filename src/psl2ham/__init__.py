@@ -2,24 +2,23 @@
 the 5(k+1) cosets of a subgroup of order k(k-1)/10, where k = s^m is a
 prime power with 10 | k-1 and p = (k+1)/2 prime.
 
-The pipeline: exact GF(s^m) arithmetic -> PSL(2,k) and its distinguished
-subgroups -> the coset action -> the five basic orbital graphs -> the
-quotient multigraph over the ten orbits of the cyclic subgroup S of order
-p -> voltage selection and lifting -> a machine-verifiable certificate.
+The pipeline needs field arithmetic only, and builds no group: exact
+GF(s^m) arithmetic -> coset labels (beta, fiber) with closed-form
+representatives -> the ten orbits of the cyclic subgroup S of order p,
+walked by one generator -> the quotient multigraph of an orbital graph
+over those orbits, from 20 matrix-form neighborhoods -> voltage selection
+and lifting -> a certificate, re-verified by an O(1) rule on labels.
 """
 
 from .action import CosetAction, OmegaPoint, parse_point, point_str
 from .cli import (InstanceParams, full_graph_mode, list_instances,
                   run_pipeline)
-from .diag import (DiagonalEquation, WeilReport, count_nonzero_x2,
-                   count_solutions, double_edge_equation,
-                   equation_for_orbit_pair, has_double_edge_solution,
-                   has_nonzero_x2_solution, m_pairs, weil_check)
+from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
+                   double_edge_equation, equation_for_orbit_pair, m_pairs,
+                   solution_profile, weil_check)
 from .errors import InvariantViolation, ParameterError
 from .gf import Field, is_prime
-from .orbital import (OrbitalGraph, Suborbit, build_graph, neighborhood,
-                      orbital_of, suborbits)
-from .psl2 import PSL2, mulclose
+from .orbital import OrbitalGraph, build_graph, neighborhood, orbital_of
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        build_quotient, certificate_to_text, lift_cycle,
                        parse_certificate, unroll_lift, verify_certificate)
@@ -27,15 +26,12 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph,
 __all__ = [
     "CosetAction", "OmegaPoint", "parse_point", "point_str",
     "InstanceParams", "full_graph_mode", "list_instances", "run_pipeline",
-    "DiagonalEquation", "WeilReport", "count_nonzero_x2", "count_solutions",
-    "double_edge_equation", "equation_for_orbit_pair",
-    "has_double_edge_solution", "has_nonzero_x2_solution", "m_pairs",
-    "weil_check",
+    "DiagonalEquation", "SolutionProfile", "WeilReport",
+    "double_edge_equation", "equation_for_orbit_pair", "m_pairs",
+    "solution_profile", "weil_check",
     "InvariantViolation", "ParameterError",
     "Field", "is_prime",
-    "OrbitalGraph", "Suborbit", "build_graph", "neighborhood", "orbital_of",
-    "suborbits",
-    "PSL2", "mulclose",
+    "OrbitalGraph", "build_graph", "neighborhood", "orbital_of",
     "HamiltonCertificate", "QuotientMultigraph", "build_quotient",
     "certificate_to_text", "lift_cycle", "parse_certificate", "unroll_lift",
     "verify_certificate",

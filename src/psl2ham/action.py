@@ -1,4 +1,5 @@
-"""The right action of G = PSL(2,k) on the 5(k+1) cosets of H.
+"""The right action of G = PSL(2,k) on the 5(k+1) cosets of H, from the
+field alone.
 
 Points of the coset space Omega are labeled (beta, fiber):
 
@@ -6,16 +7,20 @@ Points of the coset space Omega are labeled (beta, fiber):
   handle.  It identifies the coset of the full upper-triangular stabilizer
   K containing Hg (k+1 possibilities).
 * fiber in {0..4} locates Hg among the five H-cosets inside Kg, via the
-  decomposition K = H + Ht + ... + Ht^4.
+  decomposition K = H + Ht + ... + Ht^4, t = diag(theta, theta^-1).
 
-For g = [[a,b],[c,d]] the label is computed in O(1):
+A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
+determinant 1; g and -g are the same element, and nothing here depends
+on the sign.  For g = [[a,b],[c,d]] the label is computed in O(1):
 beta = -d/c (infinity when c = 0), and fiber = dlog(a*beta + b) mod 5
 (dlog(a) mod 5 in the infinity case).  This is well defined on cosets and
 independent of the sign representative because 10 | k-1.
 
-The canonical representative of (beta, fiber) is rep = t^fiber * T_beta,
-where T_inf = identity and T_beta = [[0,1],[-1,beta]]; the right action is
-then act(omega, g) = point_of(rep(omega) * g).
+The representative of (beta, f) is rep = t^f * T_beta with T_inf the
+identity and T_beta = [[0,1],[-1,beta]], in closed form
+[[0, theta^f], [-theta^-f, theta^-f * beta]]; the right action is then
+act(omega, g) = point_of(rep(omega) * g).  No group is built: the ten
+S-orbits are walks of one generator sigma of S from (inf, i) and (0, i).
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .gf import Field
-from .psl2 import Mat, PSL2
+
+Mat = tuple[int, int, int, int]
 
 
 class OmegaPoint(NamedTuple):
@@ -52,45 +58,29 @@ def parse_point(field: Field, text: str) -> OmegaPoint:
 class CosetAction:
     """Canonical labels and the right G-action on the coset space."""
 
-    def __init__(self, field: Field, group: PSL2):
+    def __init__(self, field: Field):
         k = field.order
         if (k - 1) % 10:
             raise ValueError("coset space requires 10 | k-1")
         self.field = field
-        self.group = group
         self.size = 5 * (k + 1)
-
-        l, t, u = group.generators()
-        self.l, self.t, self.u = l, t, u
-        self.t_pows = [group.identity]
-        for _ in range(4):
-            self.t_pows.append(group.mul(self.t_pows[-1], t))
-
-        neg = field._neg
-        self._transversal: dict[int | None, Mat] = {None: group.identity}
-        for beta in range(k):
-            self._transversal[beta] = group.canon((0, 1, neg[1], beta))
-
-        # vertex order: fiber-major, infinity first, then coordinate-lex
-        pts = []
-        for i in range(5):
-            pts.append(OmegaPoint(None, i))
-            for beta in field.elements_lex:
-                pts.append(OmegaPoint(beta, i))
-        self.points: tuple[OmegaPoint, ...] = tuple(pts)
-        self.index: dict[OmegaPoint, int] = {p: n for n, p in enumerate(pts)}
         self.alpha = OmegaPoint(None, 0)
 
-        self._rep: dict[OmegaPoint, Mat] = {}
-        for p in pts:
-            self._rep[p] = group.mul(self.t_pows[p.fiber], self._transversal[p.beta])
-
-    def transversal(self, beta: int | None) -> Mat:
-        return self._transversal[beta]
+    @cached_property
+    def points(self) -> tuple[OmegaPoint, ...]:
+        """Vertex order: fiber-major, infinity first, then coordinate-lex."""
+        lex = self.field.elements_lex
+        return tuple(OmegaPoint(beta, i) for i in range(5)
+                     for beta in (None, *lex))
 
     def rep(self, p: OmegaPoint) -> Mat:
-        """Canonical coset representative: H*rep(p) has label p."""
-        return self._rep[p]
+        """Coset representative t^f * T_beta: H*rep(p) has label p."""
+        F = self.field
+        th = F.pow(F.theta, p.fiber)
+        th_inv = F.inv(th)
+        if p.beta is None:
+            return (th, 0, 0, th_inv)
+        return (0, th, F.neg(th_inv), F.mul(th_inv, p.beta))
 
     def point_of(self, g: Mat) -> OmegaPoint:
         """Label of the coset Hg.  Accepts either sign representative."""
@@ -102,24 +92,41 @@ class CosetAction:
         return OmegaPoint(beta, F._log[F.add(F.mul(a, beta), b)] % 5)
 
     def act(self, p: OmegaPoint, g: Mat) -> OmegaPoint:
-        return self.point_of(self.group.mul(self._rep[p], g))
+        add, mul = self.field.add, self.field.mul
+        a, b, c, d = self.rep(p)
+        w, x, y, z = g
+        return self.point_of((add(mul(a, w), mul(b, y)), add(mul(a, x), mul(b, z)),
+                              add(mul(c, w), mul(d, y)), add(mul(c, x), mul(d, z))))
+
+    @cached_property
+    def sigma(self) -> Mat:
+        """The generator s(a,b) = [[a,b],[b*theta,a]] of S, a^2 - theta*b^2 = 1,
+        with the first b != 0 in coordinate-lex order for which a exists."""
+        F = self.field
+        for b in F.elements_lex[1:]:  # [0] is the zero element
+            roots = F.sqrt_list(F.add(1, F.mul(F.theta, F.mul(b, b))))
+            if roots:
+                return (roots[0], b, F.mul(b, F.theta), roots[0])
+        raise AssertionError("S has no element besides the identity")
 
     @cached_property
     def s_orbits(self) -> tuple[tuple[OmegaPoint, ...], ...]:
-        """The ten orbits of S, each ordered by the Z_p coordinate.
+        """The ten orbits of the cyclic subgroup S of order p = (k+1)/2,
+        each ordered by the Z_p coordinate.
 
-        Orbit i (0..4) starts at (inf, i); orbit 5+i starts at the image
-        of the base point under t^i * l.  Position w within an orbit is
-        the power of the S-generator sigma carrying the start there.
+        Orbit i (0..4) starts at (inf, i); orbit 5+i starts at (0, i), the
+        label of t^i * l with l = [[0,-1],[1,0]].  Position w within an
+        orbit is the power of sigma carrying the start there.  As p is
+        prime, any element of S other than the identity generates it.
         """
-        G = self.group
         p = (self.field.order + 1) // 2
+        sigma, act = self.sigma, self.act
         orbits = []
-        for i in range(5):
-            orbits.append(tuple(self.point_of(G.mul(self.t_pows[i], s)) for s in G.S))
-        for i in range(5):
-            til = G.mul(self.t_pows[i], self.l)
-            orbits.append(tuple(self.point_of(G.mul(til, s)) for s in G.S))
+        for start in (OmegaPoint(beta, i) for beta in (None, 0) for i in range(5)):
+            orb = [start]
+            for _ in range(p - 1):
+                orb.append(act(orb[-1], sigma))
+            orbits.append(tuple(orb))
         seen: set[OmegaPoint] = set()
         for orb in orbits:
             if len(set(orb)) != p:

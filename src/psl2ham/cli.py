@@ -17,7 +17,6 @@ from .diag import solvability_report
 from .errors import InvariantViolation, ParameterError
 from .gf import Field, admissible, is_prime
 from .orbital import build_graph, edgelist_lines, orbital_of, to_dot
-from .psl2 import PSL2
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        VerificationResult, build_quotient, certificate_to_text,
                        lift_cycle, parse_certificate, verify_certificate)
@@ -96,21 +95,14 @@ def _stage(name):
         raise
 
 
-def build_action(params: InstanceParams) -> CosetAction:
-    field = Field(params.s, params.m)
-    return CosetAction(field, PSL2(field))
-
-
 def run_pipeline(params: InstanceParams, i: int) -> PipelineResult:
-    """field -> group -> action -> quotient -> lift -> verify."""
+    """field -> action -> quotient -> lift -> verify."""
     if not 0 <= i <= 4:
         raise ParameterError(f"orbital index {i} out of range 0..4")
     with _stage("gf"):
         field = Field(params.s, params.m)
-    with _stage("psl2"):
-        group = PSL2(field)
     with _stage("action"):
-        action = CosetAction(field, group)
+        action = CosetAction(field)
     with _stage("quotient"):
         quot = build_quotient(action, i)
         cert = lift_cycle(quot)
@@ -151,9 +143,6 @@ def _add_instance_args(sp):
     sp.add_argument("--s", type=int, help="prime characteristic")
     sp.add_argument("--m", type=int, default=1, help="extension degree (default 1)")
     sp.add_argument("--k", type=int, help="field order s^m (alternative to --s/--m)")
-    sp.add_argument("--allow-large", action="store_true",
-                    help=f"lift the k <= {DESK_SCALE_MAX_K} guard of build; "
-                         "the other commands take any k")
 
 
 def _resolve_params(args) -> InstanceParams:
@@ -198,6 +187,9 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orbital", type=int, default=0)
     sp.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
     sp.add_argument("--out", default=None)
+    sp.add_argument("--allow-large", action="store_true",
+                    help=f"lift the k <= {DESK_SCALE_MAX_K} guard; the other "
+                         "commands take any k")
 
     sp = sub.add_parser("quotient", help="print the quotient multigraph")
     _add_instance_args(sp)
@@ -252,8 +244,7 @@ def run(argv=None) -> int:
                 raise ParameterError(
                     f"k = {params.k} exceeds the desk-scale guard "
                     f"{DESK_SCALE_MAX_K} of build; pass --allow-large to proceed")
-            action = build_action(params)
-            graph = build_graph(action, args.orbital)
+            graph = build_graph(CosetAction(Field(params.s, params.m)), args.orbital)
             if args.format == "dot":
                 _write_out(to_dot(graph), args.out)
             else:
@@ -262,7 +253,7 @@ def run(argv=None) -> int:
 
         if args.command == "quotient":
             params = _resolve_params(args)
-            quot = build_quotient(build_action(params), args.orbital)
+            quot = build_quotient(CosetAction(Field(params.s, params.m)), args.orbital)
             _write_out(_quotient_text(quot), args.out)
             return 0
 

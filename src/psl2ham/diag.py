@@ -16,22 +16,28 @@ n and j of the i-th orbital graph the deciding equations are
 
 * both orbits in the infinity family:  x^2 + c*y^10 = 1, c = -theta^(2(j-i+n)-1)
 * infinity to zero family:             theta*x^2 + c*y^10 = -1, c = -theta^(2(j-i+n))
-* both in the zero family:             same form as the first, same c
+* both in the zero family:             the first form with j + 1 for j
 
 A solution with x1 != 0 and x2 = y != 0 yields a double edge between
 the orbits, because (x1, y) and (-x1, y) map to distinct group elements.
-That pairing degenerates when x1 = 0, so the exact test for d >= 2 is
-has_double_edge_solution, not has_nonzero_x2_solution.  The two differ
-over GF(81): the tenth powers there are the nonzero elements of the GF(9)
-subfield, all of them squares, so the crossing equations with
-j - i + n = 0 (mod 5) admit only x1 = 0 solutions and the corresponding
-orbit pairs carry a single edge (tests/test_quotient.py pins the pattern).
+That pairing degenerates when x1 = 0, so the exact test for d >= 2 is a
+solution with x1 != 0 and x2 != 0, not one with x2 != 0.  In full,
+
+    d(A,B) = N(x1 != 0, y != 0)/10 + [N(x1 = 0, y != 0) > 0],
+
+checked on every ordered pair at k = 61, 81 and 121 (tests/test_diag.py),
+not proven here.  The two tests differ over GF(81): the tenth powers
+there are the nonzero elements of the GF(9) subfield, all of them
+squares, so the crossing equations with j - i + n = 0 (mod 5) admit only
+x1 = 0 solutions and the corresponding orbit pairs carry a single edge
+(tests/test_quotient.py pins the pattern).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf import Field
 
@@ -69,40 +75,24 @@ def _term_values(field: Field, a: int, e: int) -> list[int]:
     return out
 
 
-def count_solutions(field: Field, eq: DiagonalEquation) -> int:
-    """Number of pairs (x1, x2) satisfying the equation; O(q)."""
+class SolutionProfile(NamedTuple):
+    total: int  # N
+    nonzero_x2: int  # solutions with x2 != 0
+    nonzero_both: int  # solutions with x1 != 0 and x2 != 0
+
+
+def solution_profile(field: Field, eq: DiagonalEquation) -> SolutionProfile:
+    """The solution counts of the equation from one pair of term tables;
+    O(q).  As 0^k = 0, the x2 = 0 solutions are the x1 with term b."""
     eq.validate(field)
     hist: dict[int, int] = {}
-    for v in _term_values(field, eq.a2, eq.k2):
+    for v in _term_values(field, eq.a2, eq.k2)[1:]:
         hist[v] = hist.get(v, 0) + 1
-    sub = field.sub
-    b = eq.b
-    return sum(hist.get(sub(b, v), 0) for v in _term_values(field, eq.a1, eq.k1))
-
-
-def count_nonzero_x2(field: Field, eq: DiagonalEquation) -> int:
-    """Solutions with x2 != 0."""
-    eq.validate(field)
-    t2 = _term_values(field, eq.a2, eq.k2)
-    hist: dict[int, int] = {}
-    for v in t2[1:]:
-        hist[v] = hist.get(v, 0) + 1
-    sub = field.sub
-    b = eq.b
-    return sum(hist.get(sub(b, v), 0) for v in _term_values(field, eq.a1, eq.k1))
-
-
-def has_nonzero_x2_solution(field: Field, eq: DiagonalEquation) -> bool:
-    return count_nonzero_x2(field, eq) > 0
-
-
-def has_double_edge_solution(field: Field, eq: DiagonalEquation) -> bool:
-    """Whether a solution with x1 != 0 and x2 != 0 exists; O(q)."""
-    eq.validate(field)
-    t2 = set(_term_values(field, eq.a2, eq.k2)[1:])
-    sub = field.sub
-    b = eq.b
-    return any(sub(b, v) in t2 for v in _term_values(field, eq.a1, eq.k1)[1:])
+    sub, b = field.sub, eq.b
+    t1 = _term_values(field, eq.a1, eq.k1)
+    nonzero_x2 = sum(hist.get(sub(b, v), 0) for v in t1)
+    return SolutionProfile(total=nonzero_x2 + t1.count(b), nonzero_x2=nonzero_x2,
+                           nonzero_both=nonzero_x2 - hist.get(b, 0))
 
 
 def m_pairs(d1: int, d2: int) -> int:
@@ -119,12 +109,16 @@ def m_pairs(d1: int, d2: int) -> int:
 
 @dataclass(frozen=True)
 class WeilReport:
-    N: int
+    profile: SolutionProfile
     d1: int
     d2: int
     M: int
     bound: float
     holds: bool
+
+    @property
+    def N(self) -> int:
+        return self.profile.total
 
 
 def le_times_sqrt(lhs: int, a: int, q: int) -> bool:
@@ -145,11 +139,11 @@ def weil_check(field: Field, eq: DiagonalEquation) -> WeilReport:
     d1 = math.gcd(eq.k1, q - 1)
     d2 = math.gcd(eq.k2, q - 1)
     M = m_pairs(d1, d2)
-    N = count_solutions(field, eq)
+    profile = solution_profile(field, eq)
     # |N - q| <= A*sqrt(q) + M with A = (d1-1)(d2-1) - M
     A = (d1 - 1) * (d2 - 1) - M
-    holds = le_times_sqrt(abs(N - q) - M, A, q)
-    return WeilReport(N=N, d1=d1, d2=d2, M=M,
+    holds = le_times_sqrt(abs(profile.total - q) - M, A, q)
+    return WeilReport(profile=profile, d1=d1, d2=d2, M=M,
                       bound=A * math.sqrt(q) + M, holds=holds)
 
 
@@ -160,7 +154,8 @@ def double_edge_equation(field: Field, pair_type: int, i: int, j: int,
     """Equation deciding d >= 2 between orbits n and j of orbital graph i.
 
     d >= 2 holds exactly when it has a solution with x1 != 0 and x2 != 0
-    (has_double_edge_solution); a solution with x1 = 0 gives one edge only.
+    (`solution_profile(...).nonzero_both > 0`); a solution with x1 = 0
+    gives one edge only.
 
     pair_type selects which of the two orbit families each side lies in:
     PAIR_INF_INF, PAIR_INF_ZERO or PAIR_ZERO_ZERO (bases over beta = inf
@@ -199,7 +194,8 @@ def equation_for_orbit_pair(field: Field, orbital_index: int, a: int,
         return double_edge_equation(field, PAIR_INF_ZERO, orbital_index, b - 5, a)
     if b < 5 <= a:
         return double_edge_equation(field, PAIR_INF_ZERO, orbital_index, a - 5, b)
-    return double_edge_equation(field, PAIR_ZERO_ZERO, orbital_index, b - 5, a - 5)
+    return double_edge_equation(field, PAIR_ZERO_ZERO, orbital_index, (b - 4) % 5,
+                                a - 5)
 
 
 def solvability_report(field: Field) -> list[str]:
@@ -210,17 +206,16 @@ def solvability_report(field: Field) -> list[str]:
     same-family types agree), so each is counted once.
     """
     rows = ["k type i j n N_total N_nonzero bound holds"]
-    counted: dict[DiagonalEquation, tuple[WeilReport, int]] = {}
+    counted: dict[DiagonalEquation, WeilReport] = {}
     for pair_type in (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO):
         for i in range(5):
             for j in range(5):
                 for n in range(5):
                     eq = double_edge_equation(field, pair_type, i, j, n)
                     if eq not in counted:
-                        counted[eq] = (weil_check(field, eq),
-                                       count_nonzero_x2(field, eq))
-                    rep, nz = counted[eq]
+                        counted[eq] = weil_check(field, eq)
+                    rep = counted[eq]
                     rows.append(
-                        f"{field.order} {pair_type} {i} {j} {n} "
-                        f"{rep.N} {nz} {rep.bound:.4f} {rep.holds}")
+                        f"{field.order} {pair_type} {i} {j} {n} {rep.N} "
+                        f"{rep.profile.nonzero_x2} {rep.bound:.4f} {rep.holds}")
     return rows

@@ -1,4 +1,4 @@
-"""Suborbits and the five basic orbital graphs Y(i).
+"""The five basic orbital graphs Y(i).
 
 The stabilizer H has ten orbits on the point set: five fixed points
 (inf, i) and five orbits of size k.  Long suborbit i is the set
@@ -17,10 +17,10 @@ t^-f has c = theta^-(f+f') (beta' - beta), or +-theta^-(f+f') when one
 beta is inf, so it lies in long suborbit i, the finite points of fiber i.
 
 `orbital_of` applies the rule in O(1) from the field alone and
-`build_graph` reads whole rows off it; `neighborhood` and `suborbits`
-keep the matrix form as the independent derivation the quotient is
-built from.  Graphs are stored as sorted neighbor lists over a fixed
-vertex order so that exports are byte-stable.
+`build_graph` reads whole rows off it; `neighborhood` keeps the matrix
+form as the independent derivation the quotient is built from.  Graphs
+are stored as sorted neighbor lists over a fixed vertex order so that
+exports are byte-stable.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ from dataclasses import dataclass
 from .action import CosetAction, OmegaPoint, point_str
 from .errors import InvariantViolation
 from .gf import Field
-
-
-@dataclass(frozen=True)
-class Suborbit:
-    kind: str  # "singleton" | "long"
-    i: int
-    points: frozenset
 
 
 def neighborhood(action: CosetAction, i: int, p: OmegaPoint) -> set[OmegaPoint]:
@@ -66,42 +59,6 @@ def orbital_of(field: Field, v: OmegaPoint, w: OmegaPoint) -> int | None:
     if v.beta is None or w.beta is None:
         return f % 5
     return (f - field._log[field.sub(w.beta, v.beta)]) % 5
-
-
-def suborbits(action: CosetAction) -> list[Suborbit]:
-    """The ten H-orbits: five singletons then five of size k."""
-    k = action.field.order
-    subs = [Suborbit("singleton", i, frozenset({OmegaPoint(None, i)}))
-            for i in range(5)]
-    for i in range(5):
-        pts = frozenset(neighborhood(action, i, action.alpha))
-        if len(pts) != k:
-            raise InvariantViolation(
-                f"long suborbit {i} has size {len(pts)}, expected {k}",
-                stage="orbital")
-        subs.append(Suborbit("long", i, pts))
-    if len(set().union(*(sb.points for sb in subs))) != action.size:
-        raise InvariantViolation("suborbits do not partition the point set",
-                                 stage="orbital")
-    return subs
-
-
-def suborbits_by_h_orbits(action: CosetAction) -> list[Suborbit]:
-    """Same partition computed the slow way: exhaustive H-orbits."""
-    G = action.group
-    H = G.H
-    remaining = set(action.points)
-    seeds = [OmegaPoint(None, i) for i in range(5)]
-    seeds += [action.point_of(G.mul(action.t_pows[i], action.l)) for i in range(5)]
-    subs = []
-    for n, seed in enumerate(seeds):
-        orb = frozenset(action.act(seed, h) for h in H)
-        subs.append(Suborbit("singleton" if len(orb) == 1 else "long", n % 5, orb))
-        remaining -= orb
-    if remaining:
-        raise InvariantViolation("H-orbits of the ten seeds miss points",
-                                 stage="orbital")
-    return subs
 
 
 @dataclass

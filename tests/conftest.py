@@ -1,6 +1,7 @@
 import pytest
 
-from psl2ham import CosetAction, Field, PSL2, build_graph, build_quotient
+from psl2ham import CosetAction, Field, build_graph, build_quotient
+from reference import PSL2
 
 INSTANCE_KS = {61: (61, 1), 81: (3, 4), 121: (11, 2)}
 
@@ -31,8 +32,8 @@ def groups(fields):
 
 
 @pytest.fixture(scope="session")
-def actions(fields, groups):
-    return {k: CosetAction(fields[k], groups[k]) for k in fields}
+def actions(fields):
+    return {k: CosetAction(f) for k, f in fields.items()}
 
 
 @pytest.fixture(scope="session")

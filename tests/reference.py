@@ -1,10 +1,15 @@
-"""Elements and distinguished subgroups of PSL(2,k), k odd.
+"""Reference derivations the tests compare the package against.
+
+The package builds no group: it needs only field arithmetic, the closed
+forms of `CosetAction.rep` and `neighborhood`, and a walk of one element
+sigma of S.  This module keeps the exhaustive derivations those shortcuts
+are checked against: PSL(2,k) with canonical signs and its enumerated
+subgroups S and H, and the ten H-orbits (suborbits) on the coset space.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1, stored in canonical sign form: of the two matrices g, -g
 we keep the one whose first nonzero entry in reading order has discrete
-log in [0, (k-1)/2).  Canonicalization makes tuples directly usable as
-dict keys, which the coset machinery leans on heavily.
+log in [0, (k-1)/2), so tuples are directly usable as dict keys.
 
 Distinguished elements and subgroups (all for 10 | k-1 where noted):
 
@@ -17,11 +22,11 @@ Distinguished elements and subgroups (all for 10 | k-1 where noted):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
-from .gf import Field
-
-Mat = tuple[int, int, int, int]
+from psl2ham import CosetAction, Field, InvariantViolation, OmegaPoint, neighborhood
+from psl2ham.action import Mat
 
 
 def mulclose(gens, mul, max_size: int | None = None) -> set:
@@ -175,3 +180,48 @@ class PSL2:
         if len(set(out)) != k * (k - 1) // 10:
             raise AssertionError("H enumeration produced duplicates")
         return tuple(out)
+
+
+# --- suborbits: the H-orbits on the coset space ---
+
+@dataclass(frozen=True)
+class Suborbit:
+    kind: str  # "singleton" | "long"
+    i: int
+    points: frozenset
+
+
+def suborbits(action: CosetAction) -> list[Suborbit]:
+    """The ten H-orbits: five singletons then five of size k."""
+    k = action.field.order
+    subs = [Suborbit("singleton", i, frozenset({OmegaPoint(None, i)}))
+            for i in range(5)]
+    for i in range(5):
+        pts = frozenset(neighborhood(action, i, action.alpha))
+        if len(pts) != k:
+            raise InvariantViolation(
+                f"long suborbit {i} has size {len(pts)}, expected {k}",
+                stage="orbital")
+        subs.append(Suborbit("long", i, pts))
+    if len(set().union(*(sb.points for sb in subs))) != action.size:
+        raise InvariantViolation("suborbits do not partition the point set",
+                                 stage="orbital")
+    return subs
+
+
+def suborbits_by_h_orbits(action: CosetAction, group: PSL2) -> list[Suborbit]:
+    """Same partition computed the slow way: exhaustive H-orbits."""
+    G = group
+    l, t, _ = G.generators()
+    remaining = set(action.points)
+    seeds = [OmegaPoint(None, i) for i in range(5)]
+    seeds += [action.point_of(G.mul(G.power(t, i), l)) for i in range(5)]
+    subs = []
+    for n, seed in enumerate(seeds):
+        orb = frozenset(action.act(seed, h) for h in G.H)
+        subs.append(Suborbit("singleton" if len(orb) == 1 else "long", n % 5, orb))
+        remaining -= orb
+    if remaining:
+        raise InvariantViolation("H-orbits of the ten seeds miss points",
+                                 stage="orbital")
+    return subs

@@ -23,14 +23,14 @@ import time
 
 import pytest
 
-from psl2ham import (CosetAction, DiagonalEquation, Field, PSL2, build_graph,
-                     build_quotient, certificate_to_text, count_nonzero_x2,
-                     double_edge_equation, equation_for_orbit_pair,
-                     has_double_edge_solution, has_nonzero_x2_solution,
-                     lift_cycle, mulclose, suborbits, unroll_lift,
-                     verify_certificate, weil_check)
+from psl2ham import (CosetAction, DiagonalEquation, Field, build_graph,
+                     build_quotient, certificate_to_text, double_edge_equation,
+                     equation_for_orbit_pair, lift_cycle, solution_profile,
+                     unroll_lift, verify_certificate, weil_check)
 from psl2ham.diag import le_times_sqrt
 from psl2ham.gf import is_prime
+from reference import PSL2, mulclose, suborbits
+from util import fresh_process_env
 
 PRIME_POWERS_TO_121 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
@@ -75,15 +75,14 @@ def single_edge_pairs(field: Field, i: int) -> set[tuple[int, int]]:
     return out
 
 
-def structural_checks(k: int) -> tuple[list, float, CosetAction]:
+def structural_checks(k: int) -> tuple[list, float, Field]:
     """The shared end-to-end battery for one instance; returns failures."""
     s, m = PARAMS[k]
     p = (k + 1) // 2
     t0 = time.monotonic()
     failures = []
     field = Field(s, m)
-    group = PSL2(field)
-    action = CosetAction(field, group)
+    action = CosetAction(field)
     if action.size != 5 * (k + 1):
         failures.append(f"|Omega| = {action.size}, expected {5 * (k + 1)}")
 
@@ -122,7 +121,7 @@ def structural_checks(k: int) -> tuple[list, float, CosetAction]:
         cert = lift_cycle(quot)
         if len(cert.vertices) != 10 * p or not verify_certificate(field, cert):
             failures.append(f"Y({i}) certificate bad")
-    return failures, time.monotonic() - t0, action
+    return failures, time.monotonic() - t0, field
 
 
 def test_criterion_1_k61_end_to_end():
@@ -135,10 +134,10 @@ def test_criterion_1_k61_end_to_end():
 
 @pytest.mark.parametrize("k", [81, 121])
 def test_criterion_2_extension_instances(k):
-    failures, elapsed, action = structural_checks(k)
+    failures, elapsed, field = structural_checks(k)
     if elapsed >= 120:
         failures.append(f"took {elapsed:.1f}s, budget 120s")
-    group = action.group
+    group = PSL2(field)
     expected_h = k * (k - 1) // 10
     if len(group.H) != expected_h:
         failures.append(f"|H| = {len(group.H)}, expected {expected_h}")
@@ -158,7 +157,7 @@ def test_criterion_3_exhaustive_solvability_gf61():
     failures = []
     for c in range(1, 61):
         eq = DiagonalEquation(a1=1, k1=2, a2=c, k2=10, b=1)
-        if not has_nonzero_x2_solution(F, eq):
+        if not solution_profile(F, eq).nonzero_x2:
             failures.append(f"c = {c} has no nonzero-y solution")
     elapsed = time.monotonic() - t0
     if elapsed >= 1:
@@ -198,7 +197,7 @@ def test_criterion_5_specialized_lower_bound():
                 for j in range(5):
                     for n in range(5):
                         eq = double_edge_equation(F, pair_type, i, j, n)
-                        nz = count_nonzero_x2(F, eq)
+                        nz = solution_profile(F, eq).nonzero_x2
                         # nz >= k - 8*sqrt(k) - 3, decided in exact arithmetic
                         if not le_times_sqrt(k - 3 - nz, 8, k):
                             failures.append(
@@ -260,7 +259,7 @@ def test_criterion_7_cross_module_consistency(k, cache, fields):
                 if a == b:
                     continue
                 eq = equation_for_orbit_pair(F, i, a, b)
-                solvable = has_double_edge_solution(F, eq)
+                solvable = solution_profile(F, eq).nonzero_both > 0
                 if solvable != (quot.mult[a][b] >= 2):
                     failures.append(
                         f"i={i} pair ({a},{b}): d = {quot.mult[a][b]} but "
@@ -278,7 +277,7 @@ def test_criterion_8_fresh_process_verification(k, i, cache, fields, tmp_path):
     path.write_text(certificate_to_text(fields[k], cert))
     proc = subprocess.run(
         [sys.executable, "-m", "psl2ham", "verify", "--cert", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=fresh_process_env())
     failures = []
     if proc.returncode != 0:
         failures.append(f"exit {proc.returncode}: {proc.stderr.strip()}")

@@ -1,17 +1,18 @@
-"""Coset labels, the right action, stabilizers, S-orbits."""
+"""Coset labels, the right action, stabilizers, S-orbits, each checked
+against the reference group of tests/reference.py."""
 
 import random
 
 import pytest
 
-from psl2ham import CosetAction, Field, OmegaPoint, PSL2, parse_point, point_str
+from psl2ham import CosetAction, Field, OmegaPoint, parse_point, point_str
+from reference import PSL2
 from util import random_words
 
 
 def test_requires_divisibility():
-    F = Field(13, 1)
     with pytest.raises(ValueError):
-        CosetAction(F, PSL2(F))
+        CosetAction(Field(13, 1))
 
 
 def test_point_count(action61):
@@ -20,17 +21,19 @@ def test_point_count(action61):
     assert len(set(action61.points)) == 310
 
 
-def test_base_point_and_t_orbit(action61):
-    G = action61.group
+def test_base_point_and_t_orbit(action61, group61):
+    G = group61
+    _, t, _ = G.generators()
     assert action61.point_of(G.identity) == action61.alpha == OmegaPoint(None, 0)
-    assert action61.point_of(action61.t) == OmegaPoint(None, 1)
-    orbit = {action61.act(action61.alpha, G.power(action61.t, j)) for j in range(30)}
+    assert action61.point_of(t) == OmegaPoint(None, 1)
+    orbit = {action61.act(action61.alpha, G.power(t, j)) for j in range(30)}
     assert orbit == {OmegaPoint(None, i) for i in range(5)}
 
 
-def test_point_of_l(action61):
+def test_point_of_l(action61, group61):
     # l sends the base point over infinity to one over 0
-    p = action61.point_of(action61.l)
+    l, _, _ = group61.generators()
+    p = action61.point_of(l)
     assert p.beta == 0
 
 
@@ -39,37 +42,42 @@ def test_rep_round_trip(action61):
         assert action61.point_of(action61.rep(p)) == p
 
 
-def test_point_of_labels_cosets(action61):
+def test_point_of_labels_cosets(action61, group61):
     # the defining property: g and rep(point_of(g)) lie in the same coset
     rng = random.Random(10)
-    G = action61.group
+    G = group61
     H = set(G.H)
     for g in random_words(G, rng, 200):
         rep = action61.rep(action61.point_of(g))
         assert G.mul(g, G.inv(rep)) in H
 
 
-def test_transversal_maps_infinity(action61):
-    G = action61.group
-    assert action61.transversal(None) == G.identity
-    for beta in range(0, 61, 7):
-        t_beta = action61.transversal(beta)
-        assert action61.act(action61.alpha, t_beta).beta == beta
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_rep_is_t_power_times_transversal(k, actions, groups):
+    # the closed form of rep against the product t^f * T_beta in the group,
+    # T_inf = 1 and T_beta = [[0,1],[-1,beta]], which carries alpha over beta
+    action, G = actions[k], groups[k]
+    F = action.field
+    _, t, _ = G.generators()
+    for p in action.points:
+        t_beta = G.identity if p.beta is None else G.canon((0, 1, F.neg(1), p.beta))
+        assert action.act(action.alpha, t_beta).beta == p.beta
+        assert G.canon(action.rep(p)) == G.mul(G.power(t, p.fiber), t_beta)
 
 
-def test_point_of_sign_independent(action61):
+def test_point_of_sign_independent(action61, group61):
     rng = random.Random(11)
     F = action61.field
-    for g in random_words(action61.group, rng, 200):
+    for g in random_words(group61, rng, 200):
         neg_g = tuple(F.neg(e) for e in g)
         assert action61.point_of(g) == action61.point_of(neg_g)
 
 
-def test_right_action_law(action61):
+def test_right_action_law(action61, group61):
     rng = random.Random(12)
-    ws = random_words(action61.group, rng, 40)
+    G = group61
+    ws = random_words(G, rng, 40)
     pts = list(action61.points)
-    G = action61.group
     for _ in range(1000):
         w = rng.choice(pts)
         g1, g2 = rng.choice(ws), rng.choice(ws)
@@ -78,8 +86,8 @@ def test_right_action_law(action61):
         assert action61.act(w, G.identity) == w
 
 
-def test_h_is_exact_stabilizer(action61):
-    G = action61.group
+def test_h_is_exact_stabilizer(action61, group61):
+    G = group61
     H = set(G.H)
     for h in H:
         assert action61.act(action61.alpha, h) == action61.alpha
@@ -92,10 +100,10 @@ def test_h_is_exact_stabilizer(action61):
     assert moved > 200  # the sample actually exercised non-stabilizer elements
 
 
-def test_coset_equality_criterion(action61):
+def test_coset_equality_criterion(action61, group61):
     # point_of(g1) == point_of(g2) iff g2*g1^-1 lies in H
     rng = random.Random(14)
-    G = action61.group
+    G = group61
     H = set(G.H)
     ws = random_words(G, rng, 120)
     hits = 0
@@ -121,17 +129,33 @@ def test_s_orbits_structure(action61):
     assert orbits[0][0] == action61.alpha
 
 
-def test_s_orbit_positions_follow_sigma(action61):
-    G = action61.group
-    sigma = G.S[1]
+def test_s_orbit_positions_follow_sigma(action61, group61):
+    sigma = group61.S[1]
     for orb in action61.s_orbits:
         for w in range(31):
             assert action61.act(orb[w], sigma) == orb[(w + 1) % 31]
 
 
-def test_s_semiregular(action61):
-    G = action61.group
-    for s in G.S[1:]:
+@pytest.mark.parametrize("k", [61, 81, 121, 361])
+def test_s_orbits_match_reference_enumeration(k, actions, groups):
+    # orbit i is {H t^i s : s in S} and orbit 5+i is {H t^i l s : s in S},
+    # with S listed by the reference as powers of its generator; sigma is
+    # that generator up to sign
+    if k == 361:
+        F = Field(19, 2)
+        action, G = CosetAction(F), PSL2(F)
+    else:
+        action, G = actions[k], groups[k]
+    l, t, _ = G.generators()
+    assert G.canon(action.sigma) == G.S[1]
+    starts = [G.power(t, i) for i in range(5)]
+    starts += [G.mul(g, l) for g in starts]
+    expect = tuple(tuple(action.point_of(G.mul(g, s)) for s in G.S) for g in starts)
+    assert action.s_orbits == expect
+
+
+def test_s_semiregular(action61, group61):
+    for s in group61.S[1:]:
         for p in action61.points:
             assert action61.act(p, s) != p
 

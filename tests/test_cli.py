@@ -9,6 +9,7 @@ from psl2ham import (InstanceParams, ParameterError, full_graph_mode,
                      list_instances, orbital_of, run_pipeline)
 from psl2ham.cli import DESK_SCALE_MAX_K, factor_prime_power, run
 from psl2ham.gf import admissible
+from util import fresh_process_env
 
 
 def test_list_instances():
@@ -141,6 +142,12 @@ def test_cli_large_k_guard_is_for_build_only(tmp_path, capsys):
     assert "certificate OK: 25510 vertices" in capsys.readouterr().out
     assert run(["build", "--k", "5101"]) == 2
     assert "desk-scale guard" in capsys.readouterr().err
+    # so no other command takes the flag
+    for command in ("quotient", "hamilton", "weil-report", "full-graph"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--k", "61", "--allow-large"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --allow-large" in capsys.readouterr().err
 
 
 HOSTILE_HEADERS = [
@@ -236,6 +243,6 @@ def test_fresh_process_verification(tmp_path):
     assert run(["hamilton", "--k", "61", "--orbital", "4", "--out", str(cert)]) == 0
     proc = subprocess.run(
         [sys.executable, "-m", "psl2ham", "verify", "--cert", str(cert)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=fresh_process_env())
     assert proc.returncode == 0, proc.stderr
     assert "certificate OK" in proc.stdout

@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from psl2ham import (DiagonalEquation, Field, count_nonzero_x2,
-                     count_solutions, double_edge_equation,
-                     equation_for_orbit_pair, has_double_edge_solution,
-                     has_nonzero_x2_solution, m_pairs, weil_check)
+from psl2ham import (DiagonalEquation, Field, double_edge_equation,
+                     equation_for_orbit_pair, m_pairs, solution_profile,
+                     weil_check)
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           le_times_sqrt, solvability_report)
 
@@ -41,7 +40,7 @@ def test_circle_gf3():
     F = Field(3, 1)
     eq = DiagonalEquation(a1=1, k1=2, a2=1, k2=2, b=1)
     assert brute_count(F, eq) == 4
-    assert count_solutions(F, eq) == 4
+    assert solution_profile(F, eq).total == 4
 
 
 def test_linear_equation_counts_q():
@@ -52,7 +51,7 @@ def test_linear_equation_counts_q():
         a2 = rng.randrange(1, F.order)
         b = rng.randrange(F.order)
         eq = DiagonalEquation(a1=a1, k1=1, a2=a2, k2=1, b=b)
-        assert count_solutions(F, eq) == F.order
+        assert solution_profile(F, eq).total == F.order
 
 
 def test_count_matches_brute_force():
@@ -64,30 +63,29 @@ def test_count_matches_brute_force():
                 a1=rng.randrange(1, F.order), k1=rng.randrange(1, 15),
                 a2=rng.randrange(1, F.order), k2=rng.randrange(1, 15),
                 b=rng.randrange(F.order))
-            assert count_solutions(F, eq) == brute_count(F, eq)
-            assert count_nonzero_x2(F, eq) == brute_count(F, eq, True)
-            assert has_double_edge_solution(F, eq) == (
-                brute_count(F, eq, True, True) > 0)
+            assert solution_profile(F, eq) == (
+                brute_count(F, eq), brute_count(F, eq, True),
+                brute_count(F, eq, True, True))
 
 
 def test_double_edge_solution_on_orbit_pair_equations():
     # the k=81 degeneracy: every solution with y != 0 has x1 = 0
     F81 = Field(3, 4)
     degenerate = double_edge_equation(F81, PAIR_INF_ZERO, 0, 0, 0)
-    assert not has_double_edge_solution(F81, degenerate)
+    assert solution_profile(F81, degenerate).nonzero_both == 0
     assert brute_count(F81, degenerate, True, True) == 0
     F61 = Field(61, 1)
     generic = double_edge_equation(F61, PAIR_INF_ZERO, 0, 0, 0)
-    assert has_double_edge_solution(F61, generic)
+    assert solution_profile(F61, generic).nonzero_both > 0
     assert brute_count(F61, generic, True, True) > 0
 
 
 def test_validation():
     F = Field(5, 1)
     with pytest.raises(ValueError):
-        count_solutions(F, DiagonalEquation(a1=0, k1=2, a2=1, k2=2, b=1))
+        solution_profile(F, DiagonalEquation(a1=0, k1=2, a2=1, k2=2, b=1))
     with pytest.raises(ValueError):
-        count_solutions(F, DiagonalEquation(a1=1, k1=0, a2=1, k2=2, b=1))
+        solution_profile(F, DiagonalEquation(a1=1, k1=0, a2=1, k2=2, b=1))
     with pytest.raises(ValueError):
         weil_check(F, DiagonalEquation(a1=1, k1=2, a2=1, k2=2, b=0))
 
@@ -166,10 +164,9 @@ def test_gf61_all_coefficients_solvable():
     # x^2 + c*y^10 = 1 has a solution with y != 0 for every nonzero c
     F = Field(61, 1)
     for c in range(1, 61):
-        eq = DiagonalEquation(a1=1, k1=2, a2=c, k2=10, b=1)
-        n = count_nonzero_x2(F, eq)
-        assert n > 0
-        assert count_solutions(F, eq) >= 3  # beyond the two (a, 0) solutions
+        prof = solution_profile(F, DiagonalEquation(a1=1, k1=2, a2=c, k2=10, b=1))
+        assert prof.nonzero_x2 > 0
+        assert prof.total >= 3  # beyond the two (a, 0) solutions
 
 
 def test_negative_control_only_zero_y():
@@ -177,8 +174,7 @@ def test_negative_control_only_zero_y():
     # a non-square; the only solutions have y = 0
     F = Field(3, 1)
     eq = DiagonalEquation(a1=1, k1=2, a2=2, k2=10, b=1)
-    assert count_solutions(F, eq) == 2
-    assert not has_nonzero_x2_solution(F, eq)
+    assert solution_profile(F, eq)[:2] == (2, 0)
 
 
 def test_solution_symmetry_in_first_coordinate():
@@ -228,9 +224,9 @@ def test_solvability_matches_multiplicity(cache, fields):
                 for b in range(10):
                     if a == b:
                         continue
-                    eq = equation_for_orbit_pair(F, i, a, b)
-                    assert has_double_edge_solution(F, eq) == (q.mult[a][b] >= 2)
-                    solvable = has_nonzero_x2_solution(F, eq)
+                    prof = solution_profile(F, equation_for_orbit_pair(F, i, a, b))
+                    assert (prof.nonzero_both > 0) == (q.mult[a][b] >= 2)
+                    solvable = prof.nonzero_x2 > 0
                     if (a, b) in degenerate:
                         assert solvable and q.mult[a][b] == 1
                     else:
@@ -240,13 +236,44 @@ def test_solvability_matches_multiplicity(cache, fields):
 def test_k81_degenerate_solutions_all_have_zero_first_coordinate():
     F = Field(3, 4)
     eq = double_edge_equation(F, PAIR_INF_ZERO, 0, 0, 0)  # j - i + n = 0
-    assert has_nonzero_x2_solution(F, eq)
-    assert not has_double_edge_solution(F, eq)
+    prof = solution_profile(F, eq)
+    assert prof.nonzero_x2 > 0 and prof.nonzero_both == 0
     sols = [(x1, x2)
             for x1 in range(81) for x2 in range(1, 81)
             if F.add(F.mul(eq.a1, F.pow(x1, 2)),
                      F.mul(eq.a2, F.pow(x2, 10))) == eq.b]
     assert sols and all(x1 == 0 for x1, _ in sols)
+
+
+def brute_x1_split(field, eq):
+    """(N(x1 != 0, y != 0), N(x1 = 0, y != 0)), from every pair (x1, y)."""
+    t1 = [field.mul(eq.a1, field.pow(x, eq.k1)) for x in range(field.order)]
+    t2 = [field.mul(eq.a2, field.pow(y, eq.k2)) for y in range(1, field.order)]
+    hits = [sum(field.add(v, w) == eq.b for w in t2) for v in t1]
+    return sum(hits[1:]), hits[0]
+
+
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_multiplicity_from_solution_counts(k, cache, fields):
+    # d(A,B) = N(x1 != 0, y != 0)/10 + [N(x1 = 0, y != 0) > 0] on every
+    # ordered pair of every orbital; both orbits in the zero family pair
+    # orbit 5+j with j + 1
+    F = fields[k]
+    split = {}
+    bad = []
+    for i in range(5):
+        q = cache.quotient(k, i)
+        for a in range(10):
+            for b in range(10):
+                if a == b:
+                    continue
+                eq = equation_for_orbit_pair(F, i, a, b)
+                if eq not in split:
+                    split[eq] = brute_x1_split(F, eq)
+                both, x1_zero = split[eq]
+                if 10 * (q.mult[a][b] - (x1_zero > 0)) != both:
+                    bad.append((i, a, b))
+    assert bad == []
 
 
 def test_specialized_lower_bound():
@@ -257,7 +284,7 @@ def test_specialized_lower_bound():
         for e in range(-1, 9, 2):
             c = F.neg(F.pow(F.theta, e))
             eq = DiagonalEquation(a1=1, k1=2, a2=c, k2=10, b=1)
-            n = count_nonzero_x2(F, eq)
+            n = solution_profile(F, eq).nonzero_x2
             # n >= k - 8*sqrt(k) - 3, decided exactly
             assert le_times_sqrt(k - 3 - n, 8, k)
 
@@ -276,9 +303,9 @@ def test_report_counts_each_distinct_equation_once(field61, monkeypatch):
 
     def count(field, eq):
         counted.append(eq)
-        return count_solutions(field, eq)
+        return solution_profile(field, eq)
 
-    monkeypatch.setattr("psl2ham.diag.count_solutions", count)
+    monkeypatch.setattr("psl2ham.diag.solution_profile", count)
     rows = solvability_report(field61)
     # e = 2(j-i+n) takes 13 values, two pair families: 26 equations, not 375
     assert len(counted) == len(set(counted)) == 26
@@ -289,5 +316,6 @@ def test_report_counts_each_distinct_equation_once(field61, monkeypatch):
         eq = double_edge_equation(field61, pair_type, i, j, n)
         rep = weil_check(field61, eq)
         row = (f"61 {pair_type} {i} {j} {n} {rep.N} "
-               f"{count_nonzero_x2(field61, eq)} {rep.bound:.4f} {rep.holds}")
+               f"{solution_profile(field61, eq).nonzero_x2} {rep.bound:.4f} "
+               f"{rep.holds}")
         assert rows[1 + 125 * (pair_type - 1) + 25 * i + 5 * j + n] == row

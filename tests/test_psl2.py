@@ -1,11 +1,12 @@
-"""PSL(2,k): generator orders, canonical signs, subgroup enumerations."""
+"""PSL(2,k) of tests/reference.py: generator orders, canonical signs,
+subgroup enumerations."""
 
 import random
 
 import pytest
 
-from psl2ham import Field, PSL2, mulclose
-
+from psl2ham import Field
+from reference import PSL2, mulclose
 from util import random_words
 
 

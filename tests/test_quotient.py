@@ -8,6 +8,7 @@ import pytest
 from psl2ham import (certificate_to_text, lift_cycle, parse_certificate,
                      unroll_lift, verify_certificate)
 from psl2ham.errors import InvariantViolation
+from util import vertex_index
 
 
 def test_underlying_quotient_is_complete_k10(cache):
@@ -50,12 +51,13 @@ def collapse(graph, orbits):
     every vertex of each orbit, which S-invariance makes all equal."""
     p = len(orbits[0])
     pos = {pt: (a, w) for a, orb in enumerate(orbits) for w, pt in enumerate(orb)}
+    index = vertex_index(graph.action)
     volts = [[None] * 10 for _ in range(10)]
     for a, orb in enumerate(orbits):
         rows = set()
         for c, pt in enumerate(orb):
             row = [set() for _ in range(10)]
-            for v in graph.neighbors[graph.action.index[pt]]:
+            for v in graph.neighbors[index[pt]]:
                 b, w = pos[graph.vertices[v]]
                 row[b].add((w - c) % p)
             rows.add(tuple(tuple(sorted(vs)) for vs in row))
