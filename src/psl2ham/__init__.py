@@ -2,20 +2,23 @@
 the 5(k+1) cosets of a subgroup of order k(k-1)/10, where k = s^m is a
 prime power with 10 | k-1 and p = (k+1)/2 prime.
 
-The pipeline needs field arithmetic only, and builds no group: exact
-GF(s^m) arithmetic -> coset labels (beta, fiber) with closed-form
-representatives -> the ten orbits of the cyclic subgroup S of order p,
-walked by one generator -> the quotient multigraph of an orbital graph
-over those orbits, from 20 matrix-form neighborhoods -> voltage selection
-and lifting -> a certificate, re-verified by an O(1) rule on labels.
+The pipeline needs field arithmetic only, and builds no group: every
+stage is a function of the field.  Exact GF(s^m) arithmetic -> coset
+labels (beta, fiber), with closed-form representatives and the right
+action read off the labels -> the ten orbits of the cyclic subgroup S of
+order p, walked by one generator -> the quotient multigraph of an orbital
+graph over those orbits, from 20 matrix-form neighborhoods -> voltage
+selection and lifting -> a certificate, re-verified by an O(1) rule on
+labels.
 """
 
-from .action import CosetAction, OmegaPoint, parse_point, point_str
+from .action import (OmegaPoint, act, parse_point, point_of, point_str, rep,
+                     s_orbits, sigma)
 from .cli import (InstanceParams, full_graph_mode, list_instances,
                   run_pipeline)
 from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
-                   double_edge_equation, equation_for_orbit_pair, m_pairs,
-                   solution_profile, weil_check)
+                   double_edge_equation, m_pairs, solution_profile,
+                   weil_check)
 from .errors import InvariantViolation, ParameterError
 from .gf import Field, is_prime
 from .orbital import OrbitalGraph, build_graph, neighborhood, orbital_of
@@ -24,11 +27,11 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        parse_certificate, unroll_lift, verify_certificate)
 
 __all__ = [
-    "CosetAction", "OmegaPoint", "parse_point", "point_str",
+    "OmegaPoint", "act", "parse_point", "point_of", "point_str", "rep",
+    "s_orbits", "sigma",
     "InstanceParams", "full_graph_mode", "list_instances", "run_pipeline",
     "DiagonalEquation", "SolutionProfile", "WeilReport",
-    "double_edge_equation", "equation_for_orbit_pair", "m_pairs",
-    "solution_profile", "weil_check",
+    "double_edge_equation", "m_pairs", "solution_profile", "weil_check",
     "InvariantViolation", "ParameterError",
     "Field", "is_prime",
     "OrbitalGraph", "build_graph", "neighborhood", "orbital_of",

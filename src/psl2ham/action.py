@@ -18,14 +18,22 @@ independent of the sign representative because 10 | k-1.
 
 The representative of (beta, f) is rep = t^f * T_beta with T_inf the
 identity and T_beta = [[0,1],[-1,beta]], in closed form
-[[0, theta^f], [-theta^-f, theta^-f * beta]]; the right action is then
-act(omega, g) = point_of(rep(omega) * g).  No group is built: the ten
-S-orbits are walks of one generator sigma of S from (inf, i) and (0, i).
+[[0, theta^f], [-theta^-f, theta^-f * beta]].  The right action `act` is
+the label of rep(p) * g, read off the labels.  With chi(x) = dlog(x) mod 5
+and x = beta*c - a:
+
+    (inf, f) * g  = (inf, f + chi(a)) if c = 0, else (-d/c, f - chi(c))
+    (beta, f) * g = (inf, f + chi(c)) if x = 0, else ((b - beta*d)/x, f - chi(x))
+
+since rep(p) * g has lower-left entry theta^-f * c (resp. theta^-f * x),
+and a finite label of a matrix with lower-left entry c has fiber
+chi(-1/c) = -chi(c) by det = 1 and chi(-1) = 0.  Every function here takes
+the field alone; no group is built, and the ten S-orbits are walks of one
+generator sigma of S from (inf, i) and (0, i).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvariantViolation
@@ -55,86 +63,80 @@ def parse_point(field: Field, text: str) -> OmegaPoint:
     return OmegaPoint(beta, f)
 
 
-class CosetAction:
-    """Canonical labels and the right G-action on the coset space."""
+def rep(field: Field, p: OmegaPoint) -> Mat:
+    """Coset representative t^f * T_beta: H*rep(p) has label p."""
+    th = field.pow(field.theta, p.fiber)
+    th_inv = field.inv(th)
+    if p.beta is None:
+        return (th, 0, 0, th_inv)
+    return (0, th, field.neg(th_inv), field.mul(th_inv, p.beta))
 
-    def __init__(self, field: Field):
-        k = field.order
-        if (k - 1) % 10:
-            raise ValueError("coset space requires 10 | k-1")
-        self.field = field
-        self.size = 5 * (k + 1)
-        self.alpha = OmegaPoint(None, 0)
 
-    @cached_property
-    def points(self) -> tuple[OmegaPoint, ...]:
-        """Vertex order: fiber-major, infinity first, then coordinate-lex."""
-        lex = self.field.elements_lex
-        return tuple(OmegaPoint(beta, i) for i in range(5)
-                     for beta in (None, *lex))
+def point_of(field: Field, g: Mat) -> OmegaPoint:
+    """Label of the coset Hg.  Accepts either sign representative."""
+    a, b, c, d = g
+    if c == 0:
+        return OmegaPoint(None, field._log[a] % 5)
+    beta = field.mul(field._neg[d], field.inv(c))
+    return OmegaPoint(beta, field._log[field.add(field.mul(a, beta), b)] % 5)
 
-    def rep(self, p: OmegaPoint) -> Mat:
-        """Coset representative t^f * T_beta: H*rep(p) has label p."""
-        F = self.field
-        th = F.pow(F.theta, p.fiber)
-        th_inv = F.inv(th)
-        if p.beta is None:
-            return (th, 0, 0, th_inv)
-        return (0, th, F.neg(th_inv), F.mul(th_inv, p.beta))
 
-    def point_of(self, g: Mat) -> OmegaPoint:
-        """Label of the coset Hg.  Accepts either sign representative."""
-        F = self.field
-        a, b, c, d = g
+def act(field: Field, p: OmegaPoint, g: Mat) -> OmegaPoint:
+    """The label of H*rep(p)*g, read off p and g with no matrix product
+    by the rule in the module docstring."""
+    F, log = field, field._log
+    a, b, c, d = g
+    f = p.fiber
+    if p.beta is None:
         if c == 0:
-            return OmegaPoint(None, F._log[a] % 5)
-        beta = F.mul(F._neg[d], F.inv(c))
-        return OmegaPoint(beta, F._log[F.add(F.mul(a, beta), b)] % 5)
+            return OmegaPoint(None, (f + log[a]) % 5)
+        return OmegaPoint(F.mul(F._neg[d], F.inv(c)), (f - log[c]) % 5)
+    x = F.sub(F.mul(p.beta, c), a)
+    if x == 0:
+        return OmegaPoint(None, (f + log[c]) % 5)
+    return OmegaPoint(F.mul(F.sub(b, F.mul(p.beta, d)), F.inv(x)),
+                      (f - log[x]) % 5)
 
-    def act(self, p: OmegaPoint, g: Mat) -> OmegaPoint:
-        add, mul = self.field.add, self.field.mul
-        a, b, c, d = self.rep(p)
-        w, x, y, z = g
-        return self.point_of((add(mul(a, w), mul(b, y)), add(mul(a, x), mul(b, z)),
-                              add(mul(c, w), mul(d, y)), add(mul(c, x), mul(d, z))))
 
-    @cached_property
-    def sigma(self) -> Mat:
-        """The generator s(a,b) = [[a,b],[b*theta,a]] of S, a^2 - theta*b^2 = 1,
-        with the first b != 0 in coordinate-lex order for which a exists."""
-        F = self.field
-        for b in F.elements_lex[1:]:  # [0] is the zero element
-            roots = F.sqrt_list(F.add(1, F.mul(F.theta, F.mul(b, b))))
-            if roots:
-                return (roots[0], b, F.mul(b, F.theta), roots[0])
-        raise AssertionError("S has no element besides the identity")
+def sigma(field: Field) -> Mat:
+    """The generator s(a,b) = [[a,b],[b*theta,a]] of S, a^2 - theta*b^2 = 1,
+    with the first b != 0 in coordinate-lex order for which a exists."""
+    F = field
+    for b in F.elements_lex[1:]:  # [0] is the zero element
+        roots = F.sqrt_list(F.add(1, F.mul(F.theta, F.mul(b, b))))
+        if roots:
+            return (roots[0], b, F.mul(b, F.theta), roots[0])
+    raise AssertionError("S has no element besides the identity")
 
-    @cached_property
-    def s_orbits(self) -> tuple[tuple[OmegaPoint, ...], ...]:
-        """The ten orbits of the cyclic subgroup S of order p = (k+1)/2,
-        each ordered by the Z_p coordinate.
 
-        Orbit i (0..4) starts at (inf, i); orbit 5+i starts at (0, i), the
-        label of t^i * l with l = [[0,-1],[1,0]].  Position w within an
-        orbit is the power of sigma carrying the start there.  As p is
-        prime, any element of S other than the identity generates it.
-        """
-        p = (self.field.order + 1) // 2
-        sigma, act = self.sigma, self.act
-        orbits = []
-        for start in (OmegaPoint(beta, i) for beta in (None, 0) for i in range(5)):
-            orb = [start]
-            for _ in range(p - 1):
-                orb.append(act(orb[-1], sigma))
-            orbits.append(tuple(orb))
-        seen: set[OmegaPoint] = set()
-        for orb in orbits:
-            if len(set(orb)) != p:
-                raise InvariantViolation(
-                    f"S-orbit has {len(set(orb))} points, expected {p}",
-                    stage="action")
-            seen.update(orb)
-        if len(seen) != self.size:
+def s_orbits(field: Field) -> tuple[tuple[OmegaPoint, ...], ...]:
+    """The ten orbits of the cyclic subgroup S of order p = (k+1)/2,
+    each ordered by the Z_p coordinate.
+
+    Orbit i (0..4) starts at (inf, i); orbit 5+i starts at (0, i), the
+    label of t^i * l with l = [[0,-1],[1,0]].  Position w within an
+    orbit is the power of sigma carrying the start there.  As p is
+    prime, any element of S other than the identity generates it.
+    """
+    k = field.order
+    if (k - 1) % 10:
+        raise ValueError("coset space requires 10 | k-1")
+    p = (k + 1) // 2
+    g = sigma(field)
+    orbits = []
+    for start in (OmegaPoint(beta, i) for beta in (None, 0) for i in range(5)):
+        orb = [start]
+        for _ in range(p - 1):
+            orb.append(act(field, orb[-1], g))
+        orbits.append(tuple(orb))
+    seen: set[OmegaPoint] = set()
+    for orb in orbits:
+        if len(set(orb)) != p:
             raise InvariantViolation(
-                "S-orbits do not partition the point set", stage="action")
-        return tuple(orbits)
+                f"S-orbit has {len(set(orb))} points, expected {p}",
+                stage="action")
+        seen.update(orb)
+    if len(seen) != 5 * (k + 1):
+        raise InvariantViolation(
+            "S-orbits do not partition the point set", stage="action")
+    return tuple(orbits)

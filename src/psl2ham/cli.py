@@ -12,11 +12,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .action import CosetAction
 from .diag import solvability_report
 from .errors import InvariantViolation, ParameterError
 from .gf import Field, admissible, is_prime
-from .orbital import build_graph, edgelist_lines, orbital_of, to_dot
+from .orbital import build_graph, export_chunks, orbital_of
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        VerificationResult, build_quotient, certificate_to_text,
                        lift_cycle, parse_certificate, verify_certificate)
@@ -78,7 +77,7 @@ def list_instances(max_k: int) -> list[InstanceParams]:
 @dataclass
 class PipelineResult:
     params: InstanceParams
-    action: CosetAction
+    field: Field
     quotient: QuotientMultigraph
     certificate: HamiltonCertificate
     verification: VerificationResult
@@ -96,23 +95,21 @@ def _stage(name):
 
 
 def run_pipeline(params: InstanceParams, i: int) -> PipelineResult:
-    """field -> action -> quotient -> lift -> verify."""
+    """field -> quotient -> lift -> verify."""
     if not 0 <= i <= 4:
         raise ParameterError(f"orbital index {i} out of range 0..4")
     with _stage("gf"):
         field = Field(params.s, params.m)
-    with _stage("action"):
-        action = CosetAction(field)
     with _stage("quotient"):
-        quot = build_quotient(action, i)
+        quot = build_quotient(field, i)
         cert = lift_cycle(quot)
     with _stage("verify"):
-        result = verify_certificate(action.field, cert)
+        result = verify_certificate(field, cert)
         if not result:
             raise InvariantViolation(
                 f"emitted certificate failed verification: {result.failure}",
                 stage="verify")
-    return PipelineResult(params=params, action=action, quotient=quot,
+    return PipelineResult(params=params, field=field, quotient=quot,
                           certificate=cert, verification=result)
 
 
@@ -131,7 +128,7 @@ def full_graph_mode(params: InstanceParams, subset) -> PipelineResult:
     verts = result.certificate.vertices
     n = len(verts)
     for idx in range(n):
-        if orbital_of(result.action.field, verts[idx], verts[(idx + 1) % n]) not in subset:
+        if orbital_of(result.field, verts[idx], verts[(idx + 1) % n]) not in subset:
             raise InvariantViolation(
                 "certificate cycle leaves the union graph", stage="full-graph")
     return result
@@ -157,12 +154,13 @@ def _resolve_params(args) -> InstanceParams:
     return InstanceParams.create(s, m)
 
 
-def _write_out(text: str, out: str | None):
+def _write_out(chunks, out: str | None):
+    """Write an iterable of text chunks; pass a whole text as [text]."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _parse_subset(text: str) -> list[int]:
@@ -244,24 +242,21 @@ def run(argv=None) -> int:
                 raise ParameterError(
                     f"k = {params.k} exceeds the desk-scale guard "
                     f"{DESK_SCALE_MAX_K} of build; pass --allow-large to proceed")
-            graph = build_graph(CosetAction(Field(params.s, params.m)), args.orbital)
-            if args.format == "dot":
-                _write_out(to_dot(graph), args.out)
-            else:
-                _write_out("\n".join(edgelist_lines(graph)) + "\n", args.out)
+            graph = build_graph(Field(params.s, params.m), args.orbital)
+            _write_out(export_chunks(graph, args.format), args.out)
             return 0
 
         if args.command == "quotient":
             params = _resolve_params(args)
-            quot = build_quotient(CosetAction(Field(params.s, params.m)), args.orbital)
-            _write_out(_quotient_text(quot), args.out)
+            quot = build_quotient(Field(params.s, params.m), args.orbital)
+            _write_out([_quotient_text(quot)], args.out)
             return 0
 
         if args.command == "hamilton":
             params = _resolve_params(args)
             result = run_pipeline(params, args.orbital)
-            text = certificate_to_text(result.action.field, result.certificate)
-            _write_out(text, args.out)
+            text = certificate_to_text(result.field, result.certificate)
+            _write_out([text], args.out)
             if args.out not in (None, "-"):
                 print(f"verified Hamilton cycle on {len(result.certificate.vertices)} "
                       f"vertices (orbital {args.orbital}, total voltage "
@@ -282,7 +277,7 @@ def run(argv=None) -> int:
         if args.command == "weil-report":
             params = _resolve_params(args)
             field = Field(params.s, params.m)
-            _write_out("\n".join(solvability_report(field)) + "\n", args.out)
+            _write_out(["\n".join(solvability_report(field)) + "\n"], args.out)
             return 0
 
         if args.command == "full-graph":
@@ -290,7 +285,7 @@ def run(argv=None) -> int:
             subset = _parse_subset(args.orbitals)
             result = full_graph_mode(params, subset)
             cert = result.certificate
-            _write_out(certificate_to_text(result.action.field, cert), args.out)
+            _write_out([certificate_to_text(result.field, cert)], args.out)
             if args.out not in (None, "-"):
                 print(f"verified Hamilton cycle on {len(cert.vertices)} vertices "
                       f"inside the union of orbitals {sorted(set(subset))}")

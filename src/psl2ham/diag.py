@@ -175,29 +175,6 @@ def double_edge_equation(field: Field, pair_type: int, i: int, j: int,
     raise ValueError(f"unknown pair type {pair_type}")
 
 
-def equation_for_orbit_pair(field: Field, orbital_index: int, a: int,
-                            b: int) -> DiagonalEquation:
-    """Map a pair of distinct quotient orbits (0..9) to its equation.
-
-    Orbits 0..4 form the infinity family, 5..9 the zero family; a pair
-    with only the source in the zero family is flipped (the multigraph is
-    undirected, so d(A,B) = d(B,A)).
-    """
-    if a == b:
-        raise ValueError("orbit pair must be distinct")
-    for v in (a, b):
-        if not 0 <= v <= 9:
-            raise ValueError(f"orbit index {v} out of range 0..9")
-    if a < 5 and b < 5:
-        return double_edge_equation(field, PAIR_INF_INF, orbital_index, b, a)
-    if a < 5 <= b:
-        return double_edge_equation(field, PAIR_INF_ZERO, orbital_index, b - 5, a)
-    if b < 5 <= a:
-        return double_edge_equation(field, PAIR_INF_ZERO, orbital_index, a - 5, b)
-    return double_edge_equation(field, PAIR_ZERO_ZERO, orbital_index, (b - 4) % 5,
-                                a - 5)
-
-
 def solvability_report(field: Field) -> list[str]:
     """One row per (k, pair_type, i, j, n): exact counts and the bound.
 

@@ -256,12 +256,6 @@ class Field:
     def coeffs(self, x: int) -> tuple[int, ...]:
         return self._coeffs[x]
 
-    def from_coeffs(self, cs) -> int:
-        cs = tuple(c % self.s for c in cs)
-        if len(cs) != self.m:
-            raise ValueError(f"expected {self.m} coordinates, got {len(cs)}")
-        return self._enc[cs]
-
     def element_str(self, x: int) -> str:
         if self.m == 1:
             return str(x)

@@ -16,11 +16,11 @@ c != 0, point_of(g) is finite of fiber chi(a*beta + b) = chi(-1/c) =
 t^-f has c = theta^-(f+f') (beta' - beta), or +-theta^-(f+f') when one
 beta is inf, so it lies in long suborbit i, the finite points of fiber i.
 
-`orbital_of` applies the rule in O(1) from the field alone and
-`build_graph` reads whole rows off it; `neighborhood` keeps the matrix
-form as the independent derivation the quotient is built from.  Graphs
-are stored as sorted neighbor lists over a fixed vertex order so that
-exports are byte-stable.
+Every function here takes the field.  `orbital_of` applies the rule in
+O(1) and `build_graph` reads whole rows off it; `neighborhood` keeps the
+matrix form as the independent derivation the quotient is built from.
+Graphs are stored as sorted neighbor lists over a fixed vertex order, and
+`export_chunks` streams their byte-stable text one vertex row at a time.
 """
 
 from __future__ import annotations
@@ -28,15 +28,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .action import CosetAction, OmegaPoint, point_str
+from .action import OmegaPoint, point_of, point_str, rep
 from .errors import InvariantViolation
 from .gf import Field
 
 
-def neighborhood(action: CosetAction, i: int, p: OmegaPoint) -> set[OmegaPoint]:
+def neighborhood(field: Field, i: int, p: OmegaPoint) -> set[OmegaPoint]:
     """Neighbors of p in the i-th orbital graph, via the closed form."""
-    F = action.field
-    r1, r2, r3, r4 = action.rep(p)
+    F = field
+    r1, r2, r3, r4 = rep(F, p)
     th_i = F.pow(F.theta, i)
     th_mi = F.inv(th_i)
     # [[0,-th^i],[th^-i,x]] * rep: first row constant, second affine in x
@@ -44,10 +44,10 @@ def neighborhood(action: CosetAction, i: int, p: OmegaPoint) -> set[OmegaPoint]:
     b = F.mul(F.neg(th_i), r4)
     c0 = F.mul(th_mi, r1)
     d0 = F.mul(th_mi, r2)
-    add, mul, pof = F.add, F.mul, action.point_of
+    add, mul = F.add, F.mul
     out = set()
     for x in range(F.order):
-        out.add(pof((a, b, add(c0, mul(x, r3)), add(d0, mul(x, r4)))))
+        out.add(point_of(F, (a, b, add(c0, mul(x, r3)), add(d0, mul(x, r4)))))
     return out
 
 
@@ -64,36 +64,33 @@ def orbital_of(field: Field, v: OmegaPoint, w: OmegaPoint) -> int | None:
 @dataclass
 class OrbitalGraph:
     i: int
-    action: CosetAction
-    vertices: tuple[OmegaPoint, ...]
+    field: Field
+    vertices: tuple[OmegaPoint, ...]  # fiber-major, inf first, then lex
     neighbors: tuple[tuple[int, ...], ...]  # sorted vertex indices
 
-    def edges(self):
-        """Each undirected edge once, (u, v) with u < v, u-major order."""
-        for u, nb in enumerate(self.neighbors):
-            for v in nb[bisect_right(nb, u):]:
-                yield u, v
 
-
-def build_graph(action: CosetAction, i: int) -> OrbitalGraph:
+def build_graph(field: Field, i: int) -> OrbitalGraph:
     """Construct the i-th basic orbital graph and check its invariants.
 
-    By the rule, (beta, f) has in fiber g the point inf when f + g = i and
+    Vertex order is fiber-major, infinity first, then coordinate-lex.  By
+    the rule, (beta, f) has in fiber g the point inf when f + g = i and
     the beta' with chi(beta' - beta) = f + g - i.  So one row of
     chi(x - beta), split into its classes, gives the sorted neighbors of
     the five vertices over beta.
     """
     if not 0 <= i <= 4:
         raise ValueError(f"orbital index {i} out of range")
-    F = action.field
+    F = field
     k = F.order
-    verts = action.points
+    if (k - 1) % 10:
+        raise ValueError("coset space requires 10 | k-1")
+    sub, lex = F.sub, F.elements_lex
+    verts = tuple(OmegaPoint(beta, f) for f in range(5) for beta in (None, *lex))
     n = len(verts)
     ids = list(range(n))  # one int object per vertex index, shared by all rows
     fibers = [ids[g * (k + 1):(g + 1) * (k + 1)] for g in range(5)]
     # class 5 holds x - beta = 0 (log[0] is None): no edge
     chi = [5 if e is None else e % 5 for e in F._log]
-    sub, lex = F.sub, F.elements_lex
     neighbors = [None] * n
     for f in range(5):
         neighbors[f * (k + 1)] = tuple(fibers[(i - f) % 5][1:])
@@ -136,22 +133,27 @@ def build_graph(action: CosetAction, i: int) -> OrbitalGraph:
         raise InvariantViolation(
             f"orbital graph {i} is disconnected ({len(seen)}/{n} reached)",
             stage="orbital")
-    return OrbitalGraph(i=i, action=action, vertices=verts,
+    return OrbitalGraph(i=i, field=field, vertices=verts,
                         neighbors=tuple(neighbors))
 
 
 # --- exports ---
 
-def edgelist_lines(graph: OrbitalGraph):
-    labels = [point_str(graph.action.field, p) for p in graph.vertices]
-    for u, v in graph.edges():
-        yield f"{labels[u]} {labels[v]}"
-
-
-def to_dot(graph: OrbitalGraph) -> str:
-    F = graph.action.field
+def export_chunks(graph: OrbitalGraph, fmt: str):
+    """The edge list, or with fmt "dot" the DOT text, one chunk per vertex
+    row with edges: each undirected edge once, (u, v) with u < v, u-major
+    order."""
+    F = graph.field
     labels = [point_str(F, p) for p in graph.vertices]
-    lines = [f'graph "Y{graph.i}_k{F.order}" {{']
-    lines += [f'  "{labels[u]}" -- "{labels[v]}";' for u, v in graph.edges()]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    if fmt == "dot":
+        yield f'graph "Y{graph.i}_k{F.order}" {{\n'
+        head, end = '  "{}" -- "', '";\n'
+    else:
+        head, end = "{} ", "\n"
+    for u, nb in enumerate(graph.neighbors):
+        later = [labels[v] for v in nb[bisect_right(nb, u):]]
+        if later:  # each line is head(u) + label(v) + end
+            h = head.format(labels[u])
+            yield h + (end + h).join(later) + end
+    if fmt == "dot":
+        yield "}\n"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import CosetAction, OmegaPoint, parse_point, point_str
+from .action import OmegaPoint, parse_point, point_str, s_orbits
 from .errors import InvariantViolation
 from .gf import Field, admissible
 from .orbital import neighborhood, orbital_of
@@ -39,11 +39,8 @@ class QuotientMultigraph:
     mult: tuple[tuple[int, ...], ...]  # 10x10, diagonal = intra-orbit valency
     voltages: tuple[tuple[tuple[int, ...], ...], ...]  # sorted Z_p offsets
 
-    def base(self, a: int) -> OmegaPoint:
-        return self.orbits[a][0]
 
-
-def build_quotient(action: CosetAction, i: int) -> QuotientMultigraph:
+def build_quotient(field: Field, i: int) -> QuotientMultigraph:
     """Collapse Y(i) along the ten S-orbits, recording voltages.
 
     Reads the neighborhoods of only 20 vertices: the base of each orbit,
@@ -51,16 +48,16 @@ def build_quotient(action: CosetAction, i: int) -> QuotientMultigraph:
     """
     if not 0 <= i <= 4:
         raise ValueError(f"orbital index {i} out of range")
-    k = action.field.order
+    k = field.order
     p = (k + 1) // 2
-    orbits = action.s_orbits
+    orbits = s_orbits(field)
     pos: dict[OmegaPoint, tuple[int, int]] = {}
     for a, orb in enumerate(orbits):
         for w, pt in enumerate(orb):
             pos[pt] = (a, w)
 
     def nbrs(v: OmegaPoint) -> set[OmegaPoint]:
-        nb = neighborhood(action, i, v)
+        nb = neighborhood(field, i, v)
         if len(nb) != k:
             raise InvariantViolation(
                 f"vertex {v} has {len(nb)} neighbors, expected {k}",
@@ -103,8 +100,7 @@ def build_quotient(action: CosetAction, i: int) -> QuotientMultigraph:
                     f"voltage sets at ({a},{b}) are not negations",
                     stage="quotient")
     return QuotientMultigraph(
-        field=action.field, orbital_index=i, p=p,
-        orbits=tuple(tuple(o) for o in orbits),
+        field=field, orbital_index=i, p=p, orbits=orbits,
         mult=mult, voltages=tuple(tuple(row) for row in nmat))
 
 
@@ -164,8 +160,9 @@ def lift_cycle(q: QuotientMultigraph, cycle=DEFAULT_CYCLE) -> HamiltonCertificat
     """Choose voltages with nonzero total and unroll to a full cycle.
 
     Takes the smallest voltage on every edge; if the total vanishes mod p,
-    the first edge with two or more parallel edges switches to its next
-    alternative (any distinct alternative shifts the total off zero).
+    the first edge with two or more parallel edges switches to its second
+    voltage, which shifts the total off zero as the voltages of an edge
+    are distinct residues mod p.
     """
     cycle = _check_cycle(q, cycle)
     p = q.p
@@ -173,23 +170,14 @@ def lift_cycle(q: QuotientMultigraph, cycle=DEFAULT_CYCLE) -> HamiltonCertificat
     choices = [vs[0] for vs in edge_sets]
     total = sum(choices) % p
     if total == 0:
-        for e, vs in enumerate(edge_sets):
-            if len(vs) < 2:
-                continue
-            done = False
-            for alt in vs[1:]:
-                if (total - vs[0] + alt) % p:
-                    choices[e] = alt
-                    total = (total - vs[0] + alt) % p
-                    done = True
-                    break
-            if done:
-                break
-        else:
+        e = next((e for e, vs in enumerate(edge_sets) if len(vs) > 1), None)
+        if e is None:
             raise InvariantViolation(
                 "no voltage selection achieves nonzero total: quotient data "
                 "is corrupt (some cycle edge should carry >= 2 voltages)",
                 stage="quotient")
+        choices[e] = edge_sets[e][1]
+        total = sum(choices) % p
     components = unroll_lift(q, cycle, choices)
     if len(components) != 1 or len(components[0]) != 10 * p:
         raise InvariantViolation(

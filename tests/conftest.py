@@ -1,6 +1,6 @@
 import pytest
 
-from psl2ham import CosetAction, Field, build_graph, build_quotient
+from psl2ham import Field, build_graph, build_quotient
 from reference import PSL2
 
 INSTANCE_KS = {61: (61, 1), 81: (3, 4), 121: (11, 2)}
@@ -32,39 +32,29 @@ def groups(fields):
 
 
 @pytest.fixture(scope="session")
-def actions(fields):
-    return {k: CosetAction(f) for k, f in fields.items()}
-
-
-@pytest.fixture(scope="session")
 def group61(groups):
     return groups[61]
-
-
-@pytest.fixture(scope="session")
-def action61(actions):
-    return actions[61]
 
 
 class GraphCache:
     """Builds and memoizes orbital graphs and quotients across the session."""
 
-    def __init__(self, actions):
-        self.actions = actions
+    def __init__(self, fields):
+        self.fields = fields
         self._graphs = {}
         self._quotients = {}
 
     def graph(self, k, i):
         if (k, i) not in self._graphs:
-            self._graphs[(k, i)] = build_graph(self.actions[k], i)
+            self._graphs[(k, i)] = build_graph(self.fields[k], i)
         return self._graphs[(k, i)]
 
     def quotient(self, k, i):
         if (k, i) not in self._quotients:
-            self._quotients[(k, i)] = build_quotient(self.actions[k], i)
+            self._quotients[(k, i)] = build_quotient(self.fields[k], i)
         return self._quotients[(k, i)]
 
 
 @pytest.fixture(scope="session")
-def cache(actions):
-    return GraphCache(actions)
+def cache(fields):
+    return GraphCache(fields)

@@ -1,10 +1,13 @@
 """Reference derivations the tests compare the package against.
 
 The package builds no group: it needs only field arithmetic, the closed
-forms of `CosetAction.rep` and `neighborhood`, and a walk of one element
-sigma of S.  This module keeps the exhaustive derivations those shortcuts
-are checked against: PSL(2,k) with canonical signs and its enumerated
-subgroups S and H, and the ten H-orbits (suborbits) on the coset space.
+forms of `action.rep` and `neighborhood`, the right action `action.act`
+read off the labels, and a walk of one element sigma of S.  This module
+keeps the exhaustive derivations those shortcuts are checked against:
+PSL(2,k) with canonical signs and its enumerated subgroups S and H, the
+right action as the label of a 2x2 product, and the ten H-orbits
+(suborbits) on the coset space.  It also keeps the helpers that only
+tests call: `from_coeffs`, `equation_for_orbit_pair` and `edges`.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1, stored in canonical sign form: of the two matrices g, -g
@@ -25,8 +28,59 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from psl2ham import CosetAction, Field, InvariantViolation, OmegaPoint, neighborhood
-from psl2ham.action import Mat
+from psl2ham import Field, InvariantViolation, OmegaPoint, neighborhood
+from psl2ham.action import Mat, point_of, rep
+from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
+                          DiagonalEquation, double_edge_equation)
+from util import ALPHA, points
+
+
+def from_coeffs(field: Field, cs) -> int:
+    """The handle of the element with coordinates cs, constant term first."""
+    cs = tuple(c % field.s for c in cs)
+    if len(cs) != field.m:
+        raise ValueError(f"expected {field.m} coordinates, got {len(cs)}")
+    return field._enc[cs]
+
+
+def act(field: Field, p: OmegaPoint, g: Mat) -> OmegaPoint:
+    """The right action as point_of(rep(p) * g), with a plain 2x2 product."""
+    add, mul = field.add, field.mul
+    a, b, c, d = rep(field, p)
+    w, x, y, z = g
+    return point_of(field, (add(mul(a, w), mul(b, y)), add(mul(a, x), mul(b, z)),
+                            add(mul(c, w), mul(d, y)), add(mul(c, x), mul(d, z))))
+
+
+def edges(graph):
+    """Each undirected edge of an OrbitalGraph once, (u, v) with u < v."""
+    for u, nb in enumerate(graph.neighbors):
+        for v in nb:
+            if v > u:
+                yield u, v
+
+
+def equation_for_orbit_pair(field: Field, orbital_index: int, a: int,
+                            b: int) -> DiagonalEquation:
+    """Map a pair of distinct quotient orbits (0..9) to its equation.
+
+    Orbits 0..4 form the infinity family, 5..9 the zero family; a pair
+    with only the source in the zero family is flipped (the multigraph is
+    undirected, so d(A,B) = d(B,A)).
+    """
+    if a == b:
+        raise ValueError("orbit pair must be distinct")
+    for v in (a, b):
+        if not 0 <= v <= 9:
+            raise ValueError(f"orbit index {v} out of range 0..9")
+    if a < 5 and b < 5:
+        return double_edge_equation(field, PAIR_INF_INF, orbital_index, b, a)
+    if a < 5 <= b:
+        return double_edge_equation(field, PAIR_INF_ZERO, orbital_index, b - 5, a)
+    if b < 5 <= a:
+        return double_edge_equation(field, PAIR_INF_ZERO, orbital_index, a - 5, b)
+    return double_edge_equation(field, PAIR_ZERO_ZERO, orbital_index, (b - 4) % 5,
+                                a - 5)
 
 
 def mulclose(gens, mul, max_size: int | None = None) -> set:
@@ -191,34 +245,34 @@ class Suborbit:
     points: frozenset
 
 
-def suborbits(action: CosetAction) -> list[Suborbit]:
+def suborbits(field: Field) -> list[Suborbit]:
     """The ten H-orbits: five singletons then five of size k."""
-    k = action.field.order
+    k = field.order
     subs = [Suborbit("singleton", i, frozenset({OmegaPoint(None, i)}))
             for i in range(5)]
     for i in range(5):
-        pts = frozenset(neighborhood(action, i, action.alpha))
+        pts = frozenset(neighborhood(field, i, ALPHA))
         if len(pts) != k:
             raise InvariantViolation(
                 f"long suborbit {i} has size {len(pts)}, expected {k}",
                 stage="orbital")
         subs.append(Suborbit("long", i, pts))
-    if len(set().union(*(sb.points for sb in subs))) != action.size:
+    if len(set().union(*(sb.points for sb in subs))) != 5 * (k + 1):
         raise InvariantViolation("suborbits do not partition the point set",
                                  stage="orbital")
     return subs
 
 
-def suborbits_by_h_orbits(action: CosetAction, group: PSL2) -> list[Suborbit]:
+def suborbits_by_h_orbits(field: Field, group: PSL2) -> list[Suborbit]:
     """Same partition computed the slow way: exhaustive H-orbits."""
     G = group
     l, t, _ = G.generators()
-    remaining = set(action.points)
+    remaining = set(points(field))
     seeds = [OmegaPoint(None, i) for i in range(5)]
-    seeds += [action.point_of(G.mul(G.power(t, i), l)) for i in range(5)]
+    seeds += [point_of(field, G.mul(G.power(t, i), l)) for i in range(5)]
     subs = []
     for n, seed in enumerate(seeds):
-        orb = frozenset(action.act(seed, h) for h in G.H)
+        orb = frozenset(act(field, seed, h) for h in G.H)
         subs.append(Suborbit("singleton" if len(orb) == 1 else "long", n % 5, orb))
         remaining -= orb
     if remaining:

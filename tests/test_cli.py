@@ -9,7 +9,7 @@ from psl2ham import (InstanceParams, ParameterError, full_graph_mode,
                      list_instances, orbital_of, run_pipeline)
 from psl2ham.cli import DESK_SCALE_MAX_K, factor_prime_power, run
 from psl2ham.gf import admissible
-from util import fresh_process_env
+from util import fresh_process_env, points
 
 
 def test_list_instances():
@@ -83,10 +83,10 @@ def test_full_graph_mode_subsets():
         full_graph_mode(params, [9])
 
 
-def test_full_graph_union_is_5k_regular(action61):
-    pts = action61.points
+def test_full_graph_union_is_5k_regular(field61):
+    pts = points(field61)
     for v in pts:
-        assert sum(orbital_of(action61.field, v, w) is not None for w in pts) == 5 * 61
+        assert sum(orbital_of(field61, v, w) is not None for w in pts) == 5 * 61
 
 
 def test_cli_instances(capsys):

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from psl2ham import (DiagonalEquation, Field, double_edge_equation,
-                     equation_for_orbit_pair, m_pairs, solution_profile,
-                     weil_check)
+from psl2ham import (DiagonalEquation, Field, double_edge_equation, m_pairs,
+                     solution_profile, weil_check)
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           le_times_sqrt, solvability_report)
+from reference import equation_for_orbit_pair
 
 PRIME_POWERS_TO_121 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),

@@ -5,18 +5,18 @@ import random
 
 import pytest
 
-from psl2ham import (InvariantViolation, OmegaPoint, build_graph, neighborhood,
-                     orbital_of)
-from psl2ham.orbital import edgelist_lines, to_dot
-from reference import suborbits, suborbits_by_h_orbits
-from util import random_words, vertex_index
+from psl2ham import (InvariantViolation, OmegaPoint, act, build_graph,
+                     neighborhood, orbital_of)
+from psl2ham.orbital import export_chunks
+from reference import edges, suborbits, suborbits_by_h_orbits
+from util import ALPHA, points, random_words, vertex_index
 
 
-def test_suborbit_profile(action61):
-    subs = suborbits(action61)
+def test_suborbit_profile(field61):
+    subs = suborbits(field61)
     sizes = sorted(len(sb.points) for sb in subs)
     assert sizes == [1] * 5 + [61] * 5
-    assert subs[0].points == frozenset({action61.alpha})
+    assert subs[0].points == frozenset({ALPHA})
     covered = set()
     for sb in subs:
         assert not (covered & sb.points)
@@ -24,92 +24,90 @@ def test_suborbit_profile(action61):
     assert len(covered) == 310
 
 
-def test_suborbits_match_h_orbit_enumeration(action61, group61):
-    fast = {sb.points for sb in suborbits(action61)}
-    slow = {sb.points for sb in suborbits_by_h_orbits(action61, group61)}
+def test_suborbits_match_h_orbit_enumeration(field61, group61):
+    fast = {sb.points for sb in suborbits(field61)}
+    slow = {sb.points for sb in suborbits_by_h_orbits(field61, group61)}
     assert fast == slow
 
 
-def test_suborbit_profile_81(actions):
-    sizes = sorted(len(sb.points) for sb in suborbits(actions[81]))
+def test_suborbit_profile_81(field81):
+    sizes = sorted(len(sb.points) for sb in suborbits(field81))
     assert sizes == [1] * 5 + [81] * 5
 
 
-def test_neighborhood_size_and_no_loop(action61):
+def test_neighborhood_size_and_no_loop(field61):
     rng = random.Random(21)
-    pts = rng.sample(list(action61.points), 25)
+    pts = rng.sample(points(field61), 25)
     for i in range(5):
         for p in pts:
-            nb = neighborhood(action61, i, p)
+            nb = neighborhood(field61, i, p)
             assert len(nb) == 61
             assert p not in nb
 
 
-def test_neighborhood_symmetry(action61):
+def test_neighborhood_symmetry(field61):
     rng = random.Random(22)
-    pts = rng.sample(list(action61.points), 15)
+    pts = rng.sample(points(field61), 15)
     for i in range(5):
         for p in pts:
-            for q in list(neighborhood(action61, i, p))[:8]:
-                assert p in neighborhood(action61, i, q)
+            for q in list(neighborhood(field61, i, p))[:8]:
+                assert p in neighborhood(field61, i, q)
 
 
-def test_base_neighborhood_is_long_suborbit(actions):
+def test_base_neighborhood_is_long_suborbit(fields):
     # long suborbit i is the set of finite points of fiber i, which is
     # what makes orbital_of exact
-    for action in actions.values():
-        subs = suborbits(action)
+    for field in fields.values():
+        subs = suborbits(field)
         for i in range(5):
-            base = neighborhood(action, i, action.alpha)
+            base = neighborhood(field, i, ALPHA)
             assert base == set(subs[5 + i].points)
-            assert base == {p for p in action.points
+            assert base == {p for p in points(field)
                             if p.beta is not None and p.fiber == i}
 
 
-def assert_oracle_matches_neighborhoods(action, sources):
+def assert_oracle_matches_neighborhoods(field, sources):
     for v in sources:
-        nbs = [neighborhood(action, i, v) for i in range(5)]
-        for w in action.points:
+        nbs = [neighborhood(field, i, v) for i in range(5)]
+        for w in points(field):
             hits = [i for i in range(5) if w in nbs[i]]
             assert len(hits) <= 1
-            assert orbital_of(action.field, v, w) == (hits[0] if hits else None)
+            assert orbital_of(field, v, w) == (hits[0] if hits else None)
 
 
-def test_orbital_of_matches_neighborhoods_k61(action61):
-    assert_oracle_matches_neighborhoods(action61, action61.points)
+def test_orbital_of_matches_neighborhoods_k61(field61):
+    assert_oracle_matches_neighborhoods(field61, points(field61))
 
 
 @pytest.mark.parametrize("k", [81, 121])
-def test_orbital_of_matches_neighborhoods_sampled(actions, k):
+def test_orbital_of_matches_neighborhoods_sampled(fields, k):
     rng = random.Random(k)
-    action = actions[k]
-    assert_oracle_matches_neighborhoods(action, rng.sample(action.points, 20))
+    field = fields[k]
+    assert_oracle_matches_neighborhoods(field, rng.sample(points(field), 20))
 
 
 @pytest.mark.parametrize("k", [61, 81, 121])
-def test_build_graph_matches_neighborhoods(k, cache, actions):
+def test_build_graph_matches_neighborhoods(k, cache, fields):
     # the label rule of build_graph against the matrix-form neighborhoods
-    action = actions[k]
-    index = vertex_index(action)
+    field = fields[k]
+    index = vertex_index(field)
     for i in range(5):
         g = cache.graph(k, i)
-        assert list(g.vertices) == list(action.points)
-        for p, nb in zip(action.points, g.neighbors):
+        assert list(g.vertices) == points(field)
+        for p, nb in zip(g.vertices, g.neighbors):
             assert list(nb) == sorted(index[q]
-                                      for q in neighborhood(action, i, p))
+                                      for q in neighborhood(field, i, p))
 
 
-def tampered(action, edit):
-    """A copy of a GF(61) action whose field copy has its log table edited.
+def tampered(field, edit):
+    """A copy of a GF(61) field with its log table edited.
 
     Over a prime field subtraction never reads the log table, so the edit
     reaches build_graph through chi alone."""
-    field = copy.copy(action.field)
+    field = copy.copy(field)
     field._log = list(field._log)
     edit(field._log)
-    out = copy.copy(action)
-    out.field = field
-    return out
+    return field
 
 
 def drop_chi_of_2(log):
@@ -137,21 +135,21 @@ def flatten_chi(log):
     (shift_chi_of_2, "asymmetric adjacency"),
     (flatten_chi, "is disconnected"),
 ])
-def test_build_graph_checks_raise(action61, edit, message):
-    action = tampered(action61, edit)
+def test_build_graph_checks_raise(field61, edit, message):
+    field = tampered(field61, edit)
     for i in range(5):
         with pytest.raises(InvariantViolation, match=message) as exc:
-            build_graph(action, i)
+            build_graph(field, i)
         assert exc.value.stage == "orbital"
-    assert action61.field._log[2] is not None  # the original is untouched
-    build_graph(action61, 0)
+    assert field61._log[2] is not None  # the original is untouched
+    build_graph(field61, 0)
 
 
 def test_graph_structure_k61(cache):
     for i in range(5):
         g = cache.graph(61, i)
         assert len(g.vertices) == 310
-        assert sum(1 for _ in g.edges()) == 310 * 61 // 2 == 9455
+        assert sum(1 for _ in edges(g)) == 310 * 61 // 2 == 9455
         assert all(len(nb) == 61 for nb in g.neighbors)
 
 
@@ -164,41 +162,54 @@ def test_graph_is_connected_and_symmetric(cache):
             assert u in g.neighbors[v]
 
 
-def test_invalid_orbital_index(action61):
+def test_invalid_orbital_index(field61):
     with pytest.raises(ValueError):
-        build_graph(action61, 5)
+        build_graph(field61, 5)
 
 
-def test_group_elements_are_automorphisms(cache, action61, group61):
+def test_group_elements_are_automorphisms(cache, field61, group61):
     g = cache.graph(61, 0)
     rng = random.Random(23)
-    idx = vertex_index(action61)
+    idx = vertex_index(field61)
     for w in random_words(group61, rng, 100):
-        perm = {u: idx[action61.act(g.vertices[u], w)] for u in range(310)}
+        perm = {u: idx[act(field61, g.vertices[u], w)] for u in range(310)}
         assert sorted(perm.values()) == list(range(310))
         for u in range(0, 310, 11):
             image = {perm[v] for v in g.neighbors[u]}
             assert image == set(g.neighbors[perm[u]])
 
 
-def test_vertex_order_deterministic(cache, action61):
+def test_vertex_order_deterministic(cache, field61):
     g = cache.graph(61, 1)
     assert g.vertices[0] == OmegaPoint(None, 0)
-    assert list(g.vertices) == list(action61.points)
+    assert list(g.vertices) == points(field61)
 
 
 def test_edgelist_deterministic(cache):
     g = cache.graph(61, 0)
-    lines1 = list(edgelist_lines(g))
-    lines2 = list(edgelist_lines(g))
-    assert lines1 == lines2
+    text = "".join(export_chunks(g, "edgelist"))
+    assert text == "".join(export_chunks(g, "edgelist"))
+    lines1 = text.splitlines()
     assert len(lines1) == 9455
     parts = lines1[0].split()
     assert len(parts) == 2
 
 
+def test_export_chunks_are_vertex_rows(cache):
+    # one chunk per vertex row with edges to later vertices, holding them
+    g = cache.graph(61, 0)
+    rows = [n for n in (sum(v > u for v in nb) for u, nb in enumerate(g.neighbors)) if n]
+    chunks = list(export_chunks(g, "edgelist"))
+    assert len(chunks) == len(rows) < 310  # the last vertices have no later edges
+    for n, chunk in zip(rows, chunks):
+        lines = chunk.splitlines()
+        assert len(lines) == n and len({line.split()[0] for line in lines}) == 1
+    dot = list(export_chunks(g, "dot"))
+    assert len(dot) == len(rows) + 2 and dot[-1] == "}\n"
+
+
 def test_dot_export(cache):
     g = cache.graph(61, 0)
-    dot = to_dot(g)
+    dot = "".join(export_chunks(g, "dot"))
     assert dot.startswith('graph "Y0_k61"')
     assert dot.count("--") == 9455

@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from psl2ham import (certificate_to_text, lift_cycle, parse_certificate,
-                     unroll_lift, verify_certificate)
+from psl2ham import (certificate_to_text, lift_cycle, neighborhood,
+                     parse_certificate, s_orbits, unroll_lift,
+                     verify_certificate)
 from psl2ham.errors import InvariantViolation
 from util import vertex_index
 
@@ -35,12 +36,11 @@ def test_multiplicities_symmetric_voltages_negated(cache):
             assert set(q.voltages[b][a]) == {(-w) % p for w in q.voltages[a][b]}
 
 
-def test_voltages_realize_adjacency(cache, action61):
+def test_voltages_realize_adjacency(cache, field61):
     # w in voltages[a][b] iff base(a) ~ sigma^w(base(b))
-    from psl2ham import neighborhood
     q = cache.quotient(61, 0)
-    orbits = action61.s_orbits
-    nb = neighborhood(action61, 0, orbits[3][0])
+    orbits = s_orbits(field61)
+    nb = neighborhood(field61, 0, orbits[3][0])
     for b in range(10):
         hits = {w for w in range(q.p) if orbits[b][w] in nb}
         assert hits == set(q.voltages[3][b])
@@ -51,7 +51,7 @@ def collapse(graph, orbits):
     every vertex of each orbit, which S-invariance makes all equal."""
     p = len(orbits[0])
     pos = {pt: (a, w) for a, orb in enumerate(orbits) for w, pt in enumerate(orb)}
-    index = vertex_index(graph.action)
+    index = vertex_index(graph.field)
     volts = [[None] * 10 for _ in range(10)]
     for a, orb in enumerate(orbits):
         rows = set()
@@ -67,10 +67,10 @@ def collapse(graph, orbits):
 
 
 @pytest.mark.parametrize("k", [61, 81, 121])
-def test_quotient_equals_collapse_of_full_graph(k, cache, actions):
+def test_quotient_equals_collapse_of_full_graph(k, cache, fields):
     for i in range(5):
         q = cache.quotient(k, i)
-        volts = collapse(cache.graph(k, i), actions[k].s_orbits)
+        volts = collapse(cache.graph(k, i), s_orbits(fields[k]))
         assert q.voltages == volts
         assert q.mult == tuple(tuple(len(vs) for vs in row) for row in volts)
         assert q.orbital_index == i
@@ -205,15 +205,21 @@ def test_lift_dichotomy_zero_total(cache):
 
 
 def test_lift_cycle_switches_away_from_zero_total(cache):
-    # force the all-smallest selection to sum to zero by rotating the cycle
-    # start; regardless of the outcome, the chosen voltages must be real and
-    # the total nonzero
-    q = cache.quotient(61, 3)
+    # at k=121, orbital 3, the smallest voltages of the standard cycle sum
+    # to 0 mod p, so every rotation of its start needs the switch: the
+    # first edge with two voltages, which moves to its second one
+    q = cache.quotient(121, 3)
     for start in range(10):
         cycle = tuple((start + j) % 10 for j in range(10))
+        edge_sets = [q.voltages[cycle[e]][cycle[(e + 1) % 10]] for e in range(10)]
+        assert sum(vs[0] for vs in edge_sets) % q.p == 0
         cert = lift_cycle(q, cycle=cycle)
+        moved = [e for e in range(10) if cert.chosen_voltages[e] != edge_sets[e][0]]
+        first = next(e for e, vs in enumerate(edge_sets) if len(vs) > 1)
+        assert moved == [first]
+        assert cert.chosen_voltages[first] == edge_sets[first][1]
         assert cert.total_voltage % q.p != 0
-        assert len(set(cert.vertices)) == 310
+        assert len(set(cert.vertices)) == 610
 
 
 def test_verify_accepts_emitted(cache, field61):

@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 import psl2ham
+from psl2ham import OmegaPoint
 
 
 def random_words(group, rng, count, length=8):
@@ -18,9 +19,19 @@ def random_words(group, rng, count, length=8):
     return out
 
 
-def vertex_index(action):
-    """Point -> its position in the vertex order of `action.points`."""
-    return {p: n for n, p in enumerate(action.points)}
+ALPHA = OmegaPoint(None, 0)  # the base point, the label of H itself
+
+
+def points(field):
+    """Every point of the coset space, in the vertex order of `build_graph`:
+    fiber-major, infinity first, then coordinate-lex."""
+    return [OmegaPoint(beta, f) for f in range(5)
+            for beta in (None, *field.elements_lex)]
+
+
+def vertex_index(field):
+    """Point -> its position in the vertex order of `points(field)`."""
+    return {p: n for n, p in enumerate(points(field))}
 
 
 def fresh_process_env():
