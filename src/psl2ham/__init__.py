@@ -8,14 +8,13 @@ labels (beta, fiber), with closed-form representatives and the right
 action read off the labels -> the ten orbits of the cyclic subgroup S of
 order p, walked by one generator -> the quotient multigraph of an orbital
 graph over those orbits, from 20 matrix-form neighborhoods -> voltage
-selection and lifting -> a certificate, re-verified by an O(1) rule on
-labels.
+selection and lifting over the quotient cycle 0..9 -> a certificate
+that carries its field, re-verified by an O(1) rule on labels.
 """
 
 from .action import (OmegaPoint, act, parse_point, point_of, point_str, rep,
                      s_orbits, sigma)
-from .cli import (InstanceParams, full_graph_mode, list_instances,
-                  run_pipeline)
+from .cli import InstanceParams, list_instances, run_pipeline
 from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
                    double_edge_equation, m_pairs, solution_profile,
                    weil_check)
@@ -29,7 +28,7 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph,
 __all__ = [
     "OmegaPoint", "act", "parse_point", "point_of", "point_str", "rep",
     "s_orbits", "sigma",
-    "InstanceParams", "full_graph_mode", "list_instances", "run_pipeline",
+    "InstanceParams", "list_instances", "run_pipeline",
     "DiagonalEquation", "SolutionProfile", "WeilReport",
     "double_edge_equation", "m_pairs", "solution_profile", "weil_check",
     "InvariantViolation", "ParameterError",

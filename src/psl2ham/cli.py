@@ -1,6 +1,9 @@
 """Command-line surface: instance discovery, graph construction,
 certificate emission, independent verification.
 
+`full-graph` emits the `hamilton` certificate of Y(min S), a subgraph of
+the union of the chosen orbital graphs.
+
 Exit codes: 0 success, 2 parameter error, 3 invariant violation,
 4 verification failure.
 """
@@ -15,10 +18,10 @@ from dataclasses import dataclass
 from .diag import solvability_report
 from .errors import InvariantViolation, ParameterError
 from .gf import Field, admissible, is_prime
-from .orbital import build_graph, export_chunks, orbital_of
-from .quotient import (HamiltonCertificate, QuotientMultigraph,
-                       VerificationResult, build_quotient, certificate_to_text,
-                       lift_cycle, parse_certificate, verify_certificate)
+from .orbital import build_graph, export_chunks
+from .quotient import (HamiltonCertificate, QuotientMultigraph, build_quotient,
+                       certificate_to_text, lift_cycle, parse_certificate,
+                       verify_certificate)
 
 DESK_SCALE_MAX_K = 5000
 
@@ -74,15 +77,6 @@ def list_instances(max_k: int) -> list[InstanceParams]:
     return out
 
 
-@dataclass
-class PipelineResult:
-    params: InstanceParams
-    field: Field
-    quotient: QuotientMultigraph
-    certificate: HamiltonCertificate
-    verification: VerificationResult
-
-
 @contextmanager
 def _stage(name):
     """Tag escaping invariant violations with the pipeline stage."""
@@ -94,44 +88,19 @@ def _stage(name):
         raise
 
 
-def run_pipeline(params: InstanceParams, i: int) -> PipelineResult:
+def run_pipeline(params: InstanceParams, i: int) -> HamiltonCertificate:
     """field -> quotient -> lift -> verify."""
-    if not 0 <= i <= 4:
-        raise ParameterError(f"orbital index {i} out of range 0..4")
     with _stage("gf"):
         field = Field(params.s, params.m)
     with _stage("quotient"):
-        quot = build_quotient(field, i)
-        cert = lift_cycle(quot)
+        cert = lift_cycle(build_quotient(field, i))
     with _stage("verify"):
-        result = verify_certificate(field, cert)
+        result = verify_certificate(cert)
         if not result:
             raise InvariantViolation(
                 f"emitted certificate failed verification: {result.failure}",
                 stage="verify")
-    return PipelineResult(params=params, field=field, quotient=quot,
-                          certificate=cert, verification=result)
-
-
-def full_graph_mode(params: InstanceParams, subset) -> PipelineResult:
-    """Certificate for the union of the chosen orbital graphs.
-
-    Computes the cycle on the smallest chosen index and re-checks every
-    cycle edge against the union's adjacency.
-    """
-    subset = sorted(set(subset))
-    if not subset:
-        raise ParameterError("orbital subset must be nonempty")
-    if any(not 0 <= i <= 4 for i in subset):
-        raise ParameterError("orbital indices must lie in 0..4")
-    result = run_pipeline(params, subset[0])
-    verts = result.certificate.vertices
-    n = len(verts)
-    for idx in range(n):
-        if orbital_of(result.field, verts[idx], verts[(idx + 1) % n]) not in subset:
-            raise InvariantViolation(
-                "certificate cycle leaves the union graph", stage="full-graph")
-    return result
+    return cert
 
 
 # --- argument handling ---
@@ -164,10 +133,16 @@ def _write_out(chunks, out: str | None):
 
 
 def _parse_subset(text: str) -> list[int]:
+    """The sorted distinct orbital indices of a comma-separated list."""
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        subset = sorted({int(x) for x in text.split(",") if x.strip() != ""})
     except ValueError:
         raise ParameterError(f"malformed orbital subset {text!r}")
+    if not subset:
+        raise ParameterError("orbital subset must be nonempty")
+    if any(not 0 <= i <= 4 for i in subset):
+        raise ParameterError("orbital indices must lie in 0..4")
+    return subset
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -252,24 +227,28 @@ def run(argv=None) -> int:
             _write_out([_quotient_text(quot)], args.out)
             return 0
 
-        if args.command == "hamilton":
+        if args.command in ("hamilton", "full-graph"):
             params = _resolve_params(args)
-            result = run_pipeline(params, args.orbital)
-            text = certificate_to_text(result.field, result.certificate)
-            _write_out([text], args.out)
+            union = args.command == "full-graph"
+            subset = _parse_subset(args.orbitals) if union else [args.orbital]
+            # the pipeline verifies every cycle edge in Y(min S), inside the union
+            cert = run_pipeline(params, subset[0])
+            _write_out([certificate_to_text(cert)], args.out)
             if args.out not in (None, "-"):
-                print(f"verified Hamilton cycle on {len(result.certificate.vertices)} "
-                      f"vertices (orbital {args.orbital}, total voltage "
-                      f"{result.certificate.total_voltage} mod {params.p})")
+                where = (f"inside the union of orbitals {subset}" if union else
+                         f"(orbital {subset[0]}, total voltage "
+                         f"{cert.total_voltage} mod {params.p})")
+                print(f"verified Hamilton cycle on {len(cert.vertices)} "
+                      f"vertices {where}")
             return 0
 
         if args.command == "verify":
             with open(args.cert) as fh:
-                field, cert = parse_certificate(fh.read())
-            res = verify_certificate(field, cert)
+                cert = parse_certificate(fh.read())
+            res = verify_certificate(cert)
             if res:
                 print(f"certificate OK: {len(cert.vertices)} vertices, "
-                      f"orbital {cert.orbital_index}, k={cert.k}")
+                      f"orbital {cert.orbital_index}, k={cert.field.order}")
                 return 0
             print(f"certificate INVALID: {res.failure}")
             return 4
@@ -278,17 +257,6 @@ def run(argv=None) -> int:
             params = _resolve_params(args)
             field = Field(params.s, params.m)
             _write_out(["\n".join(solvability_report(field)) + "\n"], args.out)
-            return 0
-
-        if args.command == "full-graph":
-            params = _resolve_params(args)
-            subset = _parse_subset(args.orbitals)
-            result = full_graph_mode(params, subset)
-            cert = result.certificate
-            _write_out([certificate_to_text(result.field, cert)], args.out)
-            if args.out not in (None, "-"):
-                print(f"verified Hamilton cycle on {len(cert.vertices)} vertices "
-                      f"inside the union of orbitals {sorted(set(subset))}")
             return 0
 
         raise AssertionError(f"unhandled command {args.command}")

@@ -253,9 +253,6 @@ class Field:
 
     # --- views and serialization ---
 
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        return self._coeffs[x]
-
     def element_str(self, x: int) -> str:
         if self.m == 1:
             return str(x)

@@ -8,13 +8,14 @@ v_A(c) ~ v_B(c + w) for every offset c.  Since S acts by automorphisms,
 the neighborhoods of the ten orbit bases determine the quotient; the
 full orbital graph is never built.
 
-A closed walk through all ten orbits whose chosen voltages sum to w != 0
-(mod p) unrolls to a single cycle through all 10p vertices; if w = 0 it
-unrolls to p disjoint 10-cycles.  The certificate records the walk, the
-chosen voltages and the full vertex cycle, and can be re-verified from
-scratch with the O(1) adjacency rule `orbital.orbital_of`, which needs
-only the field and is derived independently of the matrix-form
-neighborhoods the quotient is built from.
+The quotient cycle is the walk 0, 1, ..., 9 through the ten orbits.  If
+its chosen voltages sum to w != 0 (mod p) it unrolls to a single cycle
+through all 10p vertices; if w = 0 it unrolls to p disjoint 10-cycles.
+The certificate holds its field, the walk, the chosen voltages and the
+full vertex cycle, and can be re-verified from scratch with the O(1)
+adjacency rule `orbital.orbital_of`, which needs only the field and is
+derived independently of the matrix-form neighborhoods the quotient is
+built from.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
     and its position 1 to check S-invariance by recounting.
     """
     if not 0 <= i <= 4:
-        raise ValueError(f"orbital index {i} out of range")
+        raise ValueError(f"orbital index {i} out of range 0..4")
     k = field.order
     p = (k + 1) // 2
     orbits = s_orbits(field)
@@ -106,39 +107,24 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
 
 @dataclass
 class HamiltonCertificate:
-    s: int
-    m: int
-    k: int
-    p: int
+    field: Field
     orbital_index: int
     cycle: tuple[int, ...]  # orbit sequence, length 10
     chosen_voltages: tuple[int, ...]  # one per cycle edge, length 10
     total_voltage: int
     vertices: tuple[OmegaPoint, ...]  # length 10p, in cycle order
 
-
-DEFAULT_CYCLE = tuple(range(10))
-
-
-def _check_cycle(q: QuotientMultigraph, cycle) -> tuple[int, ...]:
-    cycle = tuple(cycle)
-    if sorted(cycle) != list(range(10)):
-        raise ValueError("cycle must visit each of the ten orbits exactly once")
-    for e in range(10):
-        if q.mult[cycle[e]][cycle[(e + 1) % 10]] < 1:
-            raise ValueError(
-                f"orbits {cycle[e]} and {cycle[(e + 1) % 10]} are not adjacent")
-    return cycle
+    @property
+    def p(self) -> int:
+        return (self.field.order + 1) // 2
 
 
-def unroll_lift(q: QuotientMultigraph, cycle, choices) -> list[list[OmegaPoint]]:
-    """Explicitly unroll a voltage assignment over the closed walk.
+def unroll_lift(q: QuotientMultigraph, choices) -> list[list[OmegaPoint]]:
+    """Explicitly unroll a voltage assignment over the quotient cycle 0..9.
 
     Returns the cycles of the lift: one 10p-cycle when the voltages sum
     to a nonzero residue mod p, else p disjoint 10-cycles.
     """
-    cycle = _check_cycle(q, cycle)
-    choices = tuple(choices)
     p = q.p
     out = []
     visited: set[tuple[int, int]] = set()
@@ -149,24 +135,29 @@ def unroll_lift(q: QuotientMultigraph, cycle, choices) -> list[list[OmegaPoint]]
         j, c = 0, start
         while (j, c) not in visited:
             visited.add((j, c))
-            comp.append(q.orbits[cycle[j]][c])
+            comp.append(q.orbits[j][c])
             c = (c + choices[j]) % p
             j = (j + 1) % 10
         out.append(comp)
     return out
 
 
-def lift_cycle(q: QuotientMultigraph, cycle=DEFAULT_CYCLE) -> HamiltonCertificate:
-    """Choose voltages with nonzero total and unroll to a full cycle.
+def lift_cycle(q: QuotientMultigraph) -> HamiltonCertificate:
+    """Choose voltages with nonzero total over the quotient cycle 0..9 and
+    unroll to a full cycle.
 
     Takes the smallest voltage on every edge; if the total vanishes mod p,
     the first edge with two or more parallel edges switches to its second
     voltage, which shifts the total off zero as the voltages of an edge
     are distinct residues mod p.
     """
-    cycle = _check_cycle(q, cycle)
     p = q.p
-    edge_sets = [q.voltages[cycle[e]][cycle[(e + 1) % 10]] for e in range(10)]
+    edge_sets = [q.voltages[e][(e + 1) % 10] for e in range(10)]
+    for e, vs in enumerate(edge_sets):
+        if not vs:
+            raise InvariantViolation(
+                f"orbits {e} and {(e + 1) % 10} are not adjacent: quotient "
+                "data is corrupt", stage="quotient")
     choices = [vs[0] for vs in edge_sets]
     total = sum(choices) % p
     if total == 0:
@@ -178,15 +169,13 @@ def lift_cycle(q: QuotientMultigraph, cycle=DEFAULT_CYCLE) -> HamiltonCertificat
                 stage="quotient")
         choices[e] = edge_sets[e][1]
         total = sum(choices) % p
-    components = unroll_lift(q, cycle, choices)
+    components = unroll_lift(q, choices)
     if len(components) != 1 or len(components[0]) != 10 * p:
         raise InvariantViolation(
             f"lift with total voltage {total} did not produce a single "
             f"{10 * p}-cycle", stage="quotient")
-    F = q.field
     return HamiltonCertificate(
-        s=F.s, m=F.m, k=F.order, p=p,
-        orbital_index=q.orbital_index, cycle=cycle,
+        field=q.field, orbital_index=q.orbital_index, cycle=tuple(range(10)),
         chosen_voltages=tuple(choices), total_voltage=total,
         vertices=tuple(components[0]))
 
@@ -202,26 +191,32 @@ class VerificationResult:
         return self.ok
 
 
-def verify_certificate(field: Field, cert: HamiltonCertificate) -> VerificationResult:
+def verify_certificate(cert: HamiltonCertificate) -> VerificationResult:
     """Re-check a certificate from scratch.
 
-    Tests every cycle edge with the O(1) adjacency rule `orbital_of`,
-    which needs the field alone; never consults a group, a stored graph
-    or a quotient.
+    Checks the header arithmetic, then tests every cycle edge with the
+    O(1) adjacency rule `orbital_of`, which needs the field alone; never
+    consults a group, a stored graph or a quotient.
     """
+    field, p = cert.field, cert.p
     k = field.order
-    if cert.k != k or cert.s != field.s or cert.m != field.m:
-        return VerificationResult(False, "field parameters do not match certificate")
-    if cert.s**cert.m != cert.k or cert.p != (cert.k + 1) // 2:
-        return VerificationResult(False, "inconsistent certificate parameters")
     if not 0 <= cert.orbital_index <= 4:
         return VerificationResult(False, f"orbital index {cert.orbital_index} out of range")
-    n = 10 * cert.p
+    n = 10 * p
     if len(cert.vertices) != n:
         return VerificationResult(
             False, f"cycle has {len(cert.vertices)} vertices, expected {n}")
-    if cert.total_voltage % cert.p == 0:
+    if cert.total_voltage % p == 0:
         return VerificationResult(False, "total voltage vanishes mod p")
+    if sorted(cert.cycle) != list(range(10)):
+        return VerificationResult(
+            False, "cycle does not visit each of the ten orbits exactly once")
+    volts = cert.chosen_voltages
+    if len(volts) != 10 or not all(0 <= w < p for w in volts):
+        return VerificationResult(False, "voltages are not ten residues mod p")
+    if cert.total_voltage != sum(volts) % p:
+        return VerificationResult(
+            False, f"total {cert.total_voltage} is not the voltage sum mod p")
 
     seen: set[OmegaPoint] = set()
     for idx, v in enumerate(cert.vertices):
@@ -247,12 +242,13 @@ def verify_certificate(field: Field, cert: HamiltonCertificate) -> VerificationR
 
 # --- serialization ---
 
-def certificate_to_text(field: Field, cert: HamiltonCertificate) -> str:
+def certificate_to_text(cert: HamiltonCertificate) -> str:
+    field = cert.field
     lines = [
         f"{CERT_FORMAT} {CERT_VERSION}",
-        f"s {cert.s}",
-        f"m {cert.m}",
-        f"k {cert.k}",
+        f"s {field.s}",
+        f"m {field.m}",
+        f"k {field.order}",
         f"p {cert.p}",
         f"orbital {cert.orbital_index}",
         "cycle " + " ".join(str(a) for a in cert.cycle),
@@ -264,7 +260,7 @@ def certificate_to_text(field: Field, cert: HamiltonCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate(text: str) -> tuple[Field, HamiltonCertificate]:
+def parse_certificate(text: str) -> HamiltonCertificate:
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines:
         raise ValueError("empty certificate")
@@ -299,11 +295,10 @@ def parse_certificate(text: str) -> tuple[Field, HamiltonCertificate]:
     n = int(fields["vertices"])
     if len(body) != n:
         raise ValueError(f"expected {n} vertex lines, found {len(body)}")
-    cert = HamiltonCertificate(
-        s=s, m=m, k=k, p=p,
+    return HamiltonCertificate(
+        field=field,
         orbital_index=int(fields["orbital"]),
         cycle=tuple(int(x) for x in fields["cycle"].split()),
         chosen_voltages=tuple(int(x) for x in fields["voltages"].split()),
         total_voltage=int(fields["total"]),
         vertices=tuple(parse_point(field, ln) for ln in body))
-    return field, cert

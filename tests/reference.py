@@ -7,7 +7,8 @@ keeps the exhaustive derivations those shortcuts are checked against:
 PSL(2,k) with canonical signs and its enumerated subgroups S and H, the
 right action as the label of a 2x2 product, and the ten H-orbits
 (suborbits) on the coset space.  It also keeps the helpers that only
-tests call: `from_coeffs`, `equation_for_orbit_pair` and `edges`.
+tests call: `coeffs`, `from_coeffs`, `equation_for_orbit_pair` and
+`edges`.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1, stored in canonical sign form: of the two matrices g, -g
@@ -33,6 +34,11 @@ from psl2ham.action import Mat, point_of, rep
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           DiagonalEquation, double_edge_equation)
 from util import ALPHA, points
+
+
+def coeffs(field: Field, x: int) -> tuple[int, ...]:
+    """The coordinates of the element with handle x, constant term first."""
+    return field._coeffs[x]
 
 
 def from_coeffs(field: Field, cs) -> int:

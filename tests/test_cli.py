@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from psl2ham import (InstanceParams, ParameterError, full_graph_mode,
-                     list_instances, orbital_of, run_pipeline)
+from psl2ham import (InstanceParams, ParameterError, list_instances,
+                     orbital_of, parse_certificate, run_pipeline,
+                     verify_certificate)
 from psl2ham.cli import DESK_SCALE_MAX_K, factor_prime_power, run
 from psl2ham.gf import admissible
 from util import fresh_process_env, points
@@ -59,28 +60,33 @@ def test_factor_prime_power():
 
 
 def test_run_pipeline_produces_verified_cert():
-    result = run_pipeline(InstanceParams.create(61, 1), 0)
-    assert len(result.certificate.vertices) == 310
-    assert result.verification.ok
+    cert = run_pipeline(InstanceParams.create(61, 1), 0)
+    assert len(cert.vertices) == 310
+    assert verify_certificate(cert)
 
 
 def test_run_pipeline_rejects_bad_orbital():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError, match="out of range 0..4"):
         run_pipeline(InstanceParams.create(61, 1), 7)
 
 
-def test_full_graph_mode_subsets():
-    params = InstanceParams.create(61, 1)
-    cert01 = full_graph_mode(params, [0, 1]).certificate
+def test_full_graph_mode_subsets(tmp_path, capsys):
+    union, direct = tmp_path / "u.txt", tmp_path / "h.txt"
+    assert run(["full-graph", "--k", "61", "--orbitals", "1,0",
+                "--out", str(union)]) == 0
+    cert01 = parse_certificate(union.read_text())
     assert len(cert01.vertices) == 310
     assert cert01.orbital_index == 0
-    cert3 = full_graph_mode(params, [3]).certificate
-    direct = run_pipeline(params, 3).certificate
-    assert cert3 == direct
-    with pytest.raises(ParameterError):
-        full_graph_mode(params, [])
-    with pytest.raises(ParameterError):
-        full_graph_mode(params, [9])
+    assert run(["full-graph", "--k", "61", "--orbitals", "3",
+                "--out", str(union)]) == 0
+    assert run(["hamilton", "--k", "61", "--orbital", "3",
+                "--out", str(direct)]) == 0
+    assert union.read_bytes() == direct.read_bytes()
+    capsys.readouterr()
+    assert run(["full-graph", "--k", "61", "--orbitals", ","]) == 2
+    assert "orbital subset must be nonempty" in capsys.readouterr().err
+    assert run(["full-graph", "--k", "61", "--orbitals", "0,9"]) == 2
+    assert "orbital indices must lie in 0..4" in capsys.readouterr().err
 
 
 def test_full_graph_union_is_5k_regular(field61):
@@ -228,6 +234,26 @@ def test_cli_quotient_and_weil_report(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1 + 375
     assert all(row.endswith("True") for row in out[1:])
+
+
+FORGED_CLAIMS = [
+    ("cycle 9 8 7 6 5 4 3 2 1 0", "voltages 1 1 1 1 1 1 1 1 1 1", "total 1"),
+    ("cycle 0 0 0 0 0 0 0 0 0", "voltages 5", "total 3"),
+]
+
+
+@pytest.mark.parametrize("claims", FORGED_CLAIMS)
+def test_cli_verify_rejects_forged_header_claims(claims, tmp_path, capsys):
+    # a valid k=61 cycle under a header whose cycle, voltages and total lie
+    cert = tmp_path / "c.txt"
+    assert run(["hamilton", "--k", "61", "--out", str(cert)]) == 0
+    lines = cert.read_text().splitlines()
+    assert [ln.split()[0] for ln in lines[6:9]] == ["cycle", "voltages", "total"]
+    lines[6:9] = claims
+    cert.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["verify", "--cert", str(cert)]) == 4
+    assert "certificate INVALID" in capsys.readouterr().out
 
 
 def test_cli_full_graph(tmp_path):

@@ -100,6 +100,28 @@ def test_build_exports_are_byte_identical(args, tmp_path):
     assert got == BUILD_SHA256[args]
 
 
+def test_full_graph_writes_the_certificate_of_its_smallest_orbital(tmp_path, capsys):
+    # Y(min S) lies inside the union, so full-graph is hamilton on min S
+    union, direct = tmp_path / "u.txt", tmp_path / "h.txt"
+    assert run(["full-graph", "--k", "61", "--orbitals", "2,4",
+                "--out", str(union)]) == 0
+    assert capsys.readouterr().out == (
+        "verified Hamilton cycle on 310 vertices inside the union of "
+        "orbitals [2, 4]\n")
+    assert run(["hamilton", "--k", "61", "--orbital", "2", "--out", str(direct)]) == 0
+    assert capsys.readouterr().out == (
+        "verified Hamilton cycle on 310 vertices (orbital 2, total voltage "
+        "11 mod 31)\n")
+    assert union.read_bytes() == direct.read_bytes()
+
+    got = output_sha256(["full-graph", "--k", "121", "--orbitals", "0,1,2,3,4"],
+                        tmp_path / "u121.txt")
+    assert got == HAMILTON_SHA256[121][0]
+    assert capsys.readouterr().out == (
+        "verified Hamilton cycle on 610 vertices inside the union of "
+        "orbitals [0, 1, 2, 3, 4]\n")
+
+
 def test_pipelines_never_build_the_full_graph(tmp_path, monkeypatch):
     def forbidden(*args):
         raise AssertionError("build_graph called")

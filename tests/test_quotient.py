@@ -152,12 +152,15 @@ def test_lift_produces_valid_certificate(cache):
         assert cert.chosen_voltages[e] in q.voltages[cert.cycle[e]][cert.cycle[(e + 1) % 10]]
 
 
-def test_lift_rejects_bad_cycles(cache):
+def test_lift_rejects_quotient_missing_a_cycle_edge(cache):
+    # the quotient cycle is 0..9; an edge of it with no voltage is corrupt data
     q = cache.quotient(61, 0)
-    with pytest.raises(ValueError):
-        lift_cycle(q, cycle=(0, 1, 2, 3, 4, 5, 6, 7, 8, 8))
-    with pytest.raises(ValueError):
-        lift_cycle(q, cycle=(0, 1, 2))
+    volts = [list(row) for row in q.voltages]
+    volts[3][4] = ()
+    crippled = replace(q, voltages=tuple(tuple(row) for row in volts))
+    with pytest.raises(InvariantViolation, match="orbits 3 and 4") as exc:
+        lift_cycle(crippled)
+    assert exc.value.stage == "quotient"
 
 
 def test_lift_dichotomy_random_assignments(cache):
@@ -165,13 +168,12 @@ def test_lift_dichotomy_random_assignments(cache):
         q = cache.quotient(k, 0)
         p = q.p
         rng = random.Random(k)
-        cycle = tuple(range(10))
-        edge_sets = [q.voltages[cycle[e]][cycle[(e + 1) % 10]] for e in range(10)]
+        edge_sets = [q.voltages[e][(e + 1) % 10] for e in range(10)]
         zero_seen = nonzero_seen = 0
         for _ in range(120):
             choices = [rng.choice(vs) for vs in edge_sets]
             total = sum(choices) % p
-            comps = unroll_lift(q, cycle, choices)
+            comps = unroll_lift(q, choices)
             if total:
                 nonzero_seen += 1
                 assert len(comps) == 1 and len(comps[0]) == 10 * p
@@ -187,8 +189,7 @@ def test_lift_dichotomy_zero_total(cache):
         q = cache.quotient(k, 0)
         p = q.p
         rng = random.Random(k + 1)
-        cycle = tuple(range(10))
-        edge_sets = [q.voltages[cycle[e]][cycle[(e + 1) % 10]] for e in range(10)]
+        edge_sets = [q.voltages[e][(e + 1) % 10] for e in range(10)]
         found = None
         for _ in range(5000):
             choices = [rng.choice(vs) for vs in edge_sets[:-1]]
@@ -197,7 +198,7 @@ def test_lift_dichotomy_zero_total(cache):
                 found = choices + [need]
                 break
         assert found is not None, f"no zero-sum assignment found at k={k}"
-        comps = unroll_lift(q, cycle, found)
+        comps = unroll_lift(q, found)
         assert len(comps) == p
         assert all(len(c) == 10 for c in comps)
         cover = {v for c in comps for v in c}
@@ -205,98 +206,127 @@ def test_lift_dichotomy_zero_total(cache):
 
 
 def test_lift_cycle_switches_away_from_zero_total(cache):
-    # at k=121, orbital 3, the smallest voltages of the standard cycle sum
-    # to 0 mod p, so every rotation of its start needs the switch: the
-    # first edge with two voltages, which moves to its second one
+    # at k=121, orbital 3, the smallest voltages of the cycle 0..9 sum to
+    # 0 mod p, so the lift needs the switch: the first edge with two
+    # voltages, which moves to its second one
     q = cache.quotient(121, 3)
-    for start in range(10):
-        cycle = tuple((start + j) % 10 for j in range(10))
-        edge_sets = [q.voltages[cycle[e]][cycle[(e + 1) % 10]] for e in range(10)]
-        assert sum(vs[0] for vs in edge_sets) % q.p == 0
-        cert = lift_cycle(q, cycle=cycle)
-        moved = [e for e in range(10) if cert.chosen_voltages[e] != edge_sets[e][0]]
-        first = next(e for e, vs in enumerate(edge_sets) if len(vs) > 1)
-        assert moved == [first]
-        assert cert.chosen_voltages[first] == edge_sets[first][1]
-        assert cert.total_voltage % q.p != 0
-        assert len(set(cert.vertices)) == 610
+    edge_sets = [q.voltages[e][(e + 1) % 10] for e in range(10)]
+    assert sum(vs[0] for vs in edge_sets) % q.p == 0
+    cert = lift_cycle(q)
+    assert cert.cycle == tuple(range(10))
+    moved = [e for e in range(10) if cert.chosen_voltages[e] != edge_sets[e][0]]
+    first = next(e for e, vs in enumerate(edge_sets) if len(vs) > 1)
+    assert moved == [first]
+    assert cert.chosen_voltages[first] == edge_sets[first][1]
+    assert cert.total_voltage % q.p != 0
+    assert len(set(cert.vertices)) == 610
 
 
-def test_verify_accepts_emitted(cache, field61):
+def test_verify_accepts_emitted(cache):
     cert = lift_cycle(cache.quotient(61, 4))
-    assert verify_certificate(field61, cert)
+    assert verify_certificate(cert)
 
 
-def test_lift_survives_k81_degeneracy(cache, field81):
+def test_lift_survives_k81_degeneracy(cache):
     # at i=4 both family-crossing edges of the standard cycle carry a
     # single voltage, so the nonzero-total switch must use another edge
     for i in range(5):
         cert = lift_cycle(cache.quotient(81, i))
         assert cert.total_voltage % 41 != 0
         assert len(set(cert.vertices)) == 410
-        assert verify_certificate(field81, cert)
+        assert verify_certificate(cert)
 
 
-def test_verify_rejects_swapped_vertices(cache, field61):
+def test_verify_rejects_swapped_vertices(cache):
     cert = lift_cycle(cache.quotient(61, 0))
     vs = list(cert.vertices)
     vs[10], vs[200] = vs[200], vs[10]
     bad = replace(cert, vertices=tuple(vs))
-    res = verify_certificate(field61, bad)
+    res = verify_certificate(bad)
     assert not res
     assert "not adjacent" in res.failure
 
 
-def test_verify_rejects_duplicate_vertex(cache, field61):
+def test_verify_rejects_duplicate_vertex(cache):
     cert = lift_cycle(cache.quotient(61, 0))
     vs = list(cert.vertices)
     vs[5] = vs[17]
-    res = verify_certificate(field61, replace(cert, vertices=tuple(vs)))
+    res = verify_certificate(replace(cert, vertices=tuple(vs)))
     assert not res
     assert "duplicates" in res.failure
 
 
-def test_verify_rejects_wrong_field(cache, field81):
+def test_verify_rejects_zero_total_voltage(cache):
     cert = lift_cycle(cache.quotient(61, 0))
-    res = verify_certificate(field81, cert)
-    assert not res
-
-
-def test_verify_rejects_zero_total_voltage(cache, field61):
-    cert = lift_cycle(cache.quotient(61, 0))
-    res = verify_certificate(field61, replace(cert, total_voltage=0))
+    res = verify_certificate(replace(cert, total_voltage=0))
     assert not res and "total voltage" in res.failure
 
 
-def test_verify_rejects_inconsistent_parameters(cache, field61):
+def test_verify_rejects_false_header_claims(cache):
+    # cycle, voltages and total are claims of the header: each must be
+    # well formed and consistent with the others
     cert = lift_cycle(cache.quotient(61, 0))
-    res = verify_certificate(field61, replace(cert, p=30))
-    assert not res and "inconsistent" in res.failure
+    volts = cert.chosen_voltages
+    forged = {
+        "reversed cycle, all-one voltages": dict(
+            cycle=tuple(range(9, -1, -1)), chosen_voltages=(1,) * 10,
+            total_voltage=1),
+        "short cycle, one voltage": dict(
+            cycle=(0,) * 9, chosen_voltages=(5,), total_voltage=3),
+        "repeated orbit": dict(cycle=(0, 1, 2, 3, 4, 5, 6, 7, 8, 8)),
+        "nine voltages": dict(chosen_voltages=volts[:9],
+                              total_voltage=sum(volts[:9]) % 31),
+        "voltage p": dict(chosen_voltages=(31,) + volts[1:],
+                          total_voltage=(31 + sum(volts[1:])) % 31),
+        "negative voltage": dict(chosen_voltages=(volts[0] - 31,) + volts[1:]),
+        "total off the sum": dict(total_voltage=cert.total_voltage % 31 + 1),
+        "total not reduced": dict(total_voltage=cert.total_voltage + 31),
+    }
+    failures = {}
+    for name, claims in forged.items():
+        res = verify_certificate(replace(cert, **claims))
+        assert not res, name
+        failures[name] = res.failure
+    assert failures["repeated orbit"] == failures["short cycle, one voltage"] == (
+        "cycle does not visit each of the ten orbits exactly once")
+    for name in ("nine voltages", "voltage p", "negative voltage"):
+        assert failures[name] == "voltages are not ten residues mod p"
+    assert failures["reversed cycle, all-one voltages"] == (
+        "total 1 is not the voltage sum mod p")
+    for name in ("total off the sum", "total not reduced"):
+        assert failures[name].endswith("is not the voltage sum mod p")
 
 
-def test_verify_closing_edge(cache, field61):
+def test_verify_checks_zero_total_before_other_claims(cache):
+    cert = lift_cycle(cache.quotient(61, 0))
+    res = verify_certificate(replace(cert, cycle=(0,) * 9, total_voltage=0))
+    assert res.failure == "total voltage vanishes mod p"
+
+
+def test_verify_closing_edge(cache):
     cert = lift_cycle(cache.quotient(61, 0))
     vs = list(cert.vertices)
     # rotating by one vertex keeps every adjacency, so stay valid
     rotated = replace(cert, vertices=tuple(vs[1:] + vs[:1]))
-    assert verify_certificate(field61, rotated)
+    assert verify_certificate(rotated)
 
 
-def test_certificate_text_round_trip(cache, field61):
+def test_certificate_text_round_trip(cache):
     cert = lift_cycle(cache.quotient(61, 1))
-    text = certificate_to_text(field61, cert)
-    field2, cert2 = parse_certificate(text)
-    assert cert2 == cert
-    assert field2.order == 61
-    assert certificate_to_text(field2, cert2) == text
+    text = certificate_to_text(cert)
+    cert2 = parse_certificate(text)
+    assert (cert2.field.s, cert2.field.m, cert2.p) == (61, 1, 31)
+    assert replace(cert2, field=cert.field) == cert
+    assert certificate_to_text(cert2) == text
 
 
-def test_certificate_round_trip_extension_field(cache, field81):
+def test_certificate_round_trip_extension_field(cache):
     cert = lift_cycle(cache.quotient(81, 0))
-    text = certificate_to_text(field81, cert)
-    field2, cert2 = parse_certificate(text)
-    assert cert2 == cert
-    assert verify_certificate(field2, cert2)
+    text = certificate_to_text(cert)
+    cert2 = parse_certificate(text)
+    assert (cert2.field.s, cert2.field.m, cert2.p) == (3, 4, 41)
+    assert replace(cert2, field=cert.field) == cert
+    assert verify_certificate(cert2)
 
 
 def test_parse_rejects_malformed():
