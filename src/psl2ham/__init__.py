@@ -14,7 +14,7 @@ that carries its field, re-verified by an O(1) rule on labels.
 
 from .action import (OmegaPoint, act, parse_point, point_of, point_str, rep,
                      s_orbits, sigma)
-from .cli import InstanceParams, list_instances, run_pipeline
+from .cli import list_instances, run_pipeline
 from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
                    double_edge_equation, m_pairs, solution_profile,
                    weil_check)
@@ -28,7 +28,7 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph,
 __all__ = [
     "OmegaPoint", "act", "parse_point", "point_of", "point_str", "rep",
     "s_orbits", "sigma",
-    "InstanceParams", "list_instances", "run_pipeline",
+    "list_instances", "run_pipeline",
     "DiagonalEquation", "SolutionProfile", "WeilReport",
     "double_edge_equation", "m_pairs", "solution_profile", "weil_check",
     "InvariantViolation", "ParameterError",

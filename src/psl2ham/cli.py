@@ -1,23 +1,23 @@
 """Command-line surface: instance discovery, graph construction,
 certificate emission, independent verification.
 
-`full-graph` emits the `hamilton` certificate of Y(min S), a subgraph of
-the union of the chosen orbital graphs.
+Each command that takes --k or --s/--m checks (s, m) and builds the one
+`Field` the rest of the run works from.  `full-graph` emits the
+`hamilton` certificate of Y(min S), a subgraph of the union of the chosen
+orbital graphs.
 
-Exit codes: 0 success, 2 parameter error, 3 invariant violation,
-4 verification failure.
+Exit codes: 0 success, 2 parameter error, 3 invariant violation (stderr
+names the stage that raised it), 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .diag import solvability_report
 from .errors import InvariantViolation, ParameterError
-from .gf import Field, admissible, is_prime
+from .gf import Field, admissible, is_prime, prime_factors
 from .orbital import build_graph, export_chunks
 from .quotient import (HamiltonCertificate, QuotientMultigraph, build_quotient,
                        certificate_to_text, lift_cycle, parse_certificate,
@@ -26,80 +26,37 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph, build_quotient,
 DESK_SCALE_MAX_K = 5000
 
 
-@dataclass(frozen=True)
-class InstanceParams:
-    s: int
-    m: int
-    k: int
-    p: int
-
-    @classmethod
-    def create(cls, s: int, m: int) -> "InstanceParams":
-        if not is_prime(s):
-            raise ParameterError(f"s = {s} is not prime")
-        if m < 1:
-            raise ParameterError(f"m = {m} must be >= 1")
-        k = s**m
-        if not admissible(k):
-            raise ParameterError(
-                f"k = {k} is not admissible: need 10 | k-1 and (k+1)/2 prime")
-        return cls(s=s, m=m, k=k, p=(k + 1) // 2)
-
-
 def factor_prime_power(k: int) -> tuple[int, int]:
     """k = s^m with s prime, else ParameterError."""
-    if k < 2:
+    factors = prime_factors(k)
+    if len(factors) != 1:
         raise ParameterError(f"k = {k} is not a prime power")
-    s = k
-    for d in range(2, int(k**0.5) + 1):
-        if k % d == 0:
-            s = d
-            break
-    m = 0
-    v = k
-    while v % s == 0:
-        v //= s
+    s, m = factors[0], 1
+    while s**m < k:
         m += 1
-    if v != 1:
-        raise ParameterError(f"k = {k} is not a prime power")
     return s, m
 
 
-def list_instances(max_k: int) -> list[InstanceParams]:
-    """All admissible (s, m) with 61 <= k <= max_k."""
+def list_instances(max_k: int) -> list[tuple[int, int]]:
+    """All admissible (s, m) with 61 <= s^m <= max_k."""
     out = []
     for k in range(61, max_k + 1):
         if admissible(k):
             try:
-                out.append(InstanceParams.create(*factor_prime_power(k)))
+                out.append(factor_prime_power(k))
             except ParameterError:  # not a prime power
                 pass
     return out
 
 
-@contextmanager
-def _stage(name):
-    """Tag escaping invariant violations with the pipeline stage."""
-    try:
-        yield
-    except InvariantViolation as exc:
-        if exc.stage is None:
-            exc.stage = name
-        raise
-
-
-def run_pipeline(params: InstanceParams, i: int) -> HamiltonCertificate:
-    """field -> quotient -> lift -> verify."""
-    with _stage("gf"):
-        field = Field(params.s, params.m)
-    with _stage("quotient"):
-        cert = lift_cycle(build_quotient(field, i))
-    with _stage("verify"):
-        result = verify_certificate(cert)
-        if not result:
-            raise InvariantViolation(
-                f"emitted certificate failed verification: {result.failure}",
-                stage="verify")
+def run_pipeline(field: Field, i: int) -> HamiltonCertificate:
+    """quotient -> lift -> verify."""
+    cert = lift_cycle(build_quotient(field, i))
+    result = verify_certificate(cert)
+    if not result:
+        raise InvariantViolation(
+            f"emitted certificate failed verification: {result.failure}",
+            stage="verify")
     return cert
 
 
@@ -111,7 +68,8 @@ def _add_instance_args(sp):
     sp.add_argument("--k", type=int, help="field order s^m (alternative to --s/--m)")
 
 
-def _resolve_params(args) -> InstanceParams:
+def _resolve_params(args) -> tuple[int, int]:
+    """The checked (s, m) of --k or --s/--m."""
     if args.k is not None:
         if args.s is not None:
             raise ParameterError("give either --k or --s/--m, not both")
@@ -120,7 +78,14 @@ def _resolve_params(args) -> InstanceParams:
         s, m = args.s, args.m
     else:
         raise ParameterError("one of --k or --s is required")
-    return InstanceParams.create(s, m)
+    if not is_prime(s):
+        raise ParameterError(f"s = {s} is not prime")
+    if m < 1:
+        raise ParameterError(f"m = {m} must be >= 1")
+    if not admissible(s**m):
+        raise ParameterError(
+            f"k = {s**m} is not admissible: need 10 | k-1 and (k+1)/2 prime")
+    return s, m
 
 
 def _write_out(chunks, out: str | None):
@@ -207,37 +172,37 @@ def run(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "instances":
-            for ip in list_instances(args.max_k):
-                print(f"k={ip.k} s={ip.s} m={ip.m} p={ip.p}")
+            for s, m in list_instances(args.max_k):
+                k = s**m
+                print(f"k={k} s={s} m={m} p={(k + 1) // 2}")
             return 0
 
         if args.command == "build":
-            params = _resolve_params(args)
-            if params.k > DESK_SCALE_MAX_K and not args.allow_large:  # k^2 work
+            s, m = _resolve_params(args)
+            if s**m > DESK_SCALE_MAX_K and not args.allow_large:  # k^2 work
                 raise ParameterError(
-                    f"k = {params.k} exceeds the desk-scale guard "
+                    f"k = {s**m} exceeds the desk-scale guard "
                     f"{DESK_SCALE_MAX_K} of build; pass --allow-large to proceed")
-            graph = build_graph(Field(params.s, params.m), args.orbital)
+            graph = build_graph(Field(s, m), args.orbital)
             _write_out(export_chunks(graph, args.format), args.out)
             return 0
 
         if args.command == "quotient":
-            params = _resolve_params(args)
-            quot = build_quotient(Field(params.s, params.m), args.orbital)
+            quot = build_quotient(Field(*_resolve_params(args)), args.orbital)
             _write_out([_quotient_text(quot)], args.out)
             return 0
 
         if args.command in ("hamilton", "full-graph"):
-            params = _resolve_params(args)
+            field = Field(*_resolve_params(args))
             union = args.command == "full-graph"
             subset = _parse_subset(args.orbitals) if union else [args.orbital]
             # the pipeline verifies every cycle edge in Y(min S), inside the union
-            cert = run_pipeline(params, subset[0])
+            cert = run_pipeline(field, subset[0])
             _write_out([certificate_to_text(cert)], args.out)
             if args.out not in (None, "-"):
                 where = (f"inside the union of orbitals {subset}" if union else
                          f"(orbital {subset[0]}, total voltage "
-                         f"{cert.total_voltage} mod {params.p})")
+                         f"{cert.total_voltage} mod {cert.p})")
                 print(f"verified Hamilton cycle on {len(cert.vertices)} "
                       f"vertices {where}")
             return 0
@@ -254,8 +219,7 @@ def run(argv=None) -> int:
             return 4
 
         if args.command == "weil-report":
-            params = _resolve_params(args)
-            field = Field(params.s, params.m)
+            field = Field(*_resolve_params(args))
             _write_out(["\n".join(solvability_report(field)) + "\n"], args.out)
             return 0
 
@@ -264,8 +228,7 @@ def run(argv=None) -> int:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
-        stage = f" [stage: {exc.stage}]" if exc.stage else ""
-        print(f"invariant violation{stage}: {exc}", file=sys.stderr)
+        print(f"invariant violation [stage: {exc.stage}]: {exc}", file=sys.stderr)
         return 3
 
 

@@ -132,14 +132,13 @@ def le_times_sqrt(lhs: int, a: int, q: int) -> bool:
 
 def weil_check(field: Field, eq: DiagonalEquation) -> WeilReport:
     """Exact-arithmetic check of the solution-count bound; needs b != 0."""
-    eq.validate(field)
+    profile = solution_profile(field, eq)  # validates eq
     if eq.b == 0:
         raise ValueError("the bound requires b != 0")
     q = field.order
     d1 = math.gcd(eq.k1, q - 1)
     d2 = math.gcd(eq.k2, q - 1)
     M = m_pairs(d1, d2)
-    profile = solution_profile(field, eq)
     # |N - q| <= A*sqrt(q) + M with A = (d1-1)(d2-1) - M
     A = (d1 - 1) * (d2 - 1) - M
     holds = le_times_sqrt(abs(profile.total - q) - M, A, q)

@@ -8,9 +8,10 @@ class ParameterError(ValueError):
 class InvariantViolation(RuntimeError):
     """A structural property that must hold by construction failed.
 
-    Always indicates a bug or corrupt data, never a math failure.
+    Always indicates a bug or corrupt data, never a math failure.  Every
+    raise site names its pipeline stage, so `stage` is required.
     """
 
-    def __init__(self, message: str, stage: str | None = None):
+    def __init__(self, message: str, stage: str):
         super().__init__(message)
         self.stage = stage

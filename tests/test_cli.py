@@ -5,69 +5,78 @@ import sys
 
 import pytest
 
-from psl2ham import (InstanceParams, ParameterError, list_instances,
-                     orbital_of, parse_certificate, run_pipeline,
-                     verify_certificate)
-from psl2ham.cli import DESK_SCALE_MAX_K, factor_prime_power, run
+from psl2ham import (ParameterError, list_instances, orbital_of,
+                     parse_certificate, run_pipeline, verify_certificate)
+from psl2ham.cli import (DESK_SCALE_MAX_K, _resolve_params, factor_prime_power,
+                         make_parser, run)
 from psl2ham.gf import admissible
 from util import fresh_process_env, points
 
 
 def test_list_instances():
-    assert [ip.k for ip in list_instances(71)] == [61]
-    assert [ip.k for ip in list_instances(130)] == [61, 81, 121]
+    assert list_instances(71) == [(61, 1)]
+    assert list_instances(130) == [(61, 1), (3, 4), (11, 2)]
     assert list_instances(60) == []
     # 361 = 19^2 qualifies: 10 | 360 and (361+1)/2 = 181 is prime
-    ks = [ip.k for ip in list_instances(1000)]
-    assert ks == [61, 81, 121, 361, 421, 541, 661, 841]
+    assert list_instances(1000) == [(61, 1), (3, 4), (11, 2), (19, 2),
+                                    (421, 1), (541, 1), (661, 1), (29, 2)]
 
 
-def test_instance_params_validation():
-    ip = InstanceParams.create(61, 1)
-    assert (ip.k, ip.p) == (61, 31)
-    with pytest.raises(ParameterError):
-        InstanceParams.create(41, 1)  # (41+1)/2 = 21 = 3*7
-    with pytest.raises(ParameterError):
-        InstanceParams.create(4, 1)
-    with pytest.raises(ParameterError):
-        InstanceParams.create(13, 1)  # 10 does not divide 12
-    with pytest.raises(ParameterError):
-        InstanceParams.create(3, 3)  # k = 27 < 61
+NOT_ADMISSIBLE = "is not admissible: need 10 | k-1 and (k+1)/2 prime"
 
 
-def test_one_admissibility_rule_for_params_and_listing():
-    listed = {ip.k for ip in list_instances(2000)}
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["--s", "41"], f"k = 41 {NOT_ADMISSIBLE}",  # 21 = 3*7
+                 id="s41"),
+    pytest.param(["--s", "4"], "s = 4 is not prime", id="s4"),
+    pytest.param(["--s", "13"], f"k = 13 {NOT_ADMISSIBLE}",  # 10 does not divide 12
+                 id="s13"),
+    pytest.param(["--s", "3", "--m", "3"], f"k = 27 {NOT_ADMISSIBLE}",  # 27 < 61
+                 id="s3-m3"),
+    pytest.param(["--s", "61", "--m", "0"], "m = 0 must be >= 1", id="s61-m0"),
+])
+def test_instance_params_validation(argv, message, capsys):
+    assert run(["hamilton"] + argv) == 2
+    assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
+def test_one_admissibility_rule_for_params_and_listing(capsys):
+    prime_powers = {}
     for k in range(2, 2001):
         try:
-            s, m = factor_prime_power(k)
+            prime_powers[k] = factor_prime_power(k)
         except ParameterError:
             continue
-        assert (k in listed) == admissible(k)
+    listed = list_instances(2000)
+    assert listed == [sm for k, sm in prime_powers.items() if admissible(k)]
+    assert listed[0] == (61, 1)
+    for k, sm in prime_powers.items():
         if admissible(k):
-            assert InstanceParams.create(s, m).k == k
+            args = make_parser().parse_args(["quotient", "--k", str(k)])
+            assert _resolve_params(args) == sm
         else:
-            with pytest.raises(ParameterError, match="not admissible"):
-                InstanceParams.create(s, m)
-    assert min(listed) == 61
+            assert run(["quotient", "--k", str(k)]) == 2
+            assert "not admissible" in capsys.readouterr().err
 
 
 def test_factor_prime_power():
     assert factor_prime_power(81) == (3, 4)
     assert factor_prime_power(61) == (61, 1)
     assert factor_prime_power(121) == (11, 2)
-    with pytest.raises(ParameterError):
-        factor_prime_power(12)
+    for k in (12, 1, 0):
+        with pytest.raises(ParameterError, match=f"k = {k} is not a prime power"):
+            factor_prime_power(k)
 
 
-def test_run_pipeline_produces_verified_cert():
-    cert = run_pipeline(InstanceParams.create(61, 1), 0)
+def test_run_pipeline_produces_verified_cert(field61):
+    cert = run_pipeline(field61, 0)
     assert len(cert.vertices) == 310
     assert verify_certificate(cert)
 
 
-def test_run_pipeline_rejects_bad_orbital():
+def test_run_pipeline_rejects_bad_orbital(field61):
     with pytest.raises(ValueError, match="out of range 0..4"):
-        run_pipeline(InstanceParams.create(61, 1), 7)
+        run_pipeline(field61, 7)
 
 
 def test_full_graph_mode_subsets(tmp_path, capsys):
@@ -193,14 +202,22 @@ def test_cli_verify_rejects_p_other_than_half_k_plus_one(tmp_path, capsys):
     assert "not an admissible instance" in capsys.readouterr().err
 
 
-def test_cli_parameter_errors(tmp_path, capsys):
+def test_cli_parameter_errors(tmp_path, monkeypatch, capsys):
     assert run(["hamilton", "--k", "41"]) == 2
     assert run(["hamilton", "--k", "12"]) == 2
     assert run(["hamilton", "--k", "61", "--orbital", "9"]) == 2
-    assert run(["build", "--k", "6561"]) == 2  # desk-scale guard
     assert run(["verify", "--cert", str(tmp_path / "missing.txt")]) == 2
-    err = capsys.readouterr().err
-    assert "parameter error" in err
+    assert "parameter error" in capsys.readouterr().err
+    # 6561 = 3^8 stops at admissibility: (6561+1)/2 = 3281 = 17*193
+    assert run(["build", "--k", "6561"]) == 2
+    assert "k = 6561 is not admissible" in capsys.readouterr().err
+    # 5041 = 71^2 is admissible, so the guard stops it, before any field
+    def no_field(*args):
+        raise AssertionError("Field built past the desk-scale guard")
+
+    monkeypatch.setattr("psl2ham.cli.Field", no_field)
+    assert run(["build", "--k", "5041"]) == 2
+    assert "desk-scale guard" in capsys.readouterr().err
 
 
 def test_cli_determinism(tmp_path):

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from psl2ham import (certificate_to_text, lift_cycle, neighborhood,
-                     parse_certificate, s_orbits, unroll_lift,
+from psl2ham import (build_quotient, certificate_to_text, lift_cycle,
+                     neighborhood, parse_certificate, s_orbits, unroll_lift,
                      verify_certificate)
+from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
 from util import vertex_index
 
@@ -139,6 +140,64 @@ def test_k81_multiplicities_from_h_membership(cache, groups):
     pairs = [(0, 5), (1, 9), (0, 6), (0, 1)]
     assert [d(a, b) for a, b in pairs] == [q.mult[a][b] for a, b in pairs]
     assert [q.mult[a][b] for a, b in pairs] == [1, 1, 10, 8]
+
+
+def _tampered(orbits, touched, new):
+    """neighborhood() with one edit: at each vertex orbits[a][w] with
+    touched(a, w), its first neighbor in orbit 1 gives way to a non-neighbor
+    in orbit `new`, to the vertex itself ("self"), or to nothing (None)."""
+    pos = {pt: (a, w) for a, orb in enumerate(orbits) for w, pt in enumerate(orb)}
+
+    def fake(field, i, v):
+        nb = neighborhood(field, i, v)
+        if touched(*pos[v]):
+            old = next(u for u in orbits[1] if u in nb)
+            if new == "self":
+                nb.add(v)
+            elif new is not None:
+                nb.add(next(u for u in orbits[new] if u not in nb and u != v))
+            nb.remove(old)
+        return nb
+    return fake
+
+
+# one case per check of build_quotient, each caught at k=61, orbital 0
+BROKEN_NEIGHBORHOODS = [
+    pytest.param(lambda a, w: True, None, "has 60 neighbors", "orbital",
+                 id="dropped"),
+    pytest.param(lambda a, w: True, "self", "loop at vertex", "orbital",
+                 id="loop"),
+    pytest.param(lambda a, w: w != 0, 2, "S-invariance broken", "quotient",
+                 id="off-base"),
+    pytest.param(lambda a, w: a == 0 and w <= 1, 2, r"asymmetric at \(0,1\)",
+                 "quotient", id="asymmetric"),
+    pytest.param(lambda a, w: (a, w) == (0, 0), 1, "not negations", "quotient",
+                 id="not-negated"),
+]
+
+
+@pytest.mark.parametrize("touched,new,message,stage", BROKEN_NEIGHBORHOODS)
+def test_build_quotient_checks_fire(touched, new, message, stage, field61,
+                                    monkeypatch):
+    monkeypatch.setattr("psl2ham.quotient.neighborhood",
+                        _tampered(s_orbits(field61), touched, new))
+    with pytest.raises(InvariantViolation, match=message) as exc:
+        build_quotient(field61, 0)
+    assert exc.value.stage == stage
+
+
+def test_cli_names_the_stage_of_a_broken_quotient(field61, monkeypatch, capsys):
+    monkeypatch.setattr("psl2ham.quotient.neighborhood",
+                        _tampered(s_orbits(field61), lambda a, w: w != 0, 2))
+    assert run(["hamilton", "--k", "61"]) == 3
+    assert capsys.readouterr().err == (
+        "invariant violation [stage: quotient]: neighbor counts differ across "
+        "orbit 0: S-invariance broken\n")
+
+
+def test_invariant_violation_requires_a_stage():
+    with pytest.raises(TypeError):
+        InvariantViolation("x")
 
 
 def test_lift_produces_valid_certificate(cache):
@@ -339,12 +398,8 @@ def test_parse_rejects_malformed():
 def test_corrupt_quotient_raises(cache):
     q = cache.quotient(61, 0)
     # single-voltage edges everywhere with zero sum cannot be fixed
-    from dataclasses import replace as drep
-    crippled = drep(
-        q,
-        voltages=tuple(tuple((0,) if a != b else () for b in range(10))
-                       for a in range(10)),
-        mult=tuple(tuple(1 if a != b else 0 for b in range(10))
-                   for a in range(10)))
-    with pytest.raises(InvariantViolation):
+    crippled = replace(
+        q, voltages=tuple(tuple((0,) if a != b else () for b in range(10))
+                          for a in range(10)))
+    with pytest.raises(InvariantViolation, match="no voltage selection"):
         lift_cycle(crippled)
