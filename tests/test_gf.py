@@ -4,6 +4,7 @@ Expected values were computed with independent oracles (naive polynomial
 arithmetic below, plus exhaustive searches) and frozen.
 """
 
+import hashlib
 import random
 from functools import cache
 
@@ -248,3 +249,31 @@ def test_sqrt_list():
     r = F.sqrt_list(4)
     assert sorted(r) == [2, 59]
     assert F.sqrt_list(F.theta) == []  # a generator is never a square
+
+
+# SHA-256 of every table, read through the public API; pinned from the
+# coordinate-tuple construction so any rebuild must reproduce it exactly
+FIELD_DIGESTS = [
+    (2, 1, "48ea7e6878a44d11f4495f58cd990d1eebb461693d7a025ff43c290d1b903960"),
+    (2, 6, "0af3002a0cea178ccb414e39574d9a4901da21260ac8f7f408a3babcb1875ad4"),
+    (3, 5, "509f04731f0bffefae3c5991f38beb4b90c56fddb72d8cfa046df0723a926ec0"),
+    (5, 3, "3106274df111abdf658d5caba90791b076e891e2bb17b16e22ed44ea42e8613e"),
+    (7, 4, "b957c6c9fc8a401ccd8c61783f6c08005b8c4e349eca77b4eae5587fb24d7a51"),
+    (13, 2, "40d60b31d072ddc031192ae364f75801e7c1c1c28c2a01555a2cea12e2db2d56"),
+    (131, 2, "471a5b2b06f560d88a66a13a83bf04fa9ff6686157264166e3ae8902f61c3b30"),
+    (4621, 1, "be65514863511748da7ccbe77a7ad62cc804fd3e93f0a8ed89028c82f3bfd574"),
+]
+
+
+@pytest.mark.parametrize("s,m,digest", FIELD_DIGESTS,
+                         ids=[f"{s}-{m}" for s, m, _ in FIELD_DIGESTS])
+def test_field_tables_are_pinned(s, m, digest):
+    F = Field(s, m)
+    k = F.order
+    xs = range(k)
+    # add(x, 1) covers zech; pow(theta, e) covers exp
+    data = (F.modulus, F.theta, list(F.elements_lex),
+            [F.pow(F.theta, e) for e in range(k - 1)],
+            [F.neg(x) for x in xs], [F.add(x, 1) for x in xs],
+            [F.element_str(x) for x in xs])
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
