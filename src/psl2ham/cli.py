@@ -24,6 +24,9 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph, build_quotient,
                        verify_certificate)
 
 DESK_SCALE_MAX_K = 5000
+# trial division up to sqrt(k) is then at most 2^16 steps, and no larger
+# field could be tabulated anyway
+MAX_K = 2**32
 
 
 def factor_prime_power(k: int) -> tuple[int, int]:
@@ -73,9 +76,15 @@ def _resolve_params(args) -> tuple[int, int]:
     if args.k is not None:
         if args.s is not None:
             raise ParameterError("give either --k or --s/--m, not both")
+        if args.k > MAX_K:
+            raise ParameterError(f"k = {args.k} exceeds the limit {MAX_K}")
         s, m = factor_prime_power(args.k)
     elif args.s is not None:
         s, m = args.s, args.m
+        # bounded before the power: a prime s is >= 2, so m > 32 exceeds it
+        if s > MAX_K or m > 32 or s**m > MAX_K:
+            raise ParameterError(
+                f"s = {s}, m = {m}: k = s^m exceeds the limit {MAX_K}")
     else:
         raise ParameterError("one of --k or --s is required")
     if not is_prime(s):
@@ -126,8 +135,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
     sp.add_argument("--out", default=None)
     sp.add_argument("--allow-large", action="store_true",
-                    help=f"lift the k <= {DESK_SCALE_MAX_K} guard; the other "
-                         "commands take any k")
+                    help=f"lift the k <= {DESK_SCALE_MAX_K} guard of this command "
+                         f"(every command takes k <= {MAX_K})")
 
     sp = sub.add_parser("quotient", help="print the quotient multigraph")
     _add_instance_args(sp)

@@ -10,9 +10,13 @@ Construction is deterministic: the reducing polynomial is the
 lexicographically smallest monic irreducible of its degree (coefficients
 compared constant term first), and the distinguished generator ``theta``
 is the smallest generator of the multiplicative group in the same
-coordinate order.  Discrete logs are full precomputed tables, and
-addition for m > 1 goes through the Zech logarithm
-zech[n] = log(1 + theta^n): x + y = x*(1 + y/x), so every table is O(k).
+coordinate order.  Every table is built by integer steps on handles: exp
+by repeated multiplication by theta (x*y mod s when m = 1, else a product
+of base-s digits reduced by the modulus), log by inverting it, negation
+as -x = theta^((k-1)/2)*x, and the coordinate order by reversing base-s
+digits; coordinates exist only at the text boundary.  Addition for m > 1
+goes through the Zech logarithm zech[n] = log(1 + theta^n):
+x + y = x*(1 + y/x), so every table is O(k).
 """
 
 from __future__ import annotations
@@ -56,25 +60,9 @@ def prime_factors(n: int) -> list[int]:
 
 # --- polynomial helpers over GF(s), coefficient tuples, constant term first ---
 
-def _poly_trim(p):
-    i = len(p)
-    while i > 0 and p[i - 1] == 0:
-        i -= 1
-    return p[:i]
-
-
-def _poly_mulmod_s(a, b, s):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % s
-    return tuple(_poly_trim(tuple(out)))
-
-
 def _poly_mod(a, mod, s):
-    # mod is monic
-    a = list(a)
+    """The coefficients of a mod the monic mod over GF(s), below deg(mod)."""
+    a = [c % s for c in a]
     dm = len(mod) - 1
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i]
@@ -82,12 +70,7 @@ def _poly_mod(a, mod, s):
             a[i] = 0
             for j in range(dm):
                 a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % s
-    return tuple(_poly_trim(tuple(a)))
-
-
-def _poly_divides(d, f, s):
-    """True iff monic d divides monic f over GF(s)."""
-    return not _poly_mod(f, d, s)
+    return a[:dm]
 
 
 def _is_irreducible(f, s) -> bool:
@@ -99,7 +82,7 @@ def _is_irreducible(f, s) -> bool:
         return False  # divisible by x
     for d in range(1, deg // 2 + 1):
         for coeffs in product(range(s), repeat=d):
-            if _poly_divides(coeffs + (1,), f, s):
+            if not any(_poly_mod(f, coeffs + (1,), s)):
                 return False
     return True
 
@@ -124,35 +107,45 @@ class Field:
         self.s = s
         self.m = m
         self.order = s**m
-        k = self.order
         self.modulus = smallest_irreducible(s, m)
 
-        # coordinate tables: handle -> coeff tuple and back
-        self._coeffs = []
-        for h in range(k):
-            cs, v = [], h
-            for _ in range(m):
-                v, r = divmod(v, s)
-                cs.append(r)
-            self._coeffs.append(tuple(cs))
-        self._enc = {cs: h for h, cs in enumerate(self._coeffs)}
-
-        self._neg = tuple(self._enc[tuple((-c) % s for c in cs)]
-                          for cs in self._coeffs)
-
-        # elements in coordinate-lex order (constant term most significant)
-        self.elements_lex = tuple(sorted(range(k), key=self._coeffs.__getitem__))
+        # coordinate-lex order (constant term most significant) is the
+        # base-s digit reversal of the handles: an involution, and the
+        # identity when m = 1
+        lex, place = range(s), s
+        for _ in range(m - 1):
+            lex = tuple(h + c * place for h in lex for c in range(s))
+            place *= s
+        self.elements_lex = lex
 
         self.theta = self._find_generator()
         self._build_log_tables()
 
     # --- construction internals ---
 
+    def _digits(self, x: int) -> list[int]:
+        """The m coordinates of handle x, constant term first."""
+        out = []
+        for _ in range(self.m):
+            x, c = divmod(x, self.s)
+            out.append(c)
+        return out
+
     def _mul_poly(self, x: int, y: int) -> int:
-        prod_ = _poly_mulmod_s(_poly_trim(self._coeffs[x]),
-                               _poly_trim(self._coeffs[y]), self.s)
-        red = _poly_mod(prod_, self.modulus, self.s)
-        return self._enc[red + (0,) * (self.m - len(red))]
+        s, m = self.s, self.m
+        if m == 1:
+            return x * y % s
+        # schoolbook product of the base-s digits, reduced by the modulus
+        prod_ = [0] * (2 * m - 1)
+        for i in range(m):
+            x, a = divmod(x, s)
+            if a:
+                v = y
+                for j in range(i, i + m):
+                    v, b = divmod(v, s)
+                    prod_[j] += a * b
+        red = _poly_mod(prod_, self.modulus, s)
+        return sum(c * s**i for i, c in enumerate(red))
 
     def _pow_poly(self, x: int, e: int) -> int:
         r = 1
@@ -196,6 +189,10 @@ class Field:
         s = self.s
         self._zech = [log[h + 1 if h % s != s - 1 else h - (s - 1)]
                       for h in exp]
+        # -1 = theta^((k-1)/2) for odd k, and -x = x in characteristic 2
+        half = (k - 1) // 2
+        self._neg = (range(k) if s == 2 else
+                     (0, *(self._exp[e + half] for e in log[1:])))
 
     # --- arithmetic ---
 
@@ -249,14 +246,14 @@ class Field:
             # char 2: squaring is a bijection
             return [self._exp[(e * (self.order // 2)) % (self.order - 1)]]
         r = self._exp[e // 2]
-        return sorted({r, self._neg[r]}, key=self._coeffs.__getitem__)
+        return sorted({r, self._neg[r]}, key=self._digits)
 
     # --- views and serialization ---
 
     def element_str(self, x: int) -> str:
         if self.m == 1:
             return str(x)
-        return "[" + ",".join(str(c) for c in self._coeffs[x]) + "]"
+        return "[" + ",".join(str(c) for c in self._digits(x)) + "]"
 
     def parse_element(self, text: str) -> int:
         text = text.strip()
@@ -270,7 +267,7 @@ class Field:
         cs = tuple(int(c) for c in text[1:-1].split(","))
         if len(cs) != self.m or any(not 0 <= c < self.s for c in cs):
             raise ValueError(f"malformed element {text!r}")
-        return self._enc[cs]
+        return sum(c * self.s**i for i, c in enumerate(cs))
 
     def __repr__(self):
         if self.m == 1:

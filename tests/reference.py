@@ -38,15 +38,18 @@ from util import ALPHA, points
 
 def coeffs(field: Field, x: int) -> tuple[int, ...]:
     """The coordinates of the element with handle x, constant term first."""
-    return field._coeffs[x]
+    out = []
+    for _ in range(field.m):
+        x, c = divmod(x, field.s)
+        out.append(c)
+    return tuple(out)
 
 
 def from_coeffs(field: Field, cs) -> int:
     """The handle of the element with coordinates cs, constant term first."""
-    cs = tuple(c % field.s for c in cs)
     if len(cs) != field.m:
         raise ValueError(f"expected {field.m} coordinates, got {len(cs)}")
-    return field._enc[cs]
+    return sum(c % field.s * field.s**i for i, c in enumerate(cs))
 
 
 def act(field: Field, p: OmegaPoint, g: Mat) -> OmegaPoint:

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,14 @@ def test_list_instances():
 
 
 NOT_ADMISSIBLE = "is not admissible: need 10 | k-1 and (k+1)/2 prime"
+TOO_LARGE = "exceeds the limit 4294967296"
+K76 = str(10**75 + 129)  # a 76-digit prime
+OVERSIZED = [
+    ("s2-m1e8", ["--s", "2", "--m", "100000000"],
+     f"s = 2, m = 100000000: k = s^m {TOO_LARGE}"),
+    ("s11-m64", ["--s", "11", "--m", "64"], f"s = 11, m = 64: k = s^m {TOO_LARGE}"),
+    ("k76", ["--k", K76], f"k = {K76} {TOO_LARGE}"),
+]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -34,10 +43,27 @@ NOT_ADMISSIBLE = "is not admissible: need 10 | k-1 and (k+1)/2 prime"
     pytest.param(["--s", "3", "--m", "3"], f"k = 27 {NOT_ADMISSIBLE}",  # 27 < 61
                  id="s3-m3"),
     pytest.param(["--s", "61", "--m", "0"], "m = 0 must be >= 1", id="s61-m0"),
-])
+] + [pytest.param(argv, message, id=i) for i, argv, message in OVERSIZED])
 def test_instance_params_validation(argv, message, capsys):
     assert run(["hamilton"] + argv) == 2
     assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv, _ in OVERSIZED])
+def test_oversized_params_are_rejected_before_any_arithmetic(argv, monkeypatch):
+    # the power, trial division and primality test are unbounded in the input
+    def refuse(*args):
+        raise AssertionError("number theory on an oversized input")
+
+    for name in ("is_prime", "prime_factors", "admissible", "Field"):
+        monkeypatch.setattr(f"psl2ham.cli.{name}", refuse)
+    tracemalloc.start()
+    try:
+        assert run(["hamilton"] + argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # 2^(10^8) alone would take 12.5 MB
 
 
 def test_one_admissibility_rule_for_params_and_listing(capsys):

@@ -145,8 +145,8 @@ def test_all_inverses(s, m):
         assert F.mul(x, F.inv(x)) == 1
 
 
-# every former addition path: m = 1 (%), the k*k table (m > 1, k <= 1024),
-# the tuple encode/decode (k = 2401), and 1 + theta^0 = 0 in GF(2^4)
+# Zech addition (m > 1) at k = 81, 121, 841 and 2401, and in GF(2^4), where
+# 1 + theta^0 = 0; the axiom test adds the m = 1 path, (x + y) % s, at k = 61
 ADD_FIELDS = [(3, 4), (11, 2), (29, 2), (7, 4), (2, 4)]
 field = cache(Field)
 
