@@ -12,8 +12,8 @@ selection and lifting over the quotient cycle 0..9 -> a certificate
 that carries its field, re-verified by an O(1) rule on labels.
 """
 
-from .action import (OmegaPoint, act, parse_point, point_of, point_str, rep,
-                     s_orbits, sigma)
+from .action import (OmegaPoint, act, parse_point, point_str, rep, s_orbits,
+                     sigma)
 from .cli import list_instances, run_pipeline
 from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
                    double_edge_equation, m_pairs, solution_profile,
@@ -26,8 +26,8 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        parse_certificate, unroll_lift, verify_certificate)
 
 __all__ = [
-    "OmegaPoint", "act", "parse_point", "point_of", "point_str", "rep",
-    "s_orbits", "sigma",
+    "OmegaPoint", "act", "parse_point", "point_str", "rep", "s_orbits",
+    "sigma",
     "list_instances", "run_pipeline",
     "DiagonalEquation", "SolutionProfile", "WeilReport",
     "double_edge_equation", "m_pairs", "solution_profile", "weil_check",

@@ -9,6 +9,10 @@ Points of the coset space Omega are labeled (beta, fiber):
 * fiber in {0..4} locates Hg among the five H-cosets inside Kg, via the
   decomposition K = H + Ht + ... + Ht^4, t = diag(theta, theta^-1).
 
+Past the text (`point_str`, `parse_point`) a point is one int, its code
+f*(k+1) + (0 if beta is inf else beta + 1), in 0..5(k+1)-1, so a table
+over the points is a flat array indexed by code.
+
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1; g and -g are the same element, and nothing here depends
 on the sign.  For g = [[a,b],[c,d]] the label is computed in O(1):
@@ -34,6 +38,7 @@ generator sigma of S from (inf, i) and (0, i).
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
 from .errors import InvariantViolation
@@ -47,55 +52,47 @@ class OmegaPoint(NamedTuple):
     fiber: int
 
 
-def point_str(field: Field, p: OmegaPoint) -> str:
-    b = "inf" if p.beta is None else field.element_str(p.beta)
-    return f"{b}:{p.fiber}"
+def point_str(field: Field, v: int) -> str:
+    """The text "beta:fiber" of the point with code v."""
+    f, r = divmod(v, field.order + 1)
+    return f"{'inf' if r == 0 else field.element_str(r - 1)}:{f}"
 
 
-def parse_point(field: Field, text: str) -> OmegaPoint:
+def parse_point(field: Field, text: str) -> int:
+    """The code of the point written as "beta:fiber"."""
     body, _, fiber = text.rpartition(":")
     if not body:
         raise ValueError(f"malformed point {text!r}")
     f = int(fiber)
     if not 0 <= f <= 4:
         raise ValueError(f"fiber {f} out of range in {text!r}")
-    beta = None if body == "inf" else field.parse_element(body)
-    return OmegaPoint(beta, f)
+    r = 0 if body == "inf" else field.parse_element(body) + 1
+    return f * (field.order + 1) + r
 
 
-def rep(field: Field, p: OmegaPoint) -> Mat:
-    """Coset representative t^f * T_beta: H*rep(p) has label p."""
-    th = field.pow(field.theta, p.fiber)
-    th_inv = field.inv(th)
-    if p.beta is None:
+def rep(field: Field, v: int) -> Mat:
+    """Coset representative t^f * T_beta: H*rep(v) is the point of code v."""
+    f, r = divmod(v, field.order + 1)
+    th, th_inv = field.pow(field.theta, f), field.pow(field.theta, -f)
+    if r == 0:
         return (th, 0, 0, th_inv)
-    return (0, th, field.neg(th_inv), field.mul(th_inv, p.beta))
+    return (0, th, field.neg(th_inv), field.mul(th_inv, r - 1))
 
 
-def point_of(field: Field, g: Mat) -> OmegaPoint:
-    """Label of the coset Hg.  Accepts either sign representative."""
-    a, b, c, d = g
-    if c == 0:
-        return OmegaPoint(None, field._log[a] % 5)
-    beta = field.mul(field._neg[d], field.inv(c))
-    return OmegaPoint(beta, field._log[field.add(field.mul(a, beta), b)] % 5)
-
-
-def act(field: Field, p: OmegaPoint, g: Mat) -> OmegaPoint:
-    """The label of H*rep(p)*g, read off p and g with no matrix product
+def act(field: Field, v: int, g: Mat) -> int:
+    """The code of H*rep(v)*g, read off v and g with no matrix product
     by the rule in the module docstring."""
-    F, log = field, field._log
+    F, log, k1 = field, field._log, field.order + 1
+    f, r = divmod(v, k1)
     a, b, c, d = g
-    f = p.fiber
-    if p.beta is None:
+    if r == 0:
         if c == 0:
-            return OmegaPoint(None, (f + log[a]) % 5)
-        return OmegaPoint(F.mul(F._neg[d], F.inv(c)), (f - log[c]) % 5)
-    x = F.sub(F.mul(p.beta, c), a)
+            return (f + log[a]) % 5 * k1
+        return (f - log[c]) % 5 * k1 + F.mul(F._neg[d], F.inv(c)) + 1
+    x = F.sub(F.mul(r - 1, c), a)
     if x == 0:
-        return OmegaPoint(None, (f + log[c]) % 5)
-    return OmegaPoint(F.mul(F.sub(b, F.mul(p.beta, d)), F.inv(x)),
-                      (f - log[x]) % 5)
+        return (f + log[c]) % 5 * k1
+    return (f - log[x]) % 5 * k1 + F.mul(F.sub(b, F.mul(r - 1, d)), F.inv(x)) + 1
 
 
 def sigma(field: Field) -> Mat:
@@ -109,9 +106,9 @@ def sigma(field: Field) -> Mat:
     raise AssertionError("S has no element besides the identity")
 
 
-def s_orbits(field: Field) -> tuple[tuple[OmegaPoint, ...], ...]:
-    """The ten orbits of the cyclic subgroup S of order p = (k+1)/2,
-    each ordered by the Z_p coordinate.
+def s_orbits(field: Field) -> tuple[array, ...]:
+    """The ten orbits of the cyclic subgroup S of order p = (k+1)/2, as
+    arrays of codes, each ordered by the Z_p coordinate.
 
     Orbit i (0..4) starts at (inf, i); orbit 5+i starts at (0, i), the
     label of t^i * l with l = [[0,-1],[1,0]].  Position w within an
@@ -124,19 +121,20 @@ def s_orbits(field: Field) -> tuple[tuple[OmegaPoint, ...], ...]:
     p = (k + 1) // 2
     g = sigma(field)
     orbits = []
-    for start in (OmegaPoint(beta, i) for beta in (None, 0) for i in range(5)):
-        orb = [start]
+    for start in (i * (k + 1) + r for r in (0, 1) for i in range(5)):
+        orb = array("l", [start])
         for _ in range(p - 1):
             orb.append(act(field, orb[-1], g))
-        orbits.append(tuple(orb))
-    seen: set[OmegaPoint] = set()
+        orbits.append(orb)
+    seen = bytearray(5 * (k + 1))
     for orb in orbits:
         if len(set(orb)) != p:
             raise InvariantViolation(
                 f"S-orbit has {len(set(orb))} points, expected {p}",
                 stage="action")
-        seen.update(orb)
-    if len(seen) != 5 * (k + 1):
+        for v in orb:
+            seen[v] = 1
+    if 0 in seen:
         raise InvariantViolation(
             "S-orbits do not partition the point set", stage="action")
     return tuple(orbits)

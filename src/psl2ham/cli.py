@@ -69,6 +69,7 @@ def _add_instance_args(sp):
     sp.add_argument("--s", type=int, help="prime characteristic")
     sp.add_argument("--m", type=int, default=1, help="extension degree (default 1)")
     sp.add_argument("--k", type=int, help="field order s^m (alternative to --s/--m)")
+    sp.add_argument("--out", default=None)
 
 
 def _resolve_params(args) -> tuple[int, int]:
@@ -133,7 +134,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_instance_args(sp)
     sp.add_argument("--orbital", type=int, default=0)
     sp.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
-    sp.add_argument("--out", default=None)
     sp.add_argument("--allow-large", action="store_true",
                     help=f"lift the k <= {DESK_SCALE_MAX_K} guard of this command "
                          f"(every command takes k <= {MAX_K})")
@@ -141,26 +141,22 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("quotient", help="print the quotient multigraph")
     _add_instance_args(sp)
     sp.add_argument("--orbital", type=int, default=0)
-    sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("hamilton", help="emit a verified Hamilton certificate")
     _add_instance_args(sp)
     sp.add_argument("--orbital", type=int, default=0)
-    sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="re-verify a certificate file")
     sp.add_argument("--cert", required=True)
 
     sp = sub.add_parser("weil-report", help="solvability table for one field")
     _add_instance_args(sp)
-    sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("full-graph",
                         help="certificate for a union of orbital graphs")
     _add_instance_args(sp)
     sp.add_argument("--orbitals", default="0,1,2,3,4",
                     help="comma-separated orbital indices")
-    sp.add_argument("--out", default=None)
     return ap
 
 

@@ -1,7 +1,8 @@
 """Diagonal equations a1*x1^k1 + a2*x2^k2 = b over GF(q).
 
-Solution counts are exact and computed in O(q) by histogramming the
-value multiset of one term and scanning the other.  The classical bound
+Solution counts are exact and computed in O(q/d1 + q/d2): as x runs over
+GF(q)*, a*x^e takes each of its values exactly d = gcd(e, q-1) times.
+The classical bound
 
     |N - q| <= [(d1-1)(d2-1) - (1 - q^{-1/2}) M(d1,d2)] * sqrt(q),
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 from .gf import Field
@@ -64,15 +66,12 @@ class DiagonalEquation:
                 raise ValueError(f"{v} is not an element handle of {field!r}")
 
 
-def _term_values(field: Field, a: int, e: int) -> list[int]:
-    """a*x^e for every x in GF(q), as a list indexed by x."""
-    km1 = field.order - 1
-    la = field.dlog(a)
-    exp, log = field._exp, field._log
-    out = [0] * field.order
-    for x in range(1, field.order):
-        out[x] = exp[(la + log[x] * e) % km1]
-    return out
+def _term_values(field: Field, a: int, e: int) -> dict[int, int]:
+    """The values of a*x^e over x in GF(q)*, each with its count
+    d = gcd(e, q-1): theta^(log a + d*t) for t < (q-1)/d."""
+    la, km1 = field.dlog(a), field.order - 1
+    d = math.gcd(e, km1)
+    return dict.fromkeys(field._exp[la:la + km1:d], d)
 
 
 class SolutionProfile(NamedTuple):
@@ -82,17 +81,18 @@ class SolutionProfile(NamedTuple):
 
 
 def solution_profile(field: Field, eq: DiagonalEquation) -> SolutionProfile:
-    """The solution counts of the equation from one pair of term tables;
-    O(q).  As 0^k = 0, the x2 = 0 solutions are the x1 with term b."""
+    """The solution counts of the equation from the value counts of its
+    two terms; O(q/d1 + q/d2).  A term is 0 at x = 0 alone, so the x2 = 0
+    solutions are the x1 with term b, and the x1 = 0 ones the x2 != 0."""
     eq.validate(field)
-    hist: dict[int, int] = {}
-    for v in _term_values(field, eq.a2, eq.k2)[1:]:
-        hist[v] = hist.get(v, 0) + 1
+    c1 = _term_values(field, eq.a1, eq.k1)
+    c2 = _term_values(field, eq.a2, eq.k2)
     sub, b = field.sub, eq.b
-    t1 = _term_values(field, eq.a1, eq.k1)
-    nonzero_x2 = sum(hist.get(sub(b, v), 0) for v in t1)
-    return SolutionProfile(total=nonzero_x2 + t1.count(b), nonzero_x2=nonzero_x2,
-                           nonzero_both=nonzero_x2 - hist.get(b, 0))
+    nonzero_x2 = sum(n * (c1.get(sub(b, v), 0) + (v == b))
+                     for v, n in c2.items())
+    return SolutionProfile(total=nonzero_x2 + c1.get(b, 0) + (b == 0),
+                           nonzero_x2=nonzero_x2,
+                           nonzero_both=nonzero_x2 - c2.get(b, 0))
 
 
 def m_pairs(d1: int, d2: int) -> int:
@@ -136,8 +136,7 @@ def weil_check(field: Field, eq: DiagonalEquation) -> WeilReport:
     if eq.b == 0:
         raise ValueError("the bound requires b != 0")
     q = field.order
-    d1 = math.gcd(eq.k1, q - 1)
-    d2 = math.gcd(eq.k2, q - 1)
+    d1, d2 = math.gcd(eq.k1, q - 1), math.gcd(eq.k2, q - 1)
     M = m_pairs(d1, d2)
     # |N - q| <= A*sqrt(q) + M with A = (d1-1)(d2-1) - M
     A = (d1 - 1) * (d2 - 1) - M
@@ -183,15 +182,12 @@ def solvability_report(field: Field) -> list[str]:
     """
     rows = ["k type i j n N_total N_nonzero bound holds"]
     counted: dict[DiagonalEquation, WeilReport] = {}
-    for pair_type in (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO):
-        for i in range(5):
-            for j in range(5):
-                for n in range(5):
-                    eq = double_edge_equation(field, pair_type, i, j, n)
-                    if eq not in counted:
-                        counted[eq] = weil_check(field, eq)
-                    rep = counted[eq]
-                    rows.append(
-                        f"{field.order} {pair_type} {i} {j} {n} {rep.N} "
-                        f"{rep.profile.nonzero_x2} {rep.bound:.4f} {rep.holds}")
+    for pair_type, i, j, n in product(
+            (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO), *[range(5)] * 3):
+        eq = double_edge_equation(field, pair_type, i, j, n)
+        if eq not in counted:
+            counted[eq] = weil_check(field, eq)
+        rep = counted[eq]
+        rows.append(f"{field.order} {pair_type} {i} {j} {n} {rep.N} "
+                    f"{rep.profile.nonzero_x2} {rep.bound:.4f} {rep.holds}")
     return rows

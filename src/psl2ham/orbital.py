@@ -1,8 +1,8 @@
 """The five basic orbital graphs Y(i).
 
 The stabilizer H has ten orbits on the point set: five fixed points
-(inf, i) and five orbits of size k.  Long suborbit i is the set
-{ point_of([[0, -theta^i], [theta^-i, x]]) : x in GF(k) }, and the
+(inf, i) and five orbits of size k.  Long suborbit i is the set of
+labels of [[0, -theta^i], [theta^-i, x]] over x in GF(k), and the
 neighborhood of omega in Y(i) is its image under rep(omega) acting on
 the right (`neighborhood`).  With chi(x) = dlog(x) mod 5, for which
 chi(-1) = 0 as 10 | k-1, adjacency is one rule on labels:
@@ -11,7 +11,7 @@ chi(-1) = 0 as 10 | k-1, adjacency is one rule on labels:
 
 for beta != beta', with chi read as 0 when either beta is inf; points
 with beta = beta' are never adjacent.  Proof: if g = [[a,b],[c,d]] has
-c != 0, point_of(g) is finite of fiber chi(a*beta + b) = chi(-1/c) =
+c != 0, its label is finite of fiber chi(a*beta + b) = chi(-1/c) =
 -chi(c), as det g = 1; and rep(w)*rep(v)^-1 = t^f' [[1,0],[beta'-beta,1]]
 t^-f has c = theta^-(f+f') (beta' - beta), or +-theta^-(f+f') when one
 beta is inf, so it lies in long suborbit i, the finite points of fiber i.
@@ -28,37 +28,48 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .action import OmegaPoint, point_of, point_str, rep
+from .action import OmegaPoint, point_str, rep
 from .errors import InvariantViolation
 from .gf import Field
 
 
-def neighborhood(field: Field, i: int, p: OmegaPoint) -> set[OmegaPoint]:
-    """Neighbors of p in the i-th orbital graph, via the closed form."""
-    F = field
-    r1, r2, r3, r4 = rep(F, p)
-    th_i = F.pow(F.theta, i)
-    th_mi = F.inv(th_i)
+def neighborhood(field: Field, i: int, v: int) -> set[int]:
+    """Codes of the neighbors of v in Y(i): the labels (beta = -d/c,
+    dlog(a*beta + b) mod 5), or (inf, dlog(a) mod 5) if c = 0, of
+    [[a,b],[c,d]] = [[0,-theta^i],[theta^-i,x]] * rep(v) over x in GF(k)."""
+    F, k = field, field.order
+    exp, log, neg, add, mul = F._exp, F._log, F._neg, F.add, F.mul
+    r1, r2, r3, r4 = rep(F, v)
+    th_i, th_mi = F.pow(F.theta, i), F.pow(F.theta, -i)
     # [[0,-th^i],[th^-i,x]] * rep: first row constant, second affine in x
-    a = F.mul(F.neg(th_i), r3)
-    b = F.mul(F.neg(th_i), r4)
-    c0 = F.mul(th_mi, r1)
-    d0 = F.mul(th_mi, r2)
-    add, mul = F.add, F.mul
+    a, b = mul(neg[th_i], r3), mul(neg[th_i], r4)
+    c0, d0 = mul(th_mi, r1), mul(th_mi, r2)
+    # x*r3 and x*r4 for x = 0, theta^0, theta^1, ...
+    col3, col4 = ([0, *exp[log[r]:log[r] + k - 1]] if r else [0] * k
+                  for r in (r3, r4))
+    k1, la = k + 1, log[a]  # la is None when a = 0, and then c != 0
     out = set()
-    for x in range(F.order):
-        out.add(point_of(F, (a, b, add(c0, mul(x, r3)), add(d0, mul(x, r4)))))
+    for u, w in zip(col3, col4):
+        c = add(c0, u)
+        if c == 0:
+            out.add(la % 5 * k1)
+            continue
+        d = add(d0, w)
+        beta = neg[exp[log[d] - log[c]]] if d else 0  # a negative index wraps
+        ab = exp[la + log[beta]] if a and beta else 0
+        out.add(log[add(ab, b)] % 5 * k1 + beta + 1)
     return out
 
 
-def orbital_of(field: Field, v: OmegaPoint, w: OmegaPoint) -> int | None:
-    """The i with w ~ v in Y(i), or None when w is not adjacent to v."""
-    if v.beta == w.beta:
+def orbital_of(field: Field, v: int, w: int) -> int | None:
+    """The i with w ~ v in Y(i), or None when codes w and v are not adjacent."""
+    k1 = field.order + 1
+    rv, rw = v % k1, w % k1
+    if rv == rw:
         return None
-    f = v.fiber + w.fiber
-    if v.beta is None or w.beta is None:
-        return f % 5
-    return (f - field._log[field.sub(w.beta, v.beta)]) % 5
+    if rv and rw:  # both finite, beta = r - 1
+        return (v // k1 + w // k1 - field._log[field.sub(rw - 1, rv - 1)]) % 5
+    return (v // k1 + w // k1) % 5
 
 
 @dataclass
@@ -80,8 +91,7 @@ def build_graph(field: Field, i: int) -> OrbitalGraph:
     """
     if not 0 <= i <= 4:
         raise ValueError(f"orbital index {i} out of range")
-    F = field
-    k = F.order
+    F, k = field, field.order
     if (k - 1) % 10:
         raise ValueError("coset space requires 10 | k-1")
     sub, lex = F.sub, F.elements_lex
@@ -144,7 +154,9 @@ def export_chunks(graph: OrbitalGraph, fmt: str):
     row with edges: each undirected edge once, (u, v) with u < v, u-major
     order."""
     F = graph.field
-    labels = [point_str(F, p) for p in graph.vertices]
+    k1 = F.order + 1
+    labels = [point_str(F, p.fiber * k1 + (0 if p.beta is None else p.beta + 1))
+              for p in graph.vertices]
     if fmt == "dot":
         yield f'graph "Y{graph.i}_k{F.order}" {{\n'
         head, end = '  "{}" -- "', '";\n'

@@ -20,9 +20,10 @@ built from.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
-from .action import OmegaPoint, parse_point, point_str, s_orbits
+from .action import parse_point, point_str, s_orbits
 from .errors import InvariantViolation
 from .gf import Field, admissible
 from .orbital import neighborhood, orbital_of
@@ -35,7 +36,7 @@ CERT_VERSION = 1
 class QuotientMultigraph:
     field: Field
     orbital_index: int
-    orbits: tuple[tuple[OmegaPoint, ...], ...]
+    orbits: tuple[array, ...]  # ten arrays of codes
     voltages: tuple[tuple[tuple[int, ...], ...], ...]  # 10x10, sorted Z_p offsets
 
     @property
@@ -56,29 +57,28 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
     """
     if not 0 <= i <= 4:
         raise ValueError(f"orbital index {i} out of range 0..4")
-    k = field.order
-    p = (k + 1) // 2
+    k, p = field.order, (field.order + 1) // 2
     orbits = s_orbits(field)
-    pos: dict[OmegaPoint, tuple[int, int]] = {}
+    pos = array("l", [0]) * (10 * p)  # code -> a*p + w
     for a, orb in enumerate(orbits):
-        for w, pt in enumerate(orb):
-            pos[pt] = (a, w)
+        for n, v in enumerate(orb, start=a * p):
+            pos[v] = n
 
-    def nbrs(v: OmegaPoint) -> set[OmegaPoint]:
-        nb = neighborhood(field, i, v)
+    def nbrs(v: int) -> set[int]:
+        nb, at = neighborhood(field, i, v), point_str(field, v)
         if len(nb) != k:
             raise InvariantViolation(
-                f"vertex {v} has {len(nb)} neighbors, expected {k}",
+                f"vertex {at} has {len(nb)} neighbors, expected {k}",
                 stage="orbital")
         if v in nb:
-            raise InvariantViolation(f"loop at vertex {v}", stage="orbital")
+            raise InvariantViolation(f"loop at vertex {at}", stage="orbital")
         return nb
 
     nmat = [[None] * 10 for _ in range(10)]
     for a in range(10):
         volts: list[set[int]] = [set() for _ in range(10)]
         for v in nbrs(orbits[a][0]):
-            b, w = pos[v]
+            b, w = divmod(pos[v], p)
             volts[b].add(w)
         for b in range(10):
             nmat[a][b] = tuple(sorted(volts[b]))
@@ -86,7 +86,7 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
         # S-invariance: counts at position 1 must match those at the base
         counts = [0] * 10
         for v in nbrs(orbits[a][1]):
-            counts[pos[v][0]] += 1
+            counts[pos[v] // p] += 1
         if counts != [len(nmat[a][b]) for b in range(10)]:
             raise InvariantViolation(
                 f"neighbor counts differ across orbit {a}: S-invariance broken",
@@ -114,30 +114,29 @@ class HamiltonCertificate:
     cycle: tuple[int, ...]  # orbit sequence, length 10
     chosen_voltages: tuple[int, ...]  # one per cycle edge, length 10
     total_voltage: int
-    vertices: tuple[OmegaPoint, ...]  # length 10p, in cycle order
+    vertices: array  # 10p codes, in cycle order
 
     @property
     def p(self) -> int:
         return (self.field.order + 1) // 2
 
 
-def unroll_lift(q: QuotientMultigraph, choices) -> list[list[OmegaPoint]]:
+def unroll_lift(q: QuotientMultigraph, choices) -> list[array]:
     """Explicitly unroll a voltage assignment over the quotient cycle 0..9.
 
     Returns the cycles of the lift: one 10p-cycle when the voltages sum
     to a nonzero residue mod p, else p disjoint 10-cycles.
     """
-    p = q.p
+    p, orbits = q.p, q.orbits
     out = []
-    visited: set[tuple[int, int]] = set()
+    visited = bytearray(10 * p)  # orbit j, position c at j*p + c
     for start in range(p):
-        if (0, start) in visited:
+        if visited[start]:
             continue
-        comp = []
-        j, c = 0, start
-        while (j, c) not in visited:
-            visited.add((j, c))
-            comp.append(q.orbits[j][c])
+        comp, j, c = array("l"), 0, start
+        while not visited[j * p + c]:
+            visited[j * p + c] = 1
+            comp.append(orbits[j][c])
             c = (c + choices[j]) % p
             j = (j + 1) % 10
         out.append(comp)
@@ -179,7 +178,7 @@ def lift_cycle(q: QuotientMultigraph) -> HamiltonCertificate:
     return HamiltonCertificate(
         field=q.field, orbital_index=q.orbital_index, cycle=tuple(range(10)),
         chosen_voltages=tuple(choices), total_voltage=total,
-        vertices=tuple(components[0]))
+        vertices=components[0])
 
 
 # --- independent verification ---
@@ -200,8 +199,7 @@ def verify_certificate(cert: HamiltonCertificate) -> VerificationResult:
     O(1) adjacency rule `orbital_of`, which needs the field alone; never
     consults a group, a stored graph or a quotient.
     """
-    field, p = cert.field, cert.p
-    k = field.order
+    field, p, k = cert.field, cert.p, cert.field.order
     if not 0 <= cert.orbital_index <= 4:
         return VerificationResult(False, f"orbital index {cert.orbital_index} out of range")
     n = 10 * p
@@ -220,16 +218,16 @@ def verify_certificate(cert: HamiltonCertificate) -> VerificationResult:
         return VerificationResult(
             False, f"total {cert.total_voltage} is not the voltage sum mod p")
 
-    seen: set[OmegaPoint] = set()
+    seen = bytearray(5 * (k + 1))
     for idx, v in enumerate(cert.vertices):
-        if v in seen:
+        if seen[v]:
             return VerificationResult(
                 False, f"vertex {idx} duplicates an earlier cycle vertex")
-        seen.add(v)
+        seen[v] = 1
 
-    if len(seen) != 5 * (k + 1):
+    if 0 in seen:
         return VerificationResult(
-            False, f"cycle covers {len(seen)} of {5 * (k + 1)} points")
+            False, f"cycle covers {seen.count(1)} of {5 * (k + 1)} points")
     i = cert.orbital_index
     for idx in range(n):
         v, w = cert.vertices[idx], cert.vertices[(idx + 1) % n]
@@ -303,4 +301,4 @@ def parse_certificate(text: str) -> HamiltonCertificate:
         cycle=tuple(int(x) for x in fields["cycle"].split()),
         chosen_voltages=tuple(int(x) for x in fields["voltages"].split()),
         total_voltage=int(fields["total"]),
-        vertices=tuple(parse_point(field, ln) for ln in body))
+        vertices=array("l", (parse_point(field, ln) for ln in body)))

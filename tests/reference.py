@@ -7,8 +7,8 @@ keeps the exhaustive derivations those shortcuts are checked against:
 PSL(2,k) with canonical signs and its enumerated subgroups S and H, the
 right action as the label of a 2x2 product, and the ten H-orbits
 (suborbits) on the coset space.  It also keeps the helpers that only
-tests call: `coeffs`, `from_coeffs`, `equation_for_orbit_pair` and
-`edges`.
+tests call: `coeffs`, `from_coeffs`, `point_of`, `equation_for_orbit_pair`
+and `edges`.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1, stored in canonical sign form: of the two matrices g, -g
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from psl2ham import Field, InvariantViolation, OmegaPoint, neighborhood
-from psl2ham.action import Mat, point_of, rep
+from psl2ham.action import Mat, rep
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           DiagonalEquation, double_edge_equation)
-from util import ALPHA, points
+from util import ALPHA, code, points
 
 
 def coeffs(field: Field, x: int) -> tuple[int, ...]:
@@ -52,13 +52,28 @@ def from_coeffs(field: Field, cs) -> int:
     return sum(c % field.s * field.s**i for i, c in enumerate(cs))
 
 
-def act(field: Field, p: OmegaPoint, g: Mat) -> OmegaPoint:
-    """The right action as point_of(rep(p) * g), with a plain 2x2 product."""
+def point_of(field: Field, g: Mat) -> OmegaPoint:
+    """Label of the coset Hg.  Accepts either sign representative."""
+    a, b, c, d = g
+    if c == 0:
+        return OmegaPoint(None, field._log[a] % 5)
+    beta = field.mul(field._neg[d], field.inv(c))
+    return OmegaPoint(beta, field._log[field.add(field.mul(a, beta), b)] % 5)
+
+
+def product(field: Field, g: Mat, h: Mat) -> Mat:
+    """The 2x2 product g * h, sign as it falls."""
     add, mul = field.add, field.mul
-    a, b, c, d = rep(field, p)
-    w, x, y, z = g
-    return point_of(field, (add(mul(a, w), mul(b, y)), add(mul(a, x), mul(b, z)),
-                            add(mul(c, w), mul(d, y)), add(mul(c, x), mul(d, z))))
+    a, b, c, d = g
+    w, x, y, z = h
+    return (add(mul(a, w), mul(b, y)), add(mul(a, x), mul(b, z)),
+            add(mul(c, w), mul(d, y)), add(mul(c, x), mul(d, z)))
+
+
+def act(field: Field, v: int, g: Mat) -> int:
+    """The right action on codes as point_of(rep(v) * g), with a plain 2x2
+    product."""
+    return code(field, point_of(field, product(field, rep(field, v), g)))
 
 
 def edges(graph):
@@ -251,16 +266,17 @@ class PSL2:
 class Suborbit:
     kind: str  # "singleton" | "long"
     i: int
-    points: frozenset
+    points: frozenset  # codes
 
 
 def suborbits(field: Field) -> list[Suborbit]:
-    """The ten H-orbits: five singletons then five of size k."""
+    """The ten H-orbits, as sets of codes: five singletons then five of
+    size k."""
     k = field.order
-    subs = [Suborbit("singleton", i, frozenset({OmegaPoint(None, i)}))
+    subs = [Suborbit("singleton", i, frozenset({code(field, OmegaPoint(None, i))}))
             for i in range(5)]
     for i in range(5):
-        pts = frozenset(neighborhood(field, i, ALPHA))
+        pts = frozenset(neighborhood(field, i, code(field, ALPHA)))
         if len(pts) != k:
             raise InvariantViolation(
                 f"long suborbit {i} has size {len(pts)}, expected {k}",
@@ -276,9 +292,10 @@ def suborbits_by_h_orbits(field: Field, group: PSL2) -> list[Suborbit]:
     """Same partition computed the slow way: exhaustive H-orbits."""
     G = group
     l, t, _ = G.generators()
-    remaining = set(points(field))
-    seeds = [OmegaPoint(None, i) for i in range(5)]
-    seeds += [point_of(field, G.mul(G.power(t, i), l)) for i in range(5)]
+    remaining = {code(field, p) for p in points(field)}
+    seeds = [code(field, OmegaPoint(None, i)) for i in range(5)]
+    seeds += [code(field, point_of(field, G.mul(G.power(t, i), l)))
+              for i in range(5)]
     subs = []
     for n, seed in enumerate(seeds):
         orb = frozenset(act(field, seed, h) for h in G.H)

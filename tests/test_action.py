@@ -6,10 +6,10 @@ import random
 import pytest
 
 from psl2ham import (Field, OmegaPoint, act, build_graph, parse_point,
-                     point_of, point_str, rep, s_orbits, sigma)
+                     point_str, rep, s_orbits, sigma)
 import reference
-from reference import PSL2, from_coeffs
-from util import ALPHA, points, random_words
+from reference import PSL2, from_coeffs, point_of
+from util import ALPHA, code, point, points, random_words
 
 
 def test_requires_divisibility():
@@ -31,8 +31,8 @@ def test_base_point_and_t_orbit(field61, group61):
     _, t, _ = G.generators()
     assert point_of(F, G.identity) == ALPHA == OmegaPoint(None, 0)
     assert point_of(F, t) == OmegaPoint(None, 1)
-    orbit = {act(F, ALPHA, G.power(t, j)) for j in range(30)}
-    assert orbit == {OmegaPoint(None, i) for i in range(5)}
+    orbit = {act(F, code(F, ALPHA), G.power(t, j)) for j in range(30)}
+    assert orbit == {code(F, OmegaPoint(None, i)) for i in range(5)}
 
 
 def test_point_of_l(field61, group61):
@@ -44,7 +44,7 @@ def test_point_of_l(field61, group61):
 
 def test_rep_round_trip(field61):
     for p in points(field61):
-        assert point_of(field61, rep(field61, p)) == p
+        assert point_of(field61, rep(field61, code(field61, p))) == p
 
 
 def test_point_of_labels_cosets(field61, group61):
@@ -53,7 +53,7 @@ def test_point_of_labels_cosets(field61, group61):
     G, F = group61, field61
     H = set(G.H)
     for g in random_words(G, rng, 200):
-        r = rep(F, point_of(F, g))
+        r = rep(F, code(F, point_of(F, g)))
         assert G.mul(g, G.inv(r)) in H
 
 
@@ -65,8 +65,8 @@ def test_rep_is_t_power_times_transversal(k, fields, groups):
     _, t, _ = G.generators()
     for p in points(F):
         t_beta = G.identity if p.beta is None else G.canon((0, 1, F.neg(1), p.beta))
-        assert act(F, ALPHA, t_beta).beta == p.beta
-        assert G.canon(rep(F, p)) == G.mul(G.power(t, p.fiber), t_beta)
+        assert point(F, act(F, code(F, ALPHA), t_beta)).beta == p.beta
+        assert G.canon(rep(F, code(F, p))) == G.mul(G.power(t, p.fiber), t_beta)
 
 
 @pytest.mark.parametrize("k", [61, 81, 121])
@@ -78,11 +78,11 @@ def test_act_matches_reference_product(k, fields, groups):
     _, t, _ = G.generators()
     words = random_words(G, rng, 200)
     t_pows = [G.power(t, j) for j in range(10)]
-    for p in points(F):
+    for v in (code(F, p) for p in points(F)):
         for g in rng.sample(words, 30) + t_pows + list(G.generators()):
-            assert act(F, p, g) == reference.act(F, p, g)
-        back = G.inv(rep(F, p))
-        assert act(F, p, back) == reference.act(F, p, back) == ALPHA
+            assert act(F, v, g) == reference.act(F, v, g)
+        back = G.inv(rep(F, v))
+        assert act(F, v, back) == reference.act(F, v, back) == code(F, ALPHA)
 
 
 def test_point_of_sign_independent(field61, group61):
@@ -97,7 +97,7 @@ def test_right_action_law(field61, group61):
     rng = random.Random(12)
     G, F = group61, field61
     ws = random_words(G, rng, 40)
-    pts = points(F)
+    pts = [code(F, p) for p in points(F)]
     for _ in range(1000):
         w = rng.choice(pts)
         g1, g2 = rng.choice(ws), rng.choice(ws)
@@ -109,13 +109,14 @@ def test_right_action_law(field61, group61):
 def test_h_is_exact_stabilizer(field61, group61):
     G, F = group61, field61
     H = set(G.H)
+    alpha = code(F, ALPHA)
     for h in H:
-        assert act(F, ALPHA, h) == ALPHA
+        assert act(F, alpha, h) == alpha
     rng = random.Random(13)
     moved = 0
     for g in random_words(G, rng, 300):
         if g not in H:
-            assert act(F, ALPHA, g) != ALPHA
+            assert act(F, alpha, g) != alpha
             moved += 1
     assert moved > 200  # the sample actually exercised non-stabilizer elements
 
@@ -146,7 +147,7 @@ def test_s_orbits_structure(field61):
     assert all(len(o) == 31 for o in orbits)
     everything = [p for o in orbits for p in o]
     assert len(set(everything)) == 310
-    assert orbits[0][0] == ALPHA
+    assert orbits[0][0] == code(field61, ALPHA)
 
 
 def test_s_orbit_positions_follow_sigma(field61, group61):
@@ -170,14 +171,15 @@ def test_s_orbits_match_reference_enumeration(k, fields, groups):
     assert G.canon(sigma(F)) == G.S[1]
     starts = [G.power(t, i) for i in range(5)]
     starts += [G.mul(g, l) for g in starts]
-    expect = tuple(tuple(point_of(F, G.mul(g, s)) for s in G.S) for g in starts)
-    assert s_orbits(F) == expect
+    expect = tuple(tuple(code(F, point_of(F, G.mul(g, s))) for s in G.S)
+                   for g in starts)
+    assert tuple(tuple(orb) for orb in s_orbits(F)) == expect
 
 
 def test_s_semiregular(field61, group61):
     for s in group61.S[1:]:
-        for p in points(field61):
-            assert act(field61, p, s) != p
+        for v in (code(field61, p) for p in points(field61)):
+            assert act(field61, v, s) != v
 
 
 def test_s_orbits_sizes_all_instances(fields):
@@ -190,13 +192,13 @@ def test_s_orbits_sizes_all_instances(fields):
 
 def test_point_serialization(field61, field81):
     F61 = field61
-    assert point_str(F61, OmegaPoint(None, 3)) == "inf:3"
-    assert point_str(F61, OmegaPoint(17, 0)) == "17:0"
-    assert parse_point(F61, "inf:3") == OmegaPoint(None, 3)
-    assert parse_point(F61, "17:0") == OmegaPoint(17, 0)
+    assert point_str(F61, code(F61, OmegaPoint(None, 3))) == "inf:3"
+    assert point_str(F61, code(F61, OmegaPoint(17, 0))) == "17:0"
+    assert point(F61, parse_point(F61, "inf:3")) == OmegaPoint(None, 3)
+    assert point(F61, parse_point(F61, "17:0")) == OmegaPoint(17, 0)
     F81 = field81
-    x = from_coeffs(F81, (2, 1, 0, 1))
-    assert parse_point(F81, point_str(F81, OmegaPoint(x, 4))) == OmegaPoint(x, 4)
+    v = code(F81, OmegaPoint(from_coeffs(F81, (2, 1, 0, 1)), 4))
+    assert parse_point(F81, point_str(F81, v)) == v
     with pytest.raises(ValueError):
         parse_point(F61, "17:9")
     with pytest.raises(ValueError):

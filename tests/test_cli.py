@@ -11,7 +11,7 @@ from psl2ham import (ParameterError, list_instances, orbital_of,
 from psl2ham.cli import (DESK_SCALE_MAX_K, _resolve_params, factor_prime_power,
                          make_parser, run)
 from psl2ham.gf import admissible
-from util import fresh_process_env, points
+from util import code, fresh_process_env, points
 
 
 def test_list_instances():
@@ -125,7 +125,7 @@ def test_full_graph_mode_subsets(tmp_path, capsys):
 
 
 def test_full_graph_union_is_5k_regular(field61):
-    pts = points(field61)
+    pts = [code(field61, p) for p in points(field61)]
     for v in pts:
         assert sum(orbital_of(field61, v, w) is not None for w in pts) == 5 * 61
 

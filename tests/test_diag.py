@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +64,23 @@ def test_count_matches_brute_force():
                 a1=rng.randrange(1, F.order), k1=rng.randrange(1, 15),
                 a2=rng.randrange(1, F.order), k2=rng.randrange(1, 15),
                 b=rng.randrange(F.order))
+            assert solution_profile(F, eq) == (
+                brute_count(F, eq), brute_count(F, eq, True),
+                brute_count(F, eq, True, True))
+
+
+@pytest.mark.parametrize("s,m", [(7, 1), (3, 2), (2, 4), (13, 1)])
+def test_count_matches_brute_force_at_the_edges(s, m):
+    # the closed-form value counts where they are most easily wrong: b = 0,
+    # exponent 1, gcd(k, q-1) = 1 (k = q) and k a multiple of q-1 (a term
+    # with one nonzero value, taken q-1 times)
+    F = Field(s, m)
+    q = F.order
+    rng = random.Random(q)
+    for k1, k2 in product((1, 2, 3, q, q - 1, 2 * (q - 1)), repeat=2):
+        for b in (0, 1, rng.randrange(2, q)):
+            eq = DiagonalEquation(a1=rng.randrange(1, q), k1=k1,
+                                  a2=rng.randrange(1, q), k2=k2, b=b)
             assert solution_profile(F, eq) == (
                 brute_count(F, eq), brute_count(F, eq, True),
                 brute_count(F, eq, True, True))

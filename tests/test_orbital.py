@@ -6,17 +6,18 @@ import random
 import pytest
 
 from psl2ham import (InvariantViolation, OmegaPoint, act, build_graph,
-                     neighborhood, orbital_of)
+                     neighborhood, orbital_of, rep, s_orbits)
 from psl2ham.orbital import export_chunks
-from reference import edges, suborbits, suborbits_by_h_orbits
-from util import ALPHA, points, random_words, vertex_index
+import reference
+from reference import edges, point_of, suborbits, suborbits_by_h_orbits
+from util import ALPHA, code, point, points, random_words, vertex_index
 
 
 def test_suborbit_profile(field61):
     subs = suborbits(field61)
     sizes = sorted(len(sb.points) for sb in subs)
     assert sizes == [1] * 5 + [61] * 5
-    assert subs[0].points == frozenset({ALPHA})
+    assert subs[0].points == frozenset({code(field61, ALPHA)})
     covered = set()
     for sb in subs:
         assert not (covered & sb.points)
@@ -37,7 +38,7 @@ def test_suborbit_profile_81(field81):
 
 def test_neighborhood_size_and_no_loop(field61):
     rng = random.Random(21)
-    pts = rng.sample(points(field61), 25)
+    pts = [code(field61, p) for p in rng.sample(points(field61), 25)]
     for i in range(5):
         for p in pts:
             nb = neighborhood(field61, i, p)
@@ -47,7 +48,7 @@ def test_neighborhood_size_and_no_loop(field61):
 
 def test_neighborhood_symmetry(field61):
     rng = random.Random(22)
-    pts = rng.sample(points(field61), 15)
+    pts = [code(field61, p) for p in rng.sample(points(field61), 15)]
     for i in range(5):
         for p in pts:
             for q in list(neighborhood(field61, i, p))[:8]:
@@ -60,16 +61,17 @@ def test_base_neighborhood_is_long_suborbit(fields):
     for field in fields.values():
         subs = suborbits(field)
         for i in range(5):
-            base = neighborhood(field, i, ALPHA)
+            base = neighborhood(field, i, code(field, ALPHA))
             assert base == set(subs[5 + i].points)
-            assert base == {p for p in points(field)
+            assert base == {code(field, p) for p in points(field)
                             if p.beta is not None and p.fiber == i}
 
 
 def assert_oracle_matches_neighborhoods(field, sources):
-    for v in sources:
+    targets = [code(field, w) for w in points(field)]
+    for v in (code(field, p) for p in sources):
         nbs = [neighborhood(field, i, v) for i in range(5)]
-        for w in points(field):
+        for w in targets:
             hits = [i for i in range(5) if w in nbs[i]]
             assert len(hits) <= 1
             assert orbital_of(field, v, w) == (hits[0] if hits else None)
@@ -95,8 +97,9 @@ def test_build_graph_matches_neighborhoods(k, cache, fields):
         g = cache.graph(k, i)
         assert list(g.vertices) == points(field)
         for p, nb in zip(g.vertices, g.neighbors):
-            assert list(nb) == sorted(index[q]
-                                      for q in neighborhood(field, i, p))
+            assert list(nb) == sorted(
+                index[point(field, q)]
+                for q in neighborhood(field, i, code(field, p)))
 
 
 def tampered(field, edit):
@@ -168,11 +171,13 @@ def test_invalid_orbital_index(field61):
 
 
 def test_group_elements_are_automorphisms(cache, field61, group61):
+    F = field61
     g = cache.graph(61, 0)
     rng = random.Random(23)
-    idx = vertex_index(field61)
+    idx = vertex_index(F)
     for w in random_words(group61, rng, 100):
-        perm = {u: idx[act(field61, g.vertices[u], w)] for u in range(310)}
+        perm = {u: idx[point(F, act(F, code(F, g.vertices[u]), w))]
+                for u in range(310)}
         assert sorted(perm.values()) == list(range(310))
         for u in range(0, 310, 11):
             image = {perm[v] for v in g.neighbors[u]}
@@ -213,3 +218,23 @@ def test_dot_export(cache):
     dot = "".join(export_chunks(g, "dot"))
     assert dot.startswith('graph "Y0_k61"')
     assert dot.count("--") == 9455
+
+
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_neighborhood_is_image_of_long_suborbit(k, fields):
+    # at positions 0 and 1 of every S-orbit, Y(i)'s neighborhood is long
+    # suborbit i, the labels of [[0,-theta^i],[theta^-i,x]], moved by rep(v)
+    # with the reference's matrix product and point_of
+    F = fields[k]
+    long = [[code(F, point_of(F, (0, F.neg(F.pow(F.theta, i)),
+                                  F.pow(F.theta, -i), x)))
+             for x in range(k)] for i in range(5)]
+    betas = set()  # beta = inf takes c = 0 and beta = 0 takes d = 0
+    for orb in s_orbits(F):
+        for v in orb[:2]:
+            g = rep(F, v)
+            for i in range(5):
+                nb = neighborhood(F, i, v)
+                assert nb == {reference.act(F, q, g) for q in long[i]}
+                betas |= {w % (k + 1) for w in nb} & {0, 1}
+    assert betas == {0, 1}

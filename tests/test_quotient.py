@@ -1,16 +1,17 @@
 """Quotient multigraph, voltage lifting, certificates and verification."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from psl2ham import (build_quotient, certificate_to_text, lift_cycle,
+from psl2ham import (Field, build_quotient, certificate_to_text, lift_cycle,
                      neighborhood, parse_certificate, s_orbits, unroll_lift,
                      verify_certificate)
 from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
-from util import vertex_index
+from util import code, point, vertex_index
 
 
 def test_underlying_quotient_is_complete_k10(cache):
@@ -52,14 +53,15 @@ def collapse(graph, orbits):
     every vertex of each orbit, which S-invariance makes all equal."""
     p = len(orbits[0])
     pos = {pt: (a, w) for a, orb in enumerate(orbits) for w, pt in enumerate(orb)}
-    index = vertex_index(graph.field)
+    field = graph.field
+    index = vertex_index(field)
     volts = [[None] * 10 for _ in range(10)]
     for a, orb in enumerate(orbits):
         rows = set()
         for c, pt in enumerate(orb):
             row = [set() for _ in range(10)]
-            for v in graph.neighbors[index[pt]]:
-                b, w = pos[graph.vertices[v]]
+            for v in graph.neighbors[index[point(field, pt)]]:
+                b, w = pos[code(field, graph.vertices[v])]
                 row[b].add((w - c) % p)
             rows.add(tuple(tuple(sorted(vs)) for vs in row))
         assert len(rows) == 1, f"orbit {a}: voltages depend on the offset"
@@ -403,3 +405,17 @@ def test_corrupt_quotient_raises(cache):
                           for a in range(10)))
     with pytest.raises(InvariantViolation, match="no voltage selection"):
         lift_cycle(crippled)
+
+
+def test_hamilton_path_memory_is_linear_in_codes():
+    # orbits, the position table, the lift and verify's seen-mask are flat
+    # arrays of codes: at k=4621 (23,110 points) the path peaks below 3.5 MB
+    field = Field(4621, 1)
+    tracemalloc.start()
+    try:
+        cert = lift_cycle(build_quotient(field, 0))
+        assert verify_certificate(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20

@@ -22,6 +22,18 @@ def random_words(group, rng, count, length=8):
 ALPHA = OmegaPoint(None, 0)  # the base point, the label of H itself
 
 
+def code(field, p):
+    """The int code under which the package carries point p:
+    f*(k+1) + (0 if beta is inf else beta + 1).  `point` inverts it."""
+    return p.fiber * (field.order + 1) + (0 if p.beta is None else p.beta + 1)
+
+
+def point(field, v):
+    """The point with code v."""
+    f, r = divmod(v, field.order + 1)
+    return OmegaPoint(None if r == 0 else r - 1, f)
+
+
 def points(field):
     """Every point of the coset space, in the vertex order of `build_graph`:
     fiber-major, infinity first, then coordinate-lex."""
