@@ -6,14 +6,15 @@ The pipeline needs field arithmetic only, and builds no group: every
 stage is a function of the field.  Exact GF(s^m) arithmetic -> coset
 labels (beta, fiber), with closed-form representatives and the right
 action read off the labels -> the ten orbits of the cyclic subgroup S of
-order p, walked by one generator -> the quotient multigraph of an orbital
-graph over those orbits, from 20 matrix-form neighborhoods -> voltage
-selection and lifting over the quotient cycle 0..9 -> a certificate
-that carries its field, re-verified by an O(1) rule on labels.
+order p, two walks of one generator shifted across the fibers -> the
+quotient multigraph of an orbital graph over those orbits, from 20
+matrix-form neighborhoods -> voltage selection and lifting over the
+quotient cycle 0..9 -> a certificate that carries its field, re-verified
+by an O(1) rule on labels.  Every point is one int code; `point_str` and
+`parse_point` are its text.  Records are NamedTuples.
 """
 
-from .action import (OmegaPoint, act, parse_point, point_str, rep, s_orbits,
-                     sigma)
+from .action import act, parse_point, point_str, rep, s_orbits, sigma
 from .cli import list_instances, run_pipeline
 from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
                    double_edge_equation, m_pairs, solution_profile,
@@ -26,8 +27,7 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        parse_certificate, unroll_lift, verify_certificate)
 
 __all__ = [
-    "OmegaPoint", "act", "parse_point", "point_str", "rep", "s_orbits",
-    "sigma",
+    "act", "parse_point", "point_str", "rep", "s_orbits", "sigma",
     "list_instances", "run_pipeline",
     "DiagonalEquation", "SolutionProfile", "WeilReport",
     "double_edge_equation", "m_pairs", "solution_profile", "weil_check",

@@ -32,24 +32,19 @@ and x = beta*c - a:
 since rep(p) * g has lower-left entry theta^-f * c (resp. theta^-f * x),
 and a finite label of a matrix with lower-left entry c has fiber
 chi(-1/c) = -chi(c) by det = 1 and chi(-1) = 0.  Every function here takes
-the field alone; no group is built, and the ten S-orbits are walks of one
-generator sigma of S from (inf, i) and (0, i).
+the field alone; no group is built, and the ten S-orbits are two walks of
+one generator sigma of S, from (inf, 0) and (0, 0), moved across the five
+fibers by the shift (beta, f) -> (beta, f+1).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .gf import Field
 
 Mat = tuple[int, int, int, int]
-
-
-class OmegaPoint(NamedTuple):
-    beta: int | None  # None encodes the point at infinity
-    fiber: int
 
 
 def point_str(field: Field, v: int) -> str:
@@ -114,19 +109,26 @@ def s_orbits(field: Field) -> tuple[array, ...]:
     label of t^i * l with l = [[0,-1],[1,0]].  Position w within an
     orbit is the power of sigma carrying the start there.  As p is
     prime, any element of S other than the identity generates it.
+
+    Only orbits 0 and 5 are walked.  The fiber shift (beta, f) ->
+    (beta, f+1 mod 5), code v -> v + (k+1) mod 5(k+1), commutes with the
+    right action: rep(beta, f+1) = t * rep(beta, f), and t normalizes H,
+    so H*rep(beta, f+1)*g = t*(H*rep(beta, f)*g); for f = 4 the product
+    t^5 lies in H.  So orbit i (resp. 5+i) is orbit 0 (resp. 5) with every
+    code shifted i times, at the same positions.
     """
     k = field.order
     if (k - 1) % 10:
         raise ValueError("coset space requires 10 | k-1")
-    p = (k + 1) // 2
+    p, k1, n = (k + 1) // 2, k + 1, 5 * (k + 1)
     g = sigma(field)
     orbits = []
-    for start in (i * (k + 1) + r for r in (0, 1) for i in range(5)):
+    for start in (0, 1):  # (inf, 0) and (0, 0)
         orb = array("l", [start])
         for _ in range(p - 1):
             orb.append(act(field, orb[-1], g))
-        orbits.append(orb)
-    seen = bytearray(5 * (k + 1))
+        orbits += [array("l", [(v + i * k1) % n for v in orb]) for i in range(5)]
+    seen = bytearray(n)
     for orb in orbits:
         if len(set(orb)) != p:
             raise InvariantViolation(

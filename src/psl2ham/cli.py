@@ -55,10 +55,10 @@ def list_instances(max_k: int) -> list[tuple[int, int]]:
 def run_pipeline(field: Field, i: int) -> HamiltonCertificate:
     """quotient -> lift -> verify."""
     cert = lift_cycle(build_quotient(field, i))
-    result = verify_certificate(cert)
-    if not result:
+    failure = verify_certificate(cert)
+    if failure:
         raise InvariantViolation(
-            f"emitted certificate failed verification: {result.failure}",
+            f"emitted certificate failed verification: {failure}",
             stage="verify")
     return cert
 
@@ -215,12 +215,12 @@ def run(argv=None) -> int:
         if args.command == "verify":
             with open(args.cert) as fh:
                 cert = parse_certificate(fh.read())
-            res = verify_certificate(cert)
-            if res:
+            failure = verify_certificate(cert)
+            if failure is None:
                 print(f"certificate OK: {len(cert.vertices)} vertices, "
                       f"orbital {cert.orbital_index}, k={cert.field.order}")
                 return 0
-            print(f"certificate INVALID: {res.failure}")
+            print(f"certificate INVALID: {failure}")
             return 4
 
         if args.command == "weil-report":

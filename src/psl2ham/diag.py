@@ -37,7 +37,6 @@ x1 = 0 solutions and the corresponding orbit pairs carry a single edge
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -48,8 +47,7 @@ PAIR_INF_ZERO = 2
 PAIR_ZERO_ZERO = 3
 
 
-@dataclass(frozen=True)
-class DiagonalEquation:
+class DiagonalEquation(NamedTuple):
     a1: int
     k1: int
     a2: int
@@ -107,8 +105,7 @@ def m_pairs(d1: int, d2: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class WeilReport:
+class WeilReport(NamedTuple):
     profile: SolutionProfile
     d1: int
     d2: int

@@ -26,9 +26,9 @@ Graphs are stored as sorted neighbor lists over a fixed vertex order, and
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .action import OmegaPoint, point_str, rep
+from .action import point_str, rep
 from .errors import InvariantViolation
 from .gf import Field
 
@@ -72,11 +72,10 @@ def orbital_of(field: Field, v: int, w: int) -> int | None:
     return (v // k1 + w // k1) % 5
 
 
-@dataclass
-class OrbitalGraph:
+class OrbitalGraph(NamedTuple):
     i: int
     field: Field
-    vertices: tuple[OmegaPoint, ...]  # fiber-major, inf first, then lex
+    vertices: tuple[int, ...]  # codes: fiber-major, inf first, then lex
     neighbors: tuple[tuple[int, ...], ...]  # sorted vertex indices
 
 
@@ -95,7 +94,8 @@ def build_graph(field: Field, i: int) -> OrbitalGraph:
     if (k - 1) % 10:
         raise ValueError("coset space requires 10 | k-1")
     sub, lex = F.sub, F.elements_lex
-    verts = tuple(OmegaPoint(beta, f) for f in range(5) for beta in (None, *lex))
+    verts = tuple(f * (k + 1) + r for f in range(5)
+                  for r in (0, *(beta + 1 for beta in lex)))
     n = len(verts)
     ids = list(range(n))  # one int object per vertex index, shared by all rows
     fibers = [ids[g * (k + 1):(g + 1) * (k + 1)] for g in range(5)]
@@ -119,10 +119,11 @@ def build_graph(field: Field, i: int) -> OrbitalGraph:
     for u, nb in enumerate(neighbors):
         if len(nb) != k:
             raise InvariantViolation(
-                f"vertex {verts[u]} has {len(nb)} neighbors, expected {k}",
-                stage="orbital")
+                f"vertex {point_str(F, verts[u])} has {len(nb)} neighbors, "
+                f"expected {k}", stage="orbital")
         if u in nb:
-            raise InvariantViolation(f"loop at vertex {verts[u]}", stage="orbital")
+            raise InvariantViolation(f"loop at vertex {point_str(F, verts[u])}",
+                                     stage="orbital")
     # symmetry: every row equals the same row of the transpose
     transpose = [[] for _ in range(n)]
     for u, nb in zip(ids, neighbors):
@@ -132,8 +133,8 @@ def build_graph(field: Field, i: int) -> OrbitalGraph:
         if tuple(transpose[v]) != nb:
             u = min(set(nb) ^ set(transpose[v]))
             raise InvariantViolation(
-                f"asymmetric adjacency between {verts[u]} and {verts[v]}",
-                stage="orbital")
+                f"asymmetric adjacency between {point_str(F, verts[u])} and "
+                f"{point_str(F, verts[v])}", stage="orbital")
     # connectivity (breadth-first search)
     seen, frontier = {0}, {0}
     while frontier:
@@ -154,9 +155,7 @@ def export_chunks(graph: OrbitalGraph, fmt: str):
     row with edges: each undirected edge once, (u, v) with u < v, u-major
     order."""
     F = graph.field
-    k1 = F.order + 1
-    labels = [point_str(F, p.fiber * k1 + (0 if p.beta is None else p.beta + 1))
-              for p in graph.vertices]
+    labels = [point_str(F, v) for v in graph.vertices]
     if fmt == "dot":
         yield f'graph "Y{graph.i}_k{F.order}" {{\n'
         head, end = '  "{}" -- "', '";\n'

@@ -21,7 +21,7 @@ built from.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .action import parse_point, point_str, s_orbits
 from .errors import InvariantViolation
@@ -32,8 +32,7 @@ CERT_FORMAT = "psl2ham-certificate"
 CERT_VERSION = 1
 
 
-@dataclass
-class QuotientMultigraph:
+class QuotientMultigraph(NamedTuple):
     field: Field
     orbital_index: int
     orbits: tuple[array, ...]  # ten arrays of codes
@@ -107,8 +106,7 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
                               voltages=tuple(tuple(row) for row in nmat))
 
 
-@dataclass
-class HamiltonCertificate:
+class HamiltonCertificate(NamedTuple):
     field: Field
     orbital_index: int
     cycle: tuple[int, ...]  # orbit sequence, length 10
@@ -183,61 +181,47 @@ def lift_cycle(q: QuotientMultigraph) -> HamiltonCertificate:
 
 # --- independent verification ---
 
-@dataclass
-class VerificationResult:
-    ok: bool
-    failure: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_certificate(cert: HamiltonCertificate) -> VerificationResult:
-    """Re-check a certificate from scratch.
+def verify_certificate(cert: HamiltonCertificate) -> str | None:
+    """Re-check a certificate from scratch: the text of the first failure,
+    or None when the certificate holds.
 
     Checks the header arithmetic, then tests every cycle edge with the
     O(1) adjacency rule `orbital_of`, which needs the field alone; never
     consults a group, a stored graph or a quotient.
     """
-    field, p, k = cert.field, cert.p, cert.field.order
+    field, p = cert.field, cert.p
     if not 0 <= cert.orbital_index <= 4:
-        return VerificationResult(False, f"orbital index {cert.orbital_index} out of range")
-    n = 10 * p
-    if len(cert.vertices) != n:
-        return VerificationResult(
-            False, f"cycle has {len(cert.vertices)} vertices, expected {n}")
+        return f"orbital index {cert.orbital_index} out of range"
+    verts, n = cert.vertices, 10 * p
+    if len(verts) != n:
+        return f"cycle has {len(verts)} vertices, expected {n}"
     if cert.total_voltage % p == 0:
-        return VerificationResult(False, "total voltage vanishes mod p")
+        return "total voltage vanishes mod p"
     if sorted(cert.cycle) != list(range(10)):
-        return VerificationResult(
-            False, "cycle does not visit each of the ten orbits exactly once")
+        return "cycle does not visit each of the ten orbits exactly once"
     volts = cert.chosen_voltages
     if len(volts) != 10 or not all(0 <= w < p for w in volts):
-        return VerificationResult(False, "voltages are not ten residues mod p")
+        return "voltages are not ten residues mod p"
     if cert.total_voltage != sum(volts) % p:
-        return VerificationResult(
-            False, f"total {cert.total_voltage} is not the voltage sum mod p")
+        return f"total {cert.total_voltage} is not the voltage sum mod p"
 
-    seen = bytearray(5 * (k + 1))
-    for idx, v in enumerate(cert.vertices):
+    # n = 5(k+1): n distinct codes in 0..n-1 cover every point
+    seen = bytearray(n)
+    for idx, v in enumerate(verts):
+        if not 0 <= v < n:
+            return f"vertex {idx} has code {v}, outside 0..{n - 1}"
         if seen[v]:
-            return VerificationResult(
-                False, f"vertex {idx} duplicates an earlier cycle vertex")
+            return f"vertex {idx} duplicates an earlier cycle vertex"
         seen[v] = 1
 
-    if 0 in seen:
-        return VerificationResult(
-            False, f"cycle covers {seen.count(1)} of {5 * (k + 1)} points")
     i = cert.orbital_index
     for idx in range(n):
-        v, w = cert.vertices[idx], cert.vertices[(idx + 1) % n]
+        v, w = verts[idx], verts[(idx + 1) % n]
         if orbital_of(field, v, w) != i:
             where = "closing edge" if idx == n - 1 else f"step {idx}->{idx + 1}"
-            return VerificationResult(
-                False,
-                f"{where}: {point_str(field, v)} and {point_str(field, w)} "
-                f"are not adjacent in orbital graph {i}")
-    return VerificationResult(True)
+            return (f"{where}: {point_str(field, v)} and {point_str(field, w)} "
+                    f"are not adjacent in orbital graph {i}")
+    return None
 
 
 # --- serialization ---

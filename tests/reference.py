@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from psl2ham import Field, InvariantViolation, OmegaPoint, neighborhood
+from psl2ham import Field, InvariantViolation, neighborhood
 from psl2ham.action import Mat, rep
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           DiagonalEquation, double_edge_equation)
-from util import ALPHA, code, points
+from util import ALPHA, OmegaPoint, code, points
 
 
 def coeffs(field: Field, x: int) -> tuple[int, ...]:

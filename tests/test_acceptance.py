@@ -117,7 +117,7 @@ def structural_checks(k: int) -> tuple[list, float, Field]:
         if not any(quot.mult[e][(e + 1) % 10] >= 2 for e in range(10)):
             failures.append(f"Y({i}) cycle 0..9 has no edge with d >= 2")
         cert = lift_cycle(quot)
-        if len(cert.vertices) != 10 * p or not verify_certificate(cert):
+        if len(cert.vertices) != 10 * p or verify_certificate(cert) is not None:
             failures.append(f"Y({i}) certificate bad")
     return failures, time.monotonic() - t0, field
 

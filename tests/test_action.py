@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from psl2ham import (Field, OmegaPoint, act, build_graph, parse_point,
-                     point_str, rep, s_orbits, sigma)
+from psl2ham import (Field, act, build_graph, parse_point, point_str, rep,
+                     s_orbits, sigma)
 import reference
 from reference import PSL2, from_coeffs, point_of
-from util import ALPHA, code, point, points, random_words
+from util import ALPHA, OmegaPoint, code, point, points, random_words
 
 
 def test_requires_divisibility():
@@ -176,6 +176,23 @@ def test_s_orbits_match_reference_enumeration(k, fields, groups):
     assert tuple(tuple(orb) for orb in s_orbits(F)) == expect
 
 
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_fiber_shift_commutes_with_the_action(k, fields, groups):
+    # s_orbits walks two orbits and shifts them across the fibers, which
+    # rests on act(shift(v), g) = shift(act(v, g)) for (beta, f) -> (beta, f+1)
+    F, G = fields[k], groups[k]
+    n = 5 * (k + 1)
+
+    def shift(v):
+        return (v + k + 1) % n
+
+    rng = random.Random(k + 5)
+    words = random_words(G, rng, 60)
+    for _ in range(600):
+        v, g = rng.randrange(n), rng.choice(words)
+        assert act(F, shift(v), g) == shift(act(F, v, g))
+
+
 def test_s_semiregular(field61, group61):
     for s in group61.S[1:]:
         for v in (code(field61, p) for p in points(field61)):
@@ -206,9 +223,9 @@ def test_point_serialization(field61, field81):
 
 
 def test_vertex_order_is_fiber_major(cache, field61):
-    pts = cache.graph(61, 0).vertices
-    assert pts[0] == OmegaPoint(None, 0)
-    assert pts[62] == OmegaPoint(None, 1)
-    fibers = [p.fiber for p in pts]
+    verts = cache.graph(61, 0).vertices
+    assert verts[0] == code(field61, OmegaPoint(None, 0))
+    assert verts[62] == code(field61, OmegaPoint(None, 1))
+    fibers = [point(field61, v).fiber for v in verts]
     assert fibers == sorted(fibers)
-    assert list(pts) == points(field61)
+    assert list(verts) == [code(field61, p) for p in points(field61)]

@@ -1,13 +1,28 @@
 """The package ships no test-only API: every function, class and method
 defined in src/psl2ham has a caller in src/psl2ham.  Helpers that only
-tests call belong in tests/reference.py or tests/util.py."""
+tests call belong in tests/reference.py or tests/util.py.  Importing the
+package loads neither `dataclasses` nor `inspect`."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import psl2ham
+from util import fresh_process_env
 
 SRC = Path(psl2ham.__file__).resolve().parent
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the records are NamedTuples; the child reports only what importing
+    # psl2ham adds to the modules of a bare interpreter, so a site hook
+    # that preloads either module does not count
+    probe = ("import sys; bare = set(sys.modules); import psl2ham; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=fresh_process_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_every_definition_has_a_caller_in_src():

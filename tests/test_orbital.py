@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from psl2ham import (InvariantViolation, OmegaPoint, act, build_graph,
-                     neighborhood, orbital_of, rep, s_orbits)
+from psl2ham import (InvariantViolation, act, build_graph, neighborhood,
+                     orbital_of, rep, s_orbits)
 from psl2ham.orbital import export_chunks
 import reference
 from reference import edges, point_of, suborbits, suborbits_by_h_orbits
-from util import ALPHA, code, point, points, random_words, vertex_index
+from util import (ALPHA, OmegaPoint, code, point, points, random_words,
+                  vertex_index)
 
 
 def test_suborbit_profile(field61):
@@ -95,11 +96,10 @@ def test_build_graph_matches_neighborhoods(k, cache, fields):
     index = vertex_index(field)
     for i in range(5):
         g = cache.graph(k, i)
-        assert list(g.vertices) == points(field)
-        for p, nb in zip(g.vertices, g.neighbors):
+        assert list(g.vertices) == [code(field, p) for p in points(field)]
+        for v, nb in zip(g.vertices, g.neighbors):
             assert list(nb) == sorted(
-                index[point(field, q)]
-                for q in neighborhood(field, i, code(field, p)))
+                index[point(field, q)] for q in neighborhood(field, i, v))
 
 
 def tampered(field, edit):
@@ -176,7 +176,7 @@ def test_group_elements_are_automorphisms(cache, field61, group61):
     rng = random.Random(23)
     idx = vertex_index(F)
     for w in random_words(group61, rng, 100):
-        perm = {u: idx[point(F, act(F, code(F, g.vertices[u]), w))]
+        perm = {u: idx[point(F, act(F, g.vertices[u], w))]
                 for u in range(310)}
         assert sorted(perm.values()) == list(range(310))
         for u in range(0, 310, 11):
@@ -186,8 +186,8 @@ def test_group_elements_are_automorphisms(cache, field61, group61):
 
 def test_vertex_order_deterministic(cache, field61):
     g = cache.graph(61, 1)
-    assert g.vertices[0] == OmegaPoint(None, 0)
-    assert list(g.vertices) == points(field61)
+    assert g.vertices[0] == code(field61, OmegaPoint(None, 0))
+    assert list(g.vertices) == [code(field61, p) for p in points(field61)]
 
 
 def test_edgelist_deterministic(cache):

@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from dataclasses import replace
+from array import array
 
 import pytest
 
@@ -61,7 +61,7 @@ def collapse(graph, orbits):
         for c, pt in enumerate(orb):
             row = [set() for _ in range(10)]
             for v in graph.neighbors[index[point(field, pt)]]:
-                b, w = pos[code(field, graph.vertices[v])]
+                b, w = pos[graph.vertices[v]]
                 row[b].add((w - c) % p)
             rows.add(tuple(tuple(sorted(vs)) for vs in row))
         assert len(rows) == 1, f"orbit {a}: voltages depend on the offset"
@@ -218,7 +218,7 @@ def test_lift_rejects_quotient_missing_a_cycle_edge(cache):
     q = cache.quotient(61, 0)
     volts = [list(row) for row in q.voltages]
     volts[3][4] = ()
-    crippled = replace(q, voltages=tuple(tuple(row) for row in volts))
+    crippled = q._replace(voltages=tuple(tuple(row) for row in volts))
     with pytest.raises(InvariantViolation, match="orbits 3 and 4") as exc:
         lift_cycle(crippled)
     assert exc.value.stage == "quotient"
@@ -285,7 +285,7 @@ def test_lift_cycle_switches_away_from_zero_total(cache):
 
 def test_verify_accepts_emitted(cache):
     cert = lift_cycle(cache.quotient(61, 4))
-    assert verify_certificate(cert)
+    assert verify_certificate(cert) is None
 
 
 def test_lift_survives_k81_degeneracy(cache):
@@ -295,32 +295,32 @@ def test_lift_survives_k81_degeneracy(cache):
         cert = lift_cycle(cache.quotient(81, i))
         assert cert.total_voltage % 41 != 0
         assert len(set(cert.vertices)) == 410
-        assert verify_certificate(cert)
+        assert verify_certificate(cert) is None
 
 
 def test_verify_rejects_swapped_vertices(cache):
     cert = lift_cycle(cache.quotient(61, 0))
     vs = list(cert.vertices)
     vs[10], vs[200] = vs[200], vs[10]
-    bad = replace(cert, vertices=tuple(vs))
-    res = verify_certificate(bad)
-    assert not res
-    assert "not adjacent" in res.failure
+    bad = cert._replace(vertices=tuple(vs))
+    failure = verify_certificate(bad)
+    assert failure is not None
+    assert "not adjacent" in failure
 
 
 def test_verify_rejects_duplicate_vertex(cache):
     cert = lift_cycle(cache.quotient(61, 0))
     vs = list(cert.vertices)
     vs[5] = vs[17]
-    res = verify_certificate(replace(cert, vertices=tuple(vs)))
-    assert not res
-    assert "duplicates" in res.failure
+    failure = verify_certificate(cert._replace(vertices=tuple(vs)))
+    assert failure is not None
+    assert "duplicates" in failure
 
 
 def test_verify_rejects_zero_total_voltage(cache):
     cert = lift_cycle(cache.quotient(61, 0))
-    res = verify_certificate(replace(cert, total_voltage=0))
-    assert not res and "total voltage" in res.failure
+    failure = verify_certificate(cert._replace(total_voltage=0))
+    assert failure is not None and "total voltage" in failure
 
 
 def test_verify_rejects_false_header_claims(cache):
@@ -345,9 +345,9 @@ def test_verify_rejects_false_header_claims(cache):
     }
     failures = {}
     for name, claims in forged.items():
-        res = verify_certificate(replace(cert, **claims))
-        assert not res, name
-        failures[name] = res.failure
+        failure = verify_certificate(cert._replace(**claims))
+        assert failure is not None, name
+        failures[name] = failure
     assert failures["repeated orbit"] == failures["short cycle, one voltage"] == (
         "cycle does not visit each of the ten orbits exactly once")
     for name in ("nine voltages", "voltage p", "negative voltage"):
@@ -358,18 +358,30 @@ def test_verify_rejects_false_header_claims(cache):
         assert failures[name].endswith("is not the voltage sum mod p")
 
 
+def test_verify_rejects_out_of_range_codes(cache):
+    # -1 aliases the last code 309 in the seen-set and in orbital_of, and
+    # 310 or more overruns the seen-set: each is a failure at its index
+    cert = lift_cycle(cache.quotient(61, 0))
+    idx = list(cert.vertices).index(309)
+    for bad in (-1, 310, 10**6):
+        vs = array("l", cert.vertices)
+        vs[idx] = bad
+        assert verify_certificate(cert._replace(vertices=vs)) == (
+            f"vertex {idx} has code {bad}, outside 0..309")
+
+
 def test_verify_checks_zero_total_before_other_claims(cache):
     cert = lift_cycle(cache.quotient(61, 0))
-    res = verify_certificate(replace(cert, cycle=(0,) * 9, total_voltage=0))
-    assert res.failure == "total voltage vanishes mod p"
+    bad = cert._replace(cycle=(0,) * 9, total_voltage=0)
+    assert verify_certificate(bad) == "total voltage vanishes mod p"
 
 
 def test_verify_closing_edge(cache):
     cert = lift_cycle(cache.quotient(61, 0))
     vs = list(cert.vertices)
     # rotating by one vertex keeps every adjacency, so stay valid
-    rotated = replace(cert, vertices=tuple(vs[1:] + vs[:1]))
-    assert verify_certificate(rotated)
+    rotated = cert._replace(vertices=tuple(vs[1:] + vs[:1]))
+    assert verify_certificate(rotated) is None
 
 
 def test_certificate_text_round_trip(cache):
@@ -377,7 +389,7 @@ def test_certificate_text_round_trip(cache):
     text = certificate_to_text(cert)
     cert2 = parse_certificate(text)
     assert (cert2.field.s, cert2.field.m, cert2.p) == (61, 1, 31)
-    assert replace(cert2, field=cert.field) == cert
+    assert cert2._replace(field=cert.field) == cert
     assert certificate_to_text(cert2) == text
 
 
@@ -386,8 +398,8 @@ def test_certificate_round_trip_extension_field(cache):
     text = certificate_to_text(cert)
     cert2 = parse_certificate(text)
     assert (cert2.field.s, cert2.field.m, cert2.p) == (3, 4, 41)
-    assert replace(cert2, field=cert.field) == cert
-    assert verify_certificate(cert2)
+    assert cert2._replace(field=cert.field) == cert
+    assert verify_certificate(cert2) is None
 
 
 def test_parse_rejects_malformed():
@@ -400,9 +412,9 @@ def test_parse_rejects_malformed():
 def test_corrupt_quotient_raises(cache):
     q = cache.quotient(61, 0)
     # single-voltage edges everywhere with zero sum cannot be fixed
-    crippled = replace(
-        q, voltages=tuple(tuple((0,) if a != b else () for b in range(10))
-                          for a in range(10)))
+    crippled = q._replace(
+        voltages=tuple(tuple((0,) if a != b else () for b in range(10))
+                       for a in range(10)))
     with pytest.raises(InvariantViolation, match="no voltage selection"):
         lift_cycle(crippled)
 
@@ -414,7 +426,7 @@ def test_hamilton_path_memory_is_linear_in_codes():
     tracemalloc.start()
     try:
         cert = lift_cycle(build_quotient(field, 0))
-        assert verify_certificate(cert)
+        assert verify_certificate(cert) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,9 +2,15 @@
 
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import psl2ham
-from psl2ham import OmegaPoint
+
+
+class OmegaPoint(NamedTuple):
+    """A point as its label; the package carries it as the int `code`."""
+    beta: int | None  # None encodes the point at infinity
+    fiber: int
 
 
 def random_words(group, rng, count, length=8):
