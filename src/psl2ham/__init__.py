@@ -11,32 +11,32 @@ quotient multigraph of an orbital graph over those orbits, from 20
 matrix-form neighborhoods -> voltage selection and lifting over the
 quotient cycle 0..9 -> a certificate that carries its field, re-verified
 by an O(1) rule on labels.  Every point is one int code; `point_str` and
-`parse_point` are its text.  Records are NamedTuples.
+`parse_point` are its text.  Records are NamedTuples.  The command line,
+`psl2ham.cli`, only parses arguments and is not imported here.
 """
 
 from .action import act, parse_point, point_str, rep, s_orbits, sigma
-from .cli import list_instances, run_pipeline
 from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
                    double_edge_equation, m_pairs, solution_profile,
                    weil_check)
 from .errors import InvariantViolation, ParameterError
-from .gf import Field, is_prime
+from .gf import Field, is_prime, list_instances
 from .orbital import OrbitalGraph, build_graph, neighborhood, orbital_of
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        build_quotient, certificate_to_text, lift_cycle,
-                       parse_certificate, unroll_lift, verify_certificate)
+                       parse_certificate, run_pipeline, unroll_lift,
+                       verify_certificate)
 
 __all__ = [
     "act", "parse_point", "point_str", "rep", "s_orbits", "sigma",
-    "list_instances", "run_pipeline",
     "DiagonalEquation", "SolutionProfile", "WeilReport",
     "double_edge_equation", "m_pairs", "solution_profile", "weil_check",
     "InvariantViolation", "ParameterError",
-    "Field", "is_prime",
+    "Field", "is_prime", "list_instances",
     "OrbitalGraph", "build_graph", "neighborhood", "orbital_of",
     "HamiltonCertificate", "QuotientMultigraph", "build_quotient",
-    "certificate_to_text", "lift_cycle", "parse_certificate", "unroll_lift",
-    "verify_certificate",
+    "certificate_to_text", "lift_cycle", "parse_certificate", "run_pipeline",
+    "unroll_lift", "verify_certificate",
 ]
 
 __version__ = "0.1.0"

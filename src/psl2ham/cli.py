@@ -1,8 +1,9 @@
-"""Command-line surface: instance discovery, graph construction,
-certificate emission, independent verification.
+"""Command-line surface: argument parsing, output and exit codes for
+instance discovery, graph construction, certificate emission and
+independent verification.
 
-Each command that takes --k or --s/--m checks (s, m) and builds the one
-`Field` the rest of the run works from.  `full-graph` emits the
+Each command that takes --k checks it, factors it as s^m and builds the
+one `Field` the rest of the run works from.  `full-graph` emits the
 `hamilton` certificate of Y(min S), a subgraph of the union of the chosen
 orbital graphs.
 
@@ -17,11 +18,10 @@ import sys
 
 from .diag import solvability_report
 from .errors import InvariantViolation, ParameterError
-from .gf import Field, admissible, is_prime, prime_factors
+from .gf import Field, admissible, factor_prime_power, list_instances
 from .orbital import build_graph, export_chunks
-from .quotient import (HamiltonCertificate, QuotientMultigraph, build_quotient,
-                       certificate_to_text, lift_cycle, parse_certificate,
-                       verify_certificate)
+from .quotient import (QuotientMultigraph, build_quotient, certificate_to_text,
+                       parse_certificate, run_pipeline, verify_certificate)
 
 DESK_SCALE_MAX_K = 5000
 # trial division up to sqrt(k) is then at most 2^16 steps, and no larger
@@ -29,72 +29,19 @@ DESK_SCALE_MAX_K = 5000
 MAX_K = 2**32
 
 
-def factor_prime_power(k: int) -> tuple[int, int]:
-    """k = s^m with s prime, else ParameterError."""
-    factors = prime_factors(k)
-    if len(factors) != 1:
-        raise ParameterError(f"k = {k} is not a prime power")
-    s, m = factors[0], 1
-    while s**m < k:
-        m += 1
-    return s, m
-
-
-def list_instances(max_k: int) -> list[tuple[int, int]]:
-    """All admissible (s, m) with 61 <= s^m <= max_k."""
-    out = []
-    for k in range(61, max_k + 1):
-        if admissible(k):
-            try:
-                out.append(factor_prime_power(k))
-            except ParameterError:  # not a prime power
-                pass
-    return out
-
-
-def run_pipeline(field: Field, i: int) -> HamiltonCertificate:
-    """quotient -> lift -> verify."""
-    cert = lift_cycle(build_quotient(field, i))
-    failure = verify_certificate(cert)
-    if failure:
-        raise InvariantViolation(
-            f"emitted certificate failed verification: {failure}",
-            stage="verify")
-    return cert
-
-
-# --- argument handling ---
-
 def _add_instance_args(sp):
-    sp.add_argument("--s", type=int, help="prime characteristic")
-    sp.add_argument("--m", type=int, default=1, help="extension degree (default 1)")
-    sp.add_argument("--k", type=int, help="field order s^m (alternative to --s/--m)")
+    sp.add_argument("--k", type=int, required=True, help="field order s^m")
     sp.add_argument("--out", default=None)
 
 
 def _resolve_params(args) -> tuple[int, int]:
-    """The checked (s, m) of --k or --s/--m."""
-    if args.k is not None:
-        if args.s is not None:
-            raise ParameterError("give either --k or --s/--m, not both")
-        if args.k > MAX_K:
-            raise ParameterError(f"k = {args.k} exceeds the limit {MAX_K}")
-        s, m = factor_prime_power(args.k)
-    elif args.s is not None:
-        s, m = args.s, args.m
-        # bounded before the power: a prime s is >= 2, so m > 32 exceeds it
-        if s > MAX_K or m > 32 or s**m > MAX_K:
-            raise ParameterError(
-                f"s = {s}, m = {m}: k = s^m exceeds the limit {MAX_K}")
-    else:
-        raise ParameterError("one of --k or --s is required")
-    if not is_prime(s):
-        raise ParameterError(f"s = {s} is not prime")
-    if m < 1:
-        raise ParameterError(f"m = {m} must be >= 1")
-    if not admissible(s**m):
+    """The checked (s, m) of --k."""
+    if args.k > MAX_K:
+        raise ParameterError(f"k = {args.k} exceeds the limit {MAX_K}")
+    s, m = factor_prime_power(args.k)
+    if not admissible(args.k):
         raise ParameterError(
-            f"k = {s**m} is not admissible: need 10 | k-1 and (k+1)/2 prime")
+            f"k = {args.k} is not admissible: need 10 | k-1 and (k+1)/2 prime")
     return s, m
 
 
@@ -134,9 +81,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_instance_args(sp)
     sp.add_argument("--orbital", type=int, default=0)
     sp.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
-    sp.add_argument("--allow-large", action="store_true",
-                    help=f"lift the k <= {DESK_SCALE_MAX_K} guard of this command "
-                         f"(every command takes k <= {MAX_K})")
 
     sp = sub.add_parser("quotient", help="print the quotient multigraph")
     _add_instance_args(sp)
@@ -184,10 +128,10 @@ def run(argv=None) -> int:
 
         if args.command == "build":
             s, m = _resolve_params(args)
-            if s**m > DESK_SCALE_MAX_K and not args.allow_large:  # k^2 work
+            if args.k > DESK_SCALE_MAX_K:  # k^2 work
                 raise ParameterError(
-                    f"k = {s**m} exceeds the desk-scale guard "
-                    f"{DESK_SCALE_MAX_K} of build; pass --allow-large to proceed")
+                    f"k = {args.k} exceeds the desk-scale guard "
+                    f"{DESK_SCALE_MAX_K} of build")
             graph = build_graph(Field(s, m), args.orbital)
             _write_out(export_chunks(graph, args.format), args.out)
             return 0

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from itertools import product
 
+from .errors import ParameterError
+
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate at this scale."""
@@ -55,6 +57,29 @@ def prime_factors(n: int) -> list[int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
+    return out
+
+
+def factor_prime_power(k: int) -> tuple[int, int]:
+    """k = s^m with s prime, else ParameterError."""
+    factors = prime_factors(k)
+    if len(factors) != 1:
+        raise ParameterError(f"k = {k} is not a prime power")
+    s, m = factors[0], 1
+    while s**m < k:
+        m += 1
+    return s, m
+
+
+def list_instances(max_k: int) -> list[tuple[int, int]]:
+    """All admissible (s, m) with 61 <= s^m <= max_k."""
+    out = []
+    for k in range(61, max_k + 1):
+        if admissible(k):
+            try:
+                out.append(factor_prime_power(k))
+            except ParameterError:  # not a prime power
+                pass
     return out
 
 

@@ -15,7 +15,7 @@ The certificate holds its field, the walk, the chosen voltages and the
 full vertex cycle, and can be re-verified from scratch with the O(1)
 adjacency rule `orbital.orbital_of`, which needs only the field and is
 derived independently of the matrix-form neighborhoods the quotient is
-built from.
+built from.  `run_pipeline` chains quotient, lift and verify.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .action import parse_point, point_str, s_orbits
 from .errors import InvariantViolation
-from .gf import Field, admissible
+from .gf import Field, admissible, factor_prime_power
 from .orbital import neighborhood, orbital_of
 
 CERT_FORMAT = "psl2ham-certificate"
@@ -224,6 +224,17 @@ def verify_certificate(cert: HamiltonCertificate) -> str | None:
     return None
 
 
+def run_pipeline(field: Field, i: int) -> HamiltonCertificate:
+    """quotient -> lift -> verify."""
+    cert = lift_cycle(build_quotient(field, i))
+    failure = verify_certificate(cert)
+    if failure:
+        raise InvariantViolation(
+            f"emitted certificate failed verification: {failure}",
+            stage="verify")
+    return cert
+
+
 # --- serialization ---
 
 def certificate_to_text(cert: HamiltonCertificate) -> str:
@@ -267,12 +278,11 @@ def parse_certificate(text: str) -> HamiltonCertificate:
 
     s, m, k, p = (int(fields[x]) for x in ("s", "m", "k", "p"))
     body = lines[10:]
-    # GF(k) has 5(k+1) points, so these bound every table by the input size
-    if m < 1 or s < 2 or k > len(body):
-        raise ValueError(f"header s={s}, m={m}, k={k} does not fit "
-                         f"{len(body)} vertex lines")
-    if m > k.bit_length() or s**m != k:
-        raise ValueError(f"s^m does not match k = {k}")
+    # GF(k) has 5(k+1) points, so this bounds every table by the input size
+    if k > len(body):
+        raise ValueError(f"header k = {k} does not fit {len(body)} vertex lines")
+    if factor_prime_power(k) != (s, m):
+        raise ValueError(f"s = {s}, m = {m} do not factor k = {k}")
     if p != (k + 1) // 2 or not admissible(k):
         raise ValueError(f"k = {k}, p = {p} is not an admissible instance")
     field = Field(s, m)

@@ -8,9 +8,8 @@ import pytest
 
 from psl2ham import (ParameterError, list_instances, orbital_of,
                      parse_certificate, run_pipeline, verify_certificate)
-from psl2ham.cli import (DESK_SCALE_MAX_K, _resolve_params, factor_prime_power,
-                         make_parser, run)
-from psl2ham.gf import admissible
+from psl2ham.cli import DESK_SCALE_MAX_K, _resolve_params, make_parser, run
+from psl2ham.gf import admissible, factor_prime_power
 from util import code, fresh_process_env, points
 
 
@@ -26,23 +25,21 @@ def test_list_instances():
 NOT_ADMISSIBLE = "is not admissible: need 10 | k-1 and (k+1)/2 prime"
 TOO_LARGE = "exceeds the limit 4294967296"
 K76 = str(10**75 + 129)  # a 76-digit prime
+# ids name k by its (s, m), or by its digit count
 OVERSIZED = [
-    ("s2-m1e8", ["--s", "2", "--m", "100000000"],
-     f"s = 2, m = 100000000: k = s^m {TOO_LARGE}"),
-    ("s11-m64", ["--s", "11", "--m", "64"], f"s = 11, m = 64: k = s^m {TOO_LARGE}"),
+    ("s2-m33", ["--k", str(2**33)], f"k = {2**33} {TOO_LARGE}"),
+    ("s11-m64", ["--k", str(11**64)], f"k = {11**64} {TOO_LARGE}"),
     ("k76", ["--k", K76], f"k = {K76} {TOO_LARGE}"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", [
-    pytest.param(["--s", "41"], f"k = 41 {NOT_ADMISSIBLE}",  # 21 = 3*7
+    pytest.param(["--k", "41"], f"k = 41 {NOT_ADMISSIBLE}",  # 21 = 3*7
                  id="s41"),
-    pytest.param(["--s", "4"], "s = 4 is not prime", id="s4"),
-    pytest.param(["--s", "13"], f"k = 13 {NOT_ADMISSIBLE}",  # 10 does not divide 12
+    pytest.param(["--k", "13"], f"k = 13 {NOT_ADMISSIBLE}",  # 10 does not divide 12
                  id="s13"),
-    pytest.param(["--s", "3", "--m", "3"], f"k = 27 {NOT_ADMISSIBLE}",  # 27 < 61
+    pytest.param(["--k", "27"], f"k = 27 {NOT_ADMISSIBLE}",  # 27 < 61
                  id="s3-m3"),
-    pytest.param(["--s", "61", "--m", "0"], "m = 0 must be >= 1", id="s61-m0"),
 ] + [pytest.param(argv, message, id=i) for i, argv, message in OVERSIZED])
 def test_instance_params_validation(argv, message, capsys):
     assert run(["hamilton"] + argv) == 2
@@ -51,19 +48,20 @@ def test_instance_params_validation(argv, message, capsys):
 
 @pytest.mark.parametrize("argv", [argv for _, argv, _ in OVERSIZED])
 def test_oversized_params_are_rejected_before_any_arithmetic(argv, monkeypatch):
-    # the power, trial division and primality test are unbounded in the input
+    # trial division and the primality test are unbounded in the input
     def refuse(*args):
         raise AssertionError("number theory on an oversized input")
 
-    for name in ("is_prime", "prime_factors", "admissible", "Field"):
-        monkeypatch.setattr(f"psl2ham.cli.{name}", refuse)
+    for name in ("gf.prime_factors", "gf.is_prime", "gf.admissible",
+                 "cli.admissible", "cli.Field"):
+        monkeypatch.setattr(f"psl2ham.{name}", refuse)
     tracemalloc.start()
     try:
         assert run(["hamilton"] + argv) == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20  # 2^(10^8) alone would take 12.5 MB
+    assert peak < 2**20
 
 
 def test_one_admissibility_rule_for_params_and_listing(capsys):
@@ -174,6 +172,9 @@ def test_cli_verify_short_consistent_body_exits_4(tmp_path):
     assert run(["verify", "--cert", str(cert)]) == 4
 
 
+INSTANCE_COMMANDS = ("build", "quotient", "hamilton", "weil-report", "full-graph")
+
+
 def test_cli_large_k_guard_is_for_build_only(tmp_path, capsys):
     # hamilton and verify are linear in the 10p points; only build is quadratic
     assert 5101 > DESK_SCALE_MAX_K
@@ -183,12 +184,29 @@ def test_cli_large_k_guard_is_for_build_only(tmp_path, capsys):
     assert "certificate OK: 25510 vertices" in capsys.readouterr().out
     assert run(["build", "--k", "5101"]) == 2
     assert "desk-scale guard" in capsys.readouterr().err
-    # so no other command takes the flag
-    for command in ("quotient", "hamilton", "weil-report", "full-graph"):
+    # a fixed guard: no command, build included, takes a flag to lift it
+    for command in INSTANCE_COMMANDS:
         with pytest.raises(SystemExit) as exc:
             run([command, "--k", "61", "--allow-large"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --allow-large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param([command, "--k", "61", *flag],
+                 f"unrecognized arguments: {' '.join(flag)}",
+                 id=f"{command}{flag[0]}")
+    for command in INSTANCE_COMMANDS for flag in (["--s", "61"], ["--m", "1"])
+] + [
+    # k alone names an instance; this one used to die of 0 ** -1
+    pytest.param(["hamilton", "--s", "0", "--m", "-1"],
+                 "the following arguments are required: --k", id="s0-m-1"),
+])
+def test_cli_takes_no_s_or_m(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 HOSTILE_HEADERS = [
@@ -197,6 +215,8 @@ HOSTILE_HEADERS = [
     (1, 7, 1, 3),            # s < 2
     (2, 10**6, 64, 70),      # m far above k.bit_length()
     (3, 4, 82, 90),          # s^m != k
+    (9, 2, 81, 90),          # s^m = k, but s is not prime
+    (81, 1, 81, 90),         # s = k = 81 is not prime
     (7, 1, 7, 7),            # 10 does not divide k-1
     (31, 1, 31, 31),         # p = 16 is not prime
 ]
@@ -249,7 +269,7 @@ def test_cli_parameter_errors(tmp_path, monkeypatch, capsys):
 def test_cli_determinism(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):
-        assert run(["hamilton", "--s", "3", "--m", "4", "--orbital", "2",
+        assert run(["hamilton", "--k", "81", "--orbital", "2",
                     "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
     ea, eb = tmp_path / "a.edges", tmp_path / "b.edges"

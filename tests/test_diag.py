@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from psl2ham import (DiagonalEquation, Field, double_edge_equation, m_pairs,
-                     solution_profile, weil_check)
+from psl2ham import (DiagonalEquation, Field, double_edge_equation,
+                     list_instances, m_pairs, solution_profile, weil_check)
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           le_times_sqrt, solvability_report)
 from reference import equation_for_orbit_pair
@@ -305,6 +305,36 @@ def test_specialized_lower_bound():
             n = solution_profile(F, eq).nonzero_x2
             # n >= k - 8*sqrt(k) - 3, decided exactly
             assert le_times_sqrt(k - 3 - n, 8, k)
+
+
+@pytest.mark.parametrize("s,m", [pytest.param(s, m, id=str(s**m))
+                                 for s, m in list_instances(2500)])
+def test_the_bound_forces_a_double_edge_from_k_121_on(s, m):
+    # the existence argument: every deciding equation has (d1, d2, M) =
+    # (2, 10, 1), so |N - k| <= 8*sqrt(k) + 1; at most 2 solutions have
+    # y = 0 and at most 10 have x1 = 0, so N(x1 != 0, y != 0) >= k -
+    # 8*sqrt(k) - 13, which is positive exactly from k = 121 on
+    F = Field(s, m)
+    k = F.order
+    eqs = {double_edge_equation(F, pair_type, i, j, n) for pair_type, i, j, n
+           in product((PAIR_INF_INF, PAIR_INF_ZERO), *[range(5)] * 3)}
+    assert len(eqs) == 26
+    assert m_pairs(2, 10) == 1
+    forced = not le_times_sqrt(k - 13, 8, k)
+    assert forced == (k >= 121)
+    both = []
+    for eq in eqs:
+        rep = weil_check(F, eq)
+        assert (rep.d1, rep.d2, rep.M) == (2, 10, 1) and rep.holds
+        prof = rep.profile
+        assert prof.total - prof.nonzero_x2 <= 2
+        assert prof.nonzero_x2 - prof.nonzero_both <= 10
+        assert le_times_sqrt(k - 13 - prof.nonzero_both, 8, k)
+        both.append(prof.nonzero_both)
+    if forced:
+        assert min(both) > 0
+    elif k == 81:
+        assert min(both) == 0  # the GF(9) degeneracy: some pair has d = 1
 
 
 def test_report_rows(field61):

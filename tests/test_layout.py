@@ -1,7 +1,7 @@
 """The package ships no test-only API: every function, class and method
 defined in src/psl2ham has a caller in src/psl2ham.  Helpers that only
 tests call belong in tests/reference.py or tests/util.py.  Importing the
-package loads neither `dataclasses` nor `inspect`."""
+package loads none of `dataclasses`, `inspect` and `argparse`."""
 
 import ast
 import subprocess
@@ -14,12 +14,14 @@ from util import fresh_process_env
 SRC = Path(psl2ham.__file__).resolve().parent
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # the records are NamedTuples; the child reports only what importing
-    # psl2ham adds to the modules of a bare interpreter, so a site hook
-    # that preloads either module does not count
+def test_import_loads_no_dataclasses_inspect_or_argparse():
+    # the records are NamedTuples and the package does not import its
+    # command line; the child reports only what importing psl2ham adds to
+    # the modules of a bare interpreter, so a site hook that preloads one
+    # of them does not count
     probe = ("import sys; bare = set(sys.modules); import psl2ham; "
-             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
+             "print(sorted({'dataclasses', 'inspect', 'argparse'} "
+             "& (set(sys.modules) - bare)))")
     out = subprocess.run([sys.executable, "-c", probe], env=fresh_process_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
