@@ -21,7 +21,7 @@ from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
                    weil_check)
 from .errors import InvariantViolation, ParameterError
 from .gf import Field, is_prime, list_instances
-from .orbital import OrbitalGraph, build_graph, neighborhood, orbital_of
+from .orbital import build_graph, neighborhood, orbital_of
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        build_quotient, certificate_to_text, lift_cycle,
                        parse_certificate, run_pipeline, unroll_lift,
@@ -33,7 +33,7 @@ __all__ = [
     "double_edge_equation", "m_pairs", "solution_profile", "weil_check",
     "InvariantViolation", "ParameterError",
     "Field", "is_prime", "list_instances",
-    "OrbitalGraph", "build_graph", "neighborhood", "orbital_of",
+    "build_graph", "neighborhood", "orbital_of",
     "HamiltonCertificate", "QuotientMultigraph", "build_quotient",
     "certificate_to_text", "lift_cycle", "parse_certificate", "run_pipeline",
     "unroll_lift", "verify_certificate",

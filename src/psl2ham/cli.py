@@ -128,12 +128,14 @@ def run(argv=None) -> int:
 
         if args.command == "build":
             s, m = _resolve_params(args)
-            if args.k > DESK_SCALE_MAX_K:  # k^2 work
+            if args.k > DESK_SCALE_MAX_K:  # k^2 time and output lines
                 raise ParameterError(
                     f"k = {args.k} exceeds the desk-scale guard "
                     f"{DESK_SCALE_MAX_K} of build")
-            graph = build_graph(Field(s, m), args.orbital)
-            _write_out(export_chunks(graph, args.format), args.out)
+            field = Field(s, m)
+            rows = build_graph(field, args.orbital)  # every check runs here
+            _write_out(export_chunks(field, args.orbital, rows, args.format),
+                       args.out)
             return 0
 
         if args.command == "quotient":

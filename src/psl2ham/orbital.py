@@ -17,16 +17,16 @@ t^-f has c = theta^-(f+f') (beta' - beta), or +-theta^-(f+f') when one
 beta is inf, so it lies in long suborbit i, the finite points of fiber i.
 
 Every function here takes the field.  `orbital_of` applies the rule in
-O(1) and `build_graph` reads whole rows off it; `neighborhood` keeps the
-matrix form as the independent derivation the quotient is built from.
-Graphs are stored as sorted neighbor lists over a fixed vertex order, and
-`export_chunks` streams their byte-stable text one vertex row at a time.
+O(1); `neighborhood` keeps the matrix form as the independent derivation
+the quotient is built from.  `build_graph` checks Y(i) on the k^2 classes
+chi(x - beta) and reads its rows off them one at a time, and
+`export_chunks` streams the byte-stable text of those rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple
+from itertools import compress
 
 from .action import point_str, rep
 from .errors import InvariantViolation
@@ -72,96 +72,92 @@ def orbital_of(field: Field, v: int, w: int) -> int | None:
     return (v // k1 + w // k1) % 5
 
 
-class OrbitalGraph(NamedTuple):
-    i: int
-    field: Field
-    vertices: tuple[int, ...]  # codes: fiber-major, inf first, then lex
-    neighbors: tuple[tuple[int, ...], ...]  # sorted vertex indices
+def build_graph(field: Field, i: int):
+    """Check the i-th basic orbital graph and return an iterator over its
+    rows, the sorted indices of each vertex's neighbors, in vertex order:
+    fiber-major, infinity first, then coordinate-lex.
 
-
-def build_graph(field: Field, i: int) -> OrbitalGraph:
-    """Construct the i-th basic orbital graph and check its invariants.
-
-    Vertex order is fiber-major, infinity first, then coordinate-lex.  By
-    the rule, (beta, f) has in fiber g the point inf when f + g = i and
-    the beta' with chi(beta' - beta) = f + g - i.  So one row of
-    chi(x - beta), split into its classes, gives the sorted neighbors of
-    the five vertices over beta.
+    By the rule, (beta, f) has in fiber g the point inf when f + g = i and
+    the beta' with chi(beta' - beta) = f + g - i.  So the rows are read off
+    one byte table, cls[j*k + x] = chi(lex[x] - lex[j]), and the checks
+    run on it before this returns.  Each is exact:
+    - degree and loop: (beta, f) has 1 + #{x : chi(x - beta) != 5}
+      neighbors, and a loop iff 2f = i + chi(0), so each vertex over beta
+      has k neighbors and no loop iff row beta holds one 5, on the diagonal;
+    - symmetry: the rule is symmetric in f and f', so Y(i) is iff cls is;
+    - connectivity: the finite points of fiber f are all joined to
+      (inf, i - f), so Y(i) is connected iff these five stars are.  Stars
+      f and g meet iff class f + g - i (mod 5) occurs in the table.
     """
     if not 0 <= i <= 4:
         raise ValueError(f"orbital index {i} out of range")
     F, k = field, field.order
     if (k - 1) % 10:
         raise ValueError("coset space requires 10 | k-1")
-    sub, lex = F.sub, F.elements_lex
-    verts = tuple(f * (k + 1) + r for f in range(5)
-                  for r in (0, *(beta + 1 for beta in lex)))
-    n = len(verts)
-    ids = list(range(n))  # one int object per vertex index, shared by all rows
-    fibers = [ids[g * (k + 1):(g + 1) * (k + 1)] for g in range(5)]
+    sub, lex, k1 = F.sub, F.elements_lex, k + 1
     # class 5 holds x - beta = 0 (log[0] is None): no edge
     chi = [5 if e is None else e % 5 for e in F._log]
-    neighbors = [None] * n
-    for f in range(5):
-        neighbors[f * (k + 1)] = tuple(fibers[(i - f) % 5][1:])
-    for j, beta in enumerate(lex, start=1):
-        classes = [[] for _ in range(6)]
-        for pos, x in enumerate(lex, start=1):
-            classes[chi[sub(x, beta)]].append(pos)
-        for f in range(5):
-            nb = []
-            for g, fib in enumerate(fibers):
-                c = (f + g - i) % 5
-                if c == 0:
-                    nb.append(fib[0])
-                nb += [fib[pos] for pos in classes[c]]
-            neighbors[f * (k + 1) + j] = tuple(nb)
-    for u, nb in enumerate(neighbors):
-        if len(nb) != k:
+    cls = bytes(chi[sub(x, beta)] for beta in lex for x in lex)
+
+    for j, beta in enumerate(lex):
+        row = cls[j * k:(j + 1) * k]
+        if row.count(5) != 1:
             raise InvariantViolation(
-                f"vertex {point_str(F, verts[u])} has {len(nb)} neighbors, "
-                f"expected {k}", stage="orbital")
-        if u in nb:
-            raise InvariantViolation(f"loop at vertex {point_str(F, verts[u])}",
-                                     stage="orbital")
-    # symmetry: every row equals the same row of the transpose
-    transpose = [[] for _ in range(n)]
-    for u, nb in zip(ids, neighbors):
-        for v in nb:
-            transpose[v].append(u)
-    for v, nb in enumerate(neighbors):
-        if tuple(transpose[v]) != nb:
-            u = min(set(nb) ^ set(transpose[v]))
+                f"vertex {point_str(F, beta + 1)} has {k1 - row.count(5)} "
+                f"neighbors, expected {k}", stage="orbital")
+        if row[j] != 5:
+            f = 3 * (i + row[j]) % 5  # 2f = i + chi(0)
             raise InvariantViolation(
-                f"asymmetric adjacency between {point_str(F, verts[u])} and "
-                f"{point_str(F, verts[v])}", stage="orbital")
-    # connectivity (breadth-first search)
-    seen, frontier = {0}, {0}
-    while frontier:
-        frontier = set().union(*map(neighbors.__getitem__, frontier)) - seen
-        seen |= frontier
-    if len(seen) != n:
+                f"loop at vertex {point_str(F, f * k1 + beta + 1)}",
+                stage="orbital")
+        if row != cls[j::k]:
+            x = next(x for x in range(k) if row[x] != cls[x * k + j])
+            # the edge of the smaller class is there one way only
+            g = (i + min(row[x], cls[x * k + j])) % 5
+            raise InvariantViolation(
+                f"asymmetric adjacency between {point_str(F, beta + 1)} and "
+                f"{point_str(F, g * k1 + lex[x] + 1)}", stage="orbital")
+    # one class c pairs star f with star i + c - f, and two classes a, b
+    # give the shift f -> f + a - b, which reaches all five
+    present = [c for c in range(5) if c in cls]
+    if len(present) < 2:  # vertex 0, (inf, 0), is in star i
         raise InvariantViolation(
-            f"orbital graph {i} is disconnected ({len(seen)}/{n} reached)",
-            stage="orbital")
-    return OrbitalGraph(i=i, field=field, vertices=verts,
-                        neighbors=tuple(neighbors))
+            f"orbital graph {i} is disconnected "
+            f"({len({i, *present}) * k1}/{5 * k1} reached)", stage="orbital")
+
+    fibers = [list(range(g * k1, (g + 1) * k1)) for g in range(5)]
+    masks = [bytes(b == c for b in range(256)) for c in range(5)]
+
+    def rows():
+        for f in range(5):
+            yield fibers[(i - f) % 5][1:]
+            for j in range(k):
+                # with chi read as 0 for inf, in front of the finite points
+                row = b"\0" + cls[j * k:(j + 1) * k]
+                hits = [row.translate(m) for m in masks]
+                nb = []
+                for g, fiber in enumerate(fibers):
+                    nb += compress(fiber, hits[(f + g - i) % 5])
+                yield nb
+
+    return rows()
 
 
 # --- exports ---
 
-def export_chunks(graph: OrbitalGraph, fmt: str):
-    """The edge list, or with fmt "dot" the DOT text, one chunk per vertex
-    row with edges: each undirected edge once, (u, v) with u < v, u-major
-    order."""
-    F = graph.field
-    labels = [point_str(F, v) for v in graph.vertices]
+def export_chunks(field: Field, i: int, rows, fmt: str):
+    """The edge list of Y(i) given its rows from `build_graph`, or with fmt
+    "dot" the DOT text, one chunk per vertex row with edges: each
+    undirected edge once, (u, v) with u < v, u-major order."""
+    F, k1 = field, field.order + 1
+    labels = [point_str(F, f * k1 + r) for f in range(5)
+              for r in (0, *(beta + 1 for beta in F.elements_lex))]
     if fmt == "dot":
-        yield f'graph "Y{graph.i}_k{F.order}" {{\n'
+        yield f'graph "Y{i}_k{F.order}" {{\n'
         head, end = '  "{}" -- "', '";\n'
     else:
         head, end = "{} ", "\n"
-    for u, nb in enumerate(graph.neighbors):
+    for u, nb in enumerate(rows):
         later = [labels[v] for v in nb[bisect_right(nb, u):]]
         if later:  # each line is head(u) + label(v) + end
             h = head.format(labels[u])

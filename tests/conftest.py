@@ -1,7 +1,8 @@
 import pytest
 
-from psl2ham import Field, build_graph, build_quotient
+from psl2ham import Field, build_quotient
 from reference import PSL2
+from util import held_graph
 
 INSTANCE_KS = {61: (61, 1), 81: (3, 4), 121: (11, 2)}
 
@@ -46,7 +47,7 @@ class GraphCache:
 
     def graph(self, k, i):
         if (k, i) not in self._graphs:
-            self._graphs[(k, i)] = build_graph(self.fields[k], i)
+            self._graphs[(k, i)] = held_graph(self.fields[k], i)
         return self._graphs[(k, i)]
 
     def quotient(self, k, i):

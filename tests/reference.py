@@ -77,7 +77,7 @@ def act(field: Field, v: int, g: Mat) -> int:
 
 
 def edges(graph):
-    """Each undirected edge of an OrbitalGraph once, (u, v) with u < v."""
+    """Each undirected edge of a `util.HeldGraph` once, (u, v) with u < v."""
     for u, nb in enumerate(graph.neighbors):
         for v in nb:
             if v > u:

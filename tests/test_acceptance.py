@@ -23,14 +23,14 @@ import time
 
 import pytest
 
-from psl2ham import (DiagonalEquation, Field, build_graph, build_quotient,
+from psl2ham import (DiagonalEquation, Field, build_quotient,
                      certificate_to_text, double_edge_equation, lift_cycle,
                      s_orbits, solution_profile, unroll_lift,
                      verify_certificate, weil_check)
 from psl2ham.diag import le_times_sqrt
 from psl2ham.gf import is_prime
 from reference import PSL2, equation_for_orbit_pair, mulclose, suborbits
-from util import fresh_process_env
+from util import fresh_process_env, held_graph
 
 PRIME_POWERS_TO_121 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
@@ -91,7 +91,9 @@ def structural_checks(k: int) -> tuple[list, float, Field]:
         failures.append("S-orbits are not ten of size (k+1)/2")
 
     for i in range(5):
-        graph = build_graph(field, i)  # raises on asymmetry/disconnection
+        # build_graph raises on a wrong degree, a loop, asymmetry or
+        # disconnection; test_orbital re-checks the last two on the rows
+        graph = held_graph(field, i)
         if len(graph.vertices) != 5 * (k + 1):
             failures.append(f"|Omega| = {len(graph.vertices)}, expected {5 * (k + 1)}")
         degrees = {len(nb) for nb in graph.neighbors}

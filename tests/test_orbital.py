@@ -1,12 +1,15 @@
 """Suborbits and orbital graphs: sizes, symmetry, regularity, exports."""
 
 import copy
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from psl2ham import (InvariantViolation, act, build_graph, neighborhood,
-                     orbital_of, rep, s_orbits)
+from psl2ham import (Field, InvariantViolation, act, build_graph,
+                     neighborhood, orbital_of, point_str, rep, s_orbits)
+from psl2ham.cli import run
 from psl2ham.orbital import export_chunks
 import reference
 from reference import edges, point_of, suborbits, suborbits_by_h_orbits
@@ -148,6 +151,32 @@ def test_build_graph_checks_raise(field61, edit, message):
     build_graph(field61, 0)
 
 
+@pytest.mark.parametrize("fmt", ["edgelist", "dot"])
+def test_build_checks_come_before_output(fmt, field61, tmp_path, monkeypatch):
+    path = tmp_path / "g.txt"
+    monkeypatch.setattr("psl2ham.cli.Field",
+                        lambda s, m: tampered(field61, shift_chi_of_2))
+    assert run(["build", "--k", "61", "--format", fmt, "--out", str(path)]) == 3
+    assert not path.exists()
+    monkeypatch.undo()
+    assert run(["build", "--k", "61", "--orbital", "7", "--out", str(path)]) == 2
+    assert not path.exists()
+
+
+def test_build_memory_is_linear_in_k():
+    # the class table is k^2 bytes, 0.12 MiB at k = 361, and one row is
+    # held at a time; all 5k(k+1) row entries would take about 10 MiB
+    field = Field(19, 2)
+    tracemalloc.start()
+    try:
+        for _ in export_chunks(field, 1, build_graph(field, 1), "edgelist"):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_graph_structure_k61(cache):
     for i in range(5):
         g = cache.graph(61, i)
@@ -157,12 +186,20 @@ def test_graph_structure_k61(cache):
 
 
 def test_graph_is_connected_and_symmetric(cache):
-    # build_graph raises on asymmetry/disconnection; getting a graph back
-    # means both checks ran, so just spot-check the stored adjacency
-    g = cache.graph(61, 0)
-    for u in range(0, 310, 37):
-        for v in g.neighbors[u]:
-            assert u in g.neighbors[v]
+    # the generic checks on the rows, against build_graph's checks on its
+    # class table
+    for k, i in itertools.product((61, 81, 121), range(5)):
+        nbs = cache.graph(k, i).neighbors
+        transpose = [[] for _ in nbs]
+        for u, nb in enumerate(nbs):
+            for v in nb:
+                transpose[v].append(u)
+        assert transpose == [list(nb) for nb in nbs]
+        seen, frontier = {0}, {0}
+        while frontier:
+            frontier = {v for u in frontier for v in nbs[u]} - seen
+            seen |= frontier
+        assert len(seen) == len(nbs) == 5 * (k + 1)
 
 
 def test_invalid_orbital_index(field61):
@@ -188,12 +225,17 @@ def test_vertex_order_deterministic(cache, field61):
     g = cache.graph(61, 1)
     assert g.vertices[0] == code(field61, OmegaPoint(None, 0))
     assert list(g.vertices) == [code(field61, p) for p in points(field61)]
+    # export_chunks heads row u with the label of the u-th point
+    chunks = export_chunks(field61, 1, g.neighbors, "edgelist")
+    assert [c.split()[0] for c in chunks] == [
+        point_str(field61, v) for u, v in enumerate(g.vertices)
+        if g.neighbors[u][-1] > u]
 
 
 def test_edgelist_deterministic(cache):
     g = cache.graph(61, 0)
-    text = "".join(export_chunks(g, "edgelist"))
-    assert text == "".join(export_chunks(g, "edgelist"))
+    text = "".join(export_chunks(g.field, 0, g.neighbors, "edgelist"))
+    assert text == "".join(export_chunks(g.field, 0, g.neighbors, "edgelist"))
     lines1 = text.splitlines()
     assert len(lines1) == 9455
     parts = lines1[0].split()
@@ -204,18 +246,18 @@ def test_export_chunks_are_vertex_rows(cache):
     # one chunk per vertex row with edges to later vertices, holding them
     g = cache.graph(61, 0)
     rows = [n for n in (sum(v > u for v in nb) for u, nb in enumerate(g.neighbors)) if n]
-    chunks = list(export_chunks(g, "edgelist"))
+    chunks = list(export_chunks(g.field, 0, g.neighbors, "edgelist"))
     assert len(chunks) == len(rows) < 310  # the last vertices have no later edges
     for n, chunk in zip(rows, chunks):
         lines = chunk.splitlines()
         assert len(lines) == n and len({line.split()[0] for line in lines}) == 1
-    dot = list(export_chunks(g, "dot"))
+    dot = list(export_chunks(g.field, 0, g.neighbors, "dot"))
     assert len(dot) == len(rows) + 2 and dot[-1] == "}\n"
 
 
 def test_dot_export(cache):
     g = cache.graph(61, 0)
-    dot = "".join(export_chunks(g, "dot"))
+    dot = "".join(export_chunks(g.field, 0, g.neighbors, "dot"))
     assert dot.startswith('graph "Y0_k61"')
     assert dot.count("--") == 9455
 

@@ -5,6 +5,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import psl2ham
+from psl2ham import build_graph
 
 
 class OmegaPoint(NamedTuple):
@@ -45,6 +46,20 @@ def points(field):
     fiber-major, infinity first, then coordinate-lex."""
     return [OmegaPoint(beta, f) for f in range(5)
             for beta in (None, *field.elements_lex)]
+
+
+class HeldGraph(NamedTuple):
+    """Y(i) held whole: the package only streams its rows."""
+    i: int
+    field: object
+    vertices: tuple[int, ...]  # codes, in the vertex order of `points`
+    neighbors: tuple[list[int], ...]  # the rows `build_graph` yields
+
+
+def held_graph(field, i):
+    """Y(i) with every row of `build_graph` kept."""
+    return HeldGraph(i, field, tuple(code(field, p) for p in points(field)),
+                     tuple(build_graph(field, i)))
 
 
 def vertex_index(field):
