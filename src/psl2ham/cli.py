@@ -121,6 +121,8 @@ def run(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "instances":
+            if args.max_k > MAX_K:
+                raise ParameterError(f"--max-k {args.max_k} exceeds the limit {MAX_K}")
             for s, m in list_instances(args.max_k):
                 k = s**m
                 print(f"k={k} s={s} m={m} p={(k + 1) // 2}")
@@ -133,8 +135,8 @@ def run(argv=None) -> int:
                     f"k = {args.k} exceeds the desk-scale guard "
                     f"{DESK_SCALE_MAX_K} of build")
             field = Field(s, m)
-            rows = build_graph(field, args.orbital)  # every check runs here
-            _write_out(export_chunks(field, args.orbital, rows, args.format),
+            cls = build_graph(field, args.orbital)  # every check runs here
+            _write_out(export_chunks(field, args.orbital, cls, args.format),
                        args.out)
             return 0
 

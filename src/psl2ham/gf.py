@@ -72,15 +72,9 @@ def factor_prime_power(k: int) -> tuple[int, int]:
 
 
 def list_instances(max_k: int) -> list[tuple[int, int]]:
-    """All admissible (s, m) with 61 <= s^m <= max_k."""
-    out = []
-    for k in range(61, max_k + 1):
-        if admissible(k):
-            try:
-                out.append(factor_prime_power(k))
-            except ParameterError:  # not a prime power
-                pass
-    return out
+    """All admissible (s, m) with 61 <= s^m <= max_k; such k have 10 | k-1."""
+    return [factor_prime_power(k) for k in range(61, max_k + 1, 10)
+            if admissible(k) and len(prime_factors(k)) == 1]
 
 
 # --- polynomial helpers over GF(s), coefficient tuples, constant term first ---

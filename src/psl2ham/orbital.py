@@ -18,14 +18,13 @@ beta is inf, so it lies in long suborbit i, the finite points of fiber i.
 
 Every function here takes the field.  `orbital_of` applies the rule in
 O(1); `neighborhood` keeps the matrix form as the independent derivation
-the quotient is built from.  `build_graph` checks Y(i) on the k^2 classes
-chi(x - beta) and reads its rows off them one at a time, and
-`export_chunks` streams the byte-stable text of those rows.
+the quotient is built from.  `build_graph` fills the k^2 classes
+chi(x - beta) by rotating the chi row, with no field arithmetic, and
+checks Y(i) on them; `export_chunks` streams the edge text off that table.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import compress
 
 from .action import point_str, rep
@@ -72,15 +71,15 @@ def orbital_of(field: Field, v: int, w: int) -> int | None:
     return (v // k1 + w // k1) % 5
 
 
-def build_graph(field: Field, i: int):
-    """Check the i-th basic orbital graph and return an iterator over its
-    rows, the sorted indices of each vertex's neighbors, in vertex order:
-    fiber-major, infinity first, then coordinate-lex.
-
-    By the rule, (beta, f) has in fiber g the point inf when f + g = i and
-    the beta' with chi(beta' - beta) = f + g - i.  So the rows are read off
-    one byte table, cls[j*k + x] = chi(lex[x] - lex[j]), and the checks
-    run on it before this returns.  Each is exact:
+def build_graph(field: Field, i: int) -> bytearray:
+    """Check the i-th basic orbital graph and return its byte table of
+    classes, cls[j*k + x] = chi(lex[x] - lex[j]): by the rule, (beta, f)
+    has in fiber g the point inf when f + g = i and the beta' with
+    chi(beta' - beta) = f + g - i.  A lex index is the base-s number of
+    the coordinates, constant term most significant, and x - beta
+    subtracts them digit by digit mod s, so row beta is the chi row in lex
+    order with its s-blocks rotated at every digit level by beta's digits.
+    The checks run on the table before this returns.  Each is exact:
     - degree and loop: (beta, f) has 1 + #{x : chi(x - beta) != 5}
       neighbors, and a loop iff 2f = i + chi(0), so each vertex over beta
       has k neighbors and no loop iff row beta holds one 5, on the diagonal;
@@ -94,10 +93,23 @@ def build_graph(field: Field, i: int):
     F, k = field, field.order
     if (k - 1) % 10:
         raise ValueError("coset space requires 10 | k-1")
-    sub, lex, k1 = F.sub, F.elements_lex, k + 1
+    s, lex, k1 = F.s, F.elements_lex, k + 1
     # class 5 holds x - beta = 0 (log[0] is None): no edge
     chi = [5 if e is None else e % 5 for e in F._log]
-    cls = bytes(chi[sub(x, beta)] for beta in lex for x in lex)
+
+    def rows(c):
+        """Row j of c(x - beta_j), for s^n classes c in lex order."""
+        n = len(c) // s
+        for j in range(s):  # the leading digit of beta
+            if n == 1:
+                yield (c + c)[s - j:2 * s - j]
+                continue
+            for parts in zip(*(rows(c[a * n:(a + 1) * n]) for a in range(s))):
+                yield b"".join((parts + parts)[s - j:2 * s - j])
+
+    cls = bytearray()
+    for row in rows(bytes(chi[x] for x in lex)):
+        cls += row
 
     for j, beta in enumerate(lex):
         row = cls[j * k:(j + 1) * k]
@@ -124,43 +136,35 @@ def build_graph(field: Field, i: int):
         raise InvariantViolation(
             f"orbital graph {i} is disconnected "
             f"({len({i, *present}) * k1}/{5 * k1} reached)", stage="orbital")
-
-    fibers = [list(range(g * k1, (g + 1) * k1)) for g in range(5)]
-    masks = [bytes(b == c for b in range(256)) for c in range(5)]
-
-    def rows():
-        for f in range(5):
-            yield fibers[(i - f) % 5][1:]
-            for j in range(k):
-                # with chi read as 0 for inf, in front of the finite points
-                row = b"\0" + cls[j * k:(j + 1) * k]
-                hits = [row.translate(m) for m in masks]
-                nb = []
-                for g, fiber in enumerate(fibers):
-                    nb += compress(fiber, hits[(f + g - i) % 5])
-                yield nb
-
-    return rows()
+    return cls
 
 
 # --- exports ---
 
-def export_chunks(field: Field, i: int, rows, fmt: str):
-    """The edge list of Y(i) given its rows from `build_graph`, or with fmt
-    "dot" the DOT text, one chunk per vertex row with edges: each
-    undirected edge once, (u, v) with u < v, u-major order."""
-    F, k1 = field, field.order + 1
-    labels = [point_str(F, f * k1 + r) for f in range(5)
-              for r in (0, *(beta + 1 for beta in F.elements_lex))]
+def export_chunks(field: Field, i: int, cls, fmt: str):
+    """The edge list of Y(i) read off its class table from `build_graph`,
+    or with fmt "dot" the DOT text, one chunk per vertex with later
+    neighbors: each undirected edge once, (u, v) with u < v, u-major in
+    vertex order, which is fiber-major, infinity first, then lex."""
+    F, k = field, field.order
+    rs = (0, *(beta + 1 for beta in F.elements_lex))  # inf, then lex
+    labels = [[point_str(F, f * (k + 1) + r) for r in rs] for f in range(5)]
+    masks = [bytes(b == c for b in range(256)) for c in range(5)]
     if fmt == "dot":
         yield f'graph "Y{i}_k{F.order}" {{\n'
         head, end = '  "{}" -- "', '";\n'
     else:
         head, end = "{} ", "\n"
-    for u, nb in enumerate(rows):
-        later = [labels[v] for v in nb[bisect_right(nb, u):]]
-        if later:  # each line is head(u) + label(v) + end
-            h = head.format(labels[u])
-            yield h + (end + h).join(later) + end
+    for f in range(5):
+        for r in range(k + 1):
+            # chi read as 0 for inf, and class 5 (no edge) from inf to inf
+            row = b"\0" + cls[(r - 1) * k:r * k] if r else b"\5" + bytes(k)
+            later = list(compress(labels[f][r + 1:],
+                                  row[r + 1:].translate(masks[(2 * f - i) % 5])))
+            for g in range(f + 1, 5):
+                later += compress(labels[g], row.translate(masks[(f + g - i) % 5]))
+            if later:  # each line is head(u) + label(v) + end
+                h = head.format(labels[f][r])
+                yield h + (end + h).join(later) + end
     if fmt == "dot":
         yield "}\n"

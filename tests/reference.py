@@ -7,8 +7,8 @@ keeps the exhaustive derivations those shortcuts are checked against:
 PSL(2,k) with canonical signs and its enumerated subgroups S and H, the
 right action as the label of a 2x2 product, and the ten H-orbits
 (suborbits) on the coset space.  It also keeps the helpers that only
-tests call: `coeffs`, `from_coeffs`, `point_of`, `equation_for_orbit_pair`
-and `edges`.
+tests call: `coeffs`, `from_coeffs`, `point_of`, `equation_for_orbit_pair`,
+`class_table` and `edges`.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1, stored in canonical sign form: of the two matrices g, -g
@@ -74,6 +74,14 @@ def act(field: Field, v: int, g: Mat) -> int:
     """The right action on codes as point_of(rep(v) * g), with a plain 2x2
     product."""
     return code(field, point_of(field, product(field, rep(field, v), g)))
+
+
+def class_table(field: Field) -> bytes:
+    """The classes chi(x - beta) over beta, then x, in coordinate-lex
+    order, one `Field.sub` each; 5 where x = beta."""
+    chi = [5 if e is None else e % 5 for e in field._log]
+    lex = field.elements_lex
+    return bytes(chi[field.sub(x, beta)] for beta in lex for x in lex)
 
 
 def edges(graph):

@@ -9,7 +9,7 @@ import pytest
 from psl2ham import (ParameterError, list_instances, orbital_of,
                      parse_certificate, run_pipeline, verify_certificate)
 from psl2ham.cli import DESK_SCALE_MAX_K, _resolve_params, make_parser, run
-from psl2ham.gf import admissible, factor_prime_power
+from psl2ham.gf import admissible, factor_prime_power, prime_factors
 from util import code, fresh_process_env, points
 
 
@@ -132,6 +132,21 @@ def test_cli_instances(capsys):
     assert run(["instances", "--max-k", "130"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["k=61 s=61 m=1 p=31", "k=81 s=3 m=4 p=41", "k=121 s=11 m=2 p=61"]
+
+
+def test_cli_instances_caps_max_k(capsys):
+    # without the cap the listing steps through every k up to 10^20
+    assert run(["instances", "--max-k", str(10**20)]) == 2
+    assert capsys.readouterr().err == (
+        f"parameter error: --max-k {10**20} {TOO_LARGE}\n")
+
+
+def test_list_instances_steps_through_k_one_mod_ten():
+    # stepping by 10 from 61 keeps every admissible prime power
+    every_k = [factor_prime_power(k) for k in range(61, 5001)
+               if admissible(k) and len(prime_factors(k)) == 1]
+    assert list_instances(5000) == every_k
+    assert len(every_k) == 22
 
 
 def test_cli_hamilton_verify_round_trip(tmp_path, capsys):

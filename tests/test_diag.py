@@ -8,8 +8,9 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from psl2ham import (DiagonalEquation, Field, double_edge_equation,
-                     list_instances, m_pairs, solution_profile, weil_check)
+from psl2ham import (DiagonalEquation, Field, build_quotient,
+                     double_edge_equation, list_instances, m_pairs,
+                     solution_profile, weil_check)
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           le_times_sqrt, solvability_report)
 from reference import equation_for_orbit_pair
@@ -290,6 +291,25 @@ def test_multiplicity_from_solution_counts(k, cache, fields):
                     split[eq] = brute_x1_split(F, eq)
                 both, x1_zero = split[eq]
                 if 10 * (q.mult[a][b] - (x1_zero > 0)) != both:
+                    bad.append((i, a, b))
+    assert bad == []
+
+
+@pytest.mark.parametrize("s,m", [pytest.param(s, m, id=str(s**m))
+                                 for s, m in list_instances(2500)])
+def test_multiplicity_is_a_tenth_of_the_nonzero_y_solutions(s, m):
+    # d(A,B) = N(y != 0)/10 exactly, on every ordered pair of distinct
+    # orbits of every orbital: an adjacent position w != 0 is sigma^w =
+    # +-[[a, beta], [beta*theta, a]], and the pair (a, beta) gives ten
+    # solutions with y != 0, the five fifth roots y for each of +-beta
+    F = Field(s, m)
+    bad = []
+    for i in range(5):
+        mult = build_quotient(F, i).mult
+        for a, b in product(range(10), repeat=2):
+            if a != b:
+                eq = equation_for_orbit_pair(F, i, a, b)
+                if 10 * mult[a][b] != solution_profile(F, eq).nonzero_x2:
                     bad.append((i, a, b))
     assert bad == []
 

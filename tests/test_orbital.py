@@ -1,14 +1,17 @@
 """Suborbits and orbital graphs: sizes, symmetry, regularity, exports."""
 
 import copy
+import functools
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
 
 from psl2ham import (Field, InvariantViolation, act, build_graph,
-                     neighborhood, orbital_of, point_str, rep, s_orbits)
+                     neighborhood, orbital_of, parse_point, point_str, rep,
+                     s_orbits)
 from psl2ham.cli import run
 from psl2ham.orbital import export_chunks
 import reference
@@ -105,11 +108,44 @@ def test_build_graph_matches_neighborhoods(k, cache, fields):
                 index[point(field, q)] for q in neighborhood(field, i, v))
 
 
+@pytest.mark.parametrize("s,m", [pytest.param(s, m, id=str(s**m)) for s, m in
+                                 [(61, 1), (3, 4), (11, 2), (19, 2), (421, 1)]])
+def test_class_table_is_chi_of_field_subtraction(s, m):
+    # the rotated chi row against one Field.sub per entry, for m = 1, 2, 4
+    field = Field(s, m)
+    table = reference.class_table(field)
+    for i in range(5):
+        assert build_graph(field, i) == table
+
+
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_exported_edges_are_the_edges_of_the_label_rule(k, fields):
+    # each exported edge parses back to a pair that orbital_of puts in Y(i),
+    # in vertex order; no edge repeats and all 5(k+1)k/2 are there
+    F = fields[k]
+    index = {code(F, p): n for n, p in enumerate(points(F))}
+    parse = functools.lru_cache(maxsize=None)(lambda t: parse_point(F, t))
+    line = {"edgelist": re.compile(r"(\S+) (\S+)\n"),
+            "dot": re.compile(r'  "(\S+)" -- "(\S+)";\n')}
+    for i, fmt in itertools.product(range(5), line):
+        chunks = list(export_chunks(F, i, build_graph(F, i), fmt))
+        if fmt == "dot":
+            assert chunks.pop(0) == f'graph "Y{i}_k{k}" {{\n'
+            assert chunks.pop() == "}\n"
+        text = "".join(chunks)
+        pairs = [(parse(a), parse(b)) for a, b in line[fmt].findall(text)]
+        assert line[fmt].sub("", text) == ""  # every line is an edge
+        assert len(set(pairs)) == len(pairs) == 5 * (k + 1) * k // 2
+        for u, v in pairs:
+            assert orbital_of(F, u, v) == i
+            assert index[u] < index[v]
+
+
 def tampered(field, edit):
     """A copy of a GF(61) field with its log table edited.
 
-    Over a prime field subtraction never reads the log table, so the edit
-    reaches build_graph through chi alone."""
+    build_graph fills its table by rotating the chi row, with no field
+    arithmetic, so the edit reaches it through chi alone."""
     field = copy.copy(field)
     field._log = list(field._log)
     edit(field._log)
@@ -226,7 +262,7 @@ def test_vertex_order_deterministic(cache, field61):
     assert g.vertices[0] == code(field61, OmegaPoint(None, 0))
     assert list(g.vertices) == [code(field61, p) for p in points(field61)]
     # export_chunks heads row u with the label of the u-th point
-    chunks = export_chunks(field61, 1, g.neighbors, "edgelist")
+    chunks = export_chunks(field61, 1, build_graph(field61, 1), "edgelist")
     assert [c.split()[0] for c in chunks] == [
         point_str(field61, v) for u, v in enumerate(g.vertices)
         if g.neighbors[u][-1] > u]
@@ -234,8 +270,9 @@ def test_vertex_order_deterministic(cache, field61):
 
 def test_edgelist_deterministic(cache):
     g = cache.graph(61, 0)
-    text = "".join(export_chunks(g.field, 0, g.neighbors, "edgelist"))
-    assert text == "".join(export_chunks(g.field, 0, g.neighbors, "edgelist"))
+    cls = build_graph(g.field, 0)
+    text = "".join(export_chunks(g.field, 0, cls, "edgelist"))
+    assert text == "".join(export_chunks(g.field, 0, cls, "edgelist"))
     lines1 = text.splitlines()
     assert len(lines1) == 9455
     parts = lines1[0].split()
@@ -246,18 +283,19 @@ def test_export_chunks_are_vertex_rows(cache):
     # one chunk per vertex row with edges to later vertices, holding them
     g = cache.graph(61, 0)
     rows = [n for n in (sum(v > u for v in nb) for u, nb in enumerate(g.neighbors)) if n]
-    chunks = list(export_chunks(g.field, 0, g.neighbors, "edgelist"))
+    cls = build_graph(g.field, 0)
+    chunks = list(export_chunks(g.field, 0, cls, "edgelist"))
     assert len(chunks) == len(rows) < 310  # the last vertices have no later edges
     for n, chunk in zip(rows, chunks):
         lines = chunk.splitlines()
         assert len(lines) == n and len({line.split()[0] for line in lines}) == 1
-    dot = list(export_chunks(g.field, 0, g.neighbors, "dot"))
+    dot = list(export_chunks(g.field, 0, cls, "dot"))
     assert len(dot) == len(rows) + 2 and dot[-1] == "}\n"
 
 
 def test_dot_export(cache):
     g = cache.graph(61, 0)
-    dot = "".join(export_chunks(g.field, 0, g.neighbors, "dot"))
+    dot = "".join(export_chunks(g.field, 0, build_graph(g.field, 0), "dot"))
     assert dot.startswith('graph "Y0_k61"')
     assert dot.count("--") == 9455
 

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import os
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,17 +50,31 @@ def points(field):
 
 
 class HeldGraph(NamedTuple):
-    """Y(i) held whole: the package only streams its rows."""
+    """Y(i) held whole: the package only streams its edges."""
     i: int
     field: object
     vertices: tuple[int, ...]  # codes, in the vertex order of `points`
-    neighbors: tuple[list[int], ...]  # the rows `build_graph` yields
+    neighbors: tuple[list[int], ...]  # vertex indices, sorted
 
 
 def held_graph(field, i):
-    """Y(i) with every row of `build_graph` kept."""
+    """Y(i) with every row read off the class table of `build_graph`:
+    (beta, f) has in fiber g the points of class f + g - i of row beta,
+    with inf in front as class 0; (inf, f) has the finite points of fiber
+    i - f."""
+    k, k1 = field.order, field.order + 1
+    cls = build_graph(field, i)
+    fibers = [range(g * k1, (g + 1) * k1) for g in range(5)]
+    masks = [bytes(b == c for b in range(256)) for c in range(5)]
+    neighbors = []
+    for f in range(5):
+        neighbors.append(list(fibers[(i - f) % 5][1:]))
+        for j in range(k):
+            row = b"\0" + cls[j * k:(j + 1) * k]
+            neighbors.append([v for g, fiber in enumerate(fibers) for v in
+                              compress(fiber, row.translate(masks[(f + g - i) % 5]))])
     return HeldGraph(i, field, tuple(code(field, p) for p in points(field)),
-                     tuple(build_graph(field, i)))
+                     tuple(neighbors))
 
 
 def vertex_index(field):
