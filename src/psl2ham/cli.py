@@ -27,6 +27,9 @@ DESK_SCALE_MAX_K = 5000
 # trial division up to sqrt(k) is then at most 2^16 steps, and no larger
 # field could be tabulated anyway
 MAX_K = 2**32
+# instances tests every k with 10 | k-1 up to --max-k by trial division:
+# about 0.7 s at 10^6 and 15 s at 10^7
+INSTANCES_MAX_K = 10**6
 
 
 def _add_instance_args(sp):
@@ -123,6 +126,10 @@ def run(argv=None) -> int:
         if args.command == "instances":
             if args.max_k > MAX_K:
                 raise ParameterError(f"--max-k {args.max_k} exceeds the limit {MAX_K}")
+            if args.max_k > INSTANCES_MAX_K:
+                raise ParameterError(
+                    f"--max-k {args.max_k} exceeds the limit "
+                    f"{INSTANCES_MAX_K} of instances")
             for s, m in list_instances(args.max_k):
                 k = s**m
                 print(f"k={k} s={s} m={m} p={(k + 1) // 2}")

@@ -11,11 +11,12 @@ lexicographically smallest monic irreducible of its degree (coefficients
 compared constant term first), and the distinguished generator ``theta``
 is the smallest generator of the multiplicative group in the same
 coordinate order.  Every table is built by integer steps on handles: exp
-by repeated multiplication by theta (x*y mod s when m = 1, else a product
-of base-s digits reduced by the modulus), log by inverting it, negation
-as -x = theta^((k-1)/2)*x, and the coordinate order by reversing base-s
-digits; coordinates exist only at the text boundary.  Addition for m > 1
-goes through the Zech logarithm zech[n] = log(1 + theta^n):
+by repeated multiplication by theta (x*theta mod s when m = 1, else a
+table step on the two halves of x's base-s digits, from tables of each
+half's products with theta reduced by the modulus), log by inverting it,
+negation as -x = theta^((k-1)/2)*x, and the coordinate order by reversing
+base-s digits; coordinates exist only at the text boundary.  Addition for
+m > 1 goes through the Zech logarithm zech[n] = log(1 + theta^n):
 x + y = x*(1 + y/x), so every table is O(k).
 """
 
@@ -188,24 +189,47 @@ class Field:
         raise AssertionError("no generator found")  # cannot happen in a field
 
     def _build_log_tables(self):
-        k = self.order
+        s, m, k, theta = self.s, self.m, self.order, self.theta
         exp = []
-        log = [None] * k
         x = 1
-        for e in range(k - 1):
-            exp.append(x)
-            if log[x] is not None:
-                raise AssertionError("theta does not have full order")
-            log[x] = e
-            x = self._mul_poly(x, self.theta)
-        if x != 1:
+        if m == 1:
+            for _ in range(k - 1):
+                exp.append(x)
+                x = x * theta % s
+        else:
+            # x*theta by a split-half table step: x = lo + cut*hi, with lo
+            # the low m//2 digits.  lo*theta and (cut*hi)*theta are held in
+            # base 2s, so their sum has no carry, and red takes each half of
+            # that sum back to base s, every digit mod s
+            low, w = m // 2, 2 * s
+            cut, wcut = s**low, w**low
+
+            def wide(y):
+                return sum(c * w**i for i, c in enumerate(self._digits(y)))
+
+            lo_t = [wide(self._mul_poly(lo, theta)) for lo in range(cut)]
+            hi_t = [wide(self._mul_poly(cut * hi, theta))
+                    for hi in range(s ** (m - low))]
+            red = [0]
+            for i in range(m - low):
+                red = [r + d % s * s**i for d in range(w) for r in red]
+            for _ in range(k - 1):
+                exp.append(x)
+                hi, lo = divmod(x, cut)
+                whi, wlo = divmod(lo_t[lo] + hi_t[hi], wcut)
+                x = red[wlo] + cut * red[whi]
+        log = [None] * k
+        for e, h in enumerate(exp):
+            log[h] = e
+        # the walk is a cycle through 1; it is all of GF(k)* iff it returns
+        # to 1 first at step k-1, and an earlier return rewrites log[1]
+        if x != 1 or log[1] != 0:
             raise AssertionError("theta does not have full order")
         # doubled, so a sum of two logs indexes it without reduction
         self._exp = tuple(exp) * 2
         self._log = log
         # zech[n] = log(1 + theta^n), None where that is 0 (log[0] is None);
         # adding 1 to a handle adds 1 to its constant coordinate
-        s = self.s
         self._zech = [log[h + 1 if h % s != s - 1 else h - (s - 1)]
                       for h in exp]
         # -1 = theta^((k-1)/2) for odd k, and -x = x in characteristic 2

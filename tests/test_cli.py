@@ -8,7 +8,8 @@ import pytest
 
 from psl2ham import (ParameterError, list_instances, orbital_of,
                      parse_certificate, run_pipeline, verify_certificate)
-from psl2ham.cli import DESK_SCALE_MAX_K, _resolve_params, make_parser, run
+from psl2ham.cli import (DESK_SCALE_MAX_K, INSTANCES_MAX_K, _resolve_params,
+                         make_parser, run)
 from psl2ham.gf import admissible, factor_prime_power, prime_factors
 from util import code, fresh_process_env, points
 
@@ -139,6 +140,21 @@ def test_cli_instances_caps_max_k(capsys):
     assert run(["instances", "--max-k", str(10**20)]) == 2
     assert capsys.readouterr().err == (
         f"parameter error: --max-k {10**20} {TOO_LARGE}\n")
+
+
+def test_cli_instances_bounds_max_k(monkeypatch, capsys):
+    # the refusal comes before any listing work; the limit itself is listed
+    listed = []
+    monkeypatch.setattr("psl2ham.cli.list_instances",
+                        lambda max_k: listed.append(max_k) or [])
+    assert INSTANCES_MAX_K == 10**6
+    assert run(["instances", "--max-k", str(10**6 + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"parameter error: --max-k {10**6 + 1} exceeds the limit "
+        f"1000000 of instances\n")
+    assert listed == []
+    assert run(["instances", "--max-k", str(10**6)]) == 0
+    assert listed == [10**6]
 
 
 def test_list_instances_steps_through_k_one_mod_ten():

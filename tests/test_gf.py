@@ -178,6 +178,24 @@ def test_mul_against_poly_oracle(s, m):
         assert coeffs(F, F.mul(x, y)) == expect
 
 
+# every extension field up to k = 3481: odd m and s = 2 give the split-half
+# exp walk unequal halves (m//2 < m - m//2) and its smallest digit base
+EXTENSION_FIELDS = [(s, m) for s in range(2, 60) if is_prime(s)
+                    for m in range(2, 12) if s**m <= 3481]
+
+
+@pytest.mark.parametrize("s,m", EXTENSION_FIELDS,
+                         ids=[f"{s}-{m}" for s, m in EXTENSION_FIELDS])
+def test_exp_matches_naive_theta_walk(s, m):
+    F = Field(s, m)
+    theta = coeffs(F, F.theta)
+    acc, walk = coeffs(F, 1), []
+    for _ in range(F.order - 1):
+        walk.append(acc)
+        acc = poly_mulmod(acc, theta, F.modulus, s)
+    assert [coeffs(F, F.pow(F.theta, e)) for e in range(F.order - 1)] == walk
+
+
 def test_pow_edge_cases():
     F = Field(61, 1)
     assert F.pow(17, 0) == 1
@@ -252,14 +270,18 @@ def test_sqrt_list():
 
 
 # SHA-256 of every table, read through the public API; pinned from the
-# coordinate-tuple construction so any rebuild must reproduce it exactly
+# coordinate-tuple construction ((3, 3) and (59, 2) from the per-element
+# digit-product exp walk that followed it) so any rebuild must reproduce it
+# exactly
 FIELD_DIGESTS = [
     (2, 1, "48ea7e6878a44d11f4495f58cd990d1eebb461693d7a025ff43c290d1b903960"),
     (2, 6, "0af3002a0cea178ccb414e39574d9a4901da21260ac8f7f408a3babcb1875ad4"),
+    (3, 3, "05c3e13a0b2372a386aa4dc2d6b082dd0156a15777aefb64797a6529c848778d"),
     (3, 5, "509f04731f0bffefae3c5991f38beb4b90c56fddb72d8cfa046df0723a926ec0"),
     (5, 3, "3106274df111abdf658d5caba90791b076e891e2bb17b16e22ed44ea42e8613e"),
     (7, 4, "b957c6c9fc8a401ccd8c61783f6c08005b8c4e349eca77b4eae5587fb24d7a51"),
     (13, 2, "40d60b31d072ddc031192ae364f75801e7c1c1c28c2a01555a2cea12e2db2d56"),
+    (59, 2, "5192b3711cdbd32631111b21d5140a3ff206e637ca9e5ba5da65e76d39b42b58"),
     (131, 2, "471a5b2b06f560d88a66a13a83bf04fa9ff6686157264166e3ae8902f61c3b30"),
     (4621, 1, "be65514863511748da7ccbe77a7ad62cc804fd3e93f0a8ed89028c82f3bfd574"),
 ]
