@@ -8,11 +8,12 @@ labels (beta, fiber), with closed-form representatives and the right
 action read off the labels -> the ten orbits of the cyclic subgroup S of
 order p, two walks of one generator shifted across the fibers -> the
 quotient multigraph of an orbital graph over those orbits, from 20
-matrix-form neighborhoods -> voltage selection and lifting over the
-quotient cycle 0..9 -> a certificate that carries its field, re-verified
-by an O(1) rule on labels.  Every point is one int code; `point_str` and
-`parse_point` are its text.  Records are NamedTuples.  The command line,
-`psl2ham.cli`, only parses arguments and is not imported here.
+matrix-form neighborhoods -> voltage selection and a closed-form lift
+over the quotient cycle 0..9 -> a certificate that carries its field,
+re-verified by an O(1) rule on labels and that same lift.  Every point
+is one int code; `point_str` and `parse_point` are its text.  Records
+are NamedTuples.  The command line, `psl2ham.cli`, only parses arguments
+and is not imported here.
 """
 
 from .action import act, parse_point, point_str, rep, s_orbits, sigma
@@ -23,9 +24,8 @@ from .errors import InvariantViolation, ParameterError
 from .gf import Field, is_prime, list_instances
 from .orbital import build_graph, neighborhood, orbital_of
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
-                       build_quotient, certificate_to_text, lift_cycle,
-                       parse_certificate, run_pipeline, unroll_lift,
-                       verify_certificate)
+                       build_quotient, certificate_to_text, lift, lift_cycle,
+                       parse_certificate, run_pipeline, verify_certificate)
 
 __all__ = [
     "act", "parse_point", "point_str", "rep", "s_orbits", "sigma",
@@ -35,8 +35,8 @@ __all__ = [
     "Field", "is_prime", "list_instances",
     "build_graph", "neighborhood", "orbital_of",
     "HamiltonCertificate", "QuotientMultigraph", "build_quotient",
-    "certificate_to_text", "lift_cycle", "parse_certificate", "run_pipeline",
-    "unroll_lift", "verify_certificate",
+    "certificate_to_text", "lift", "lift_cycle", "parse_certificate",
+    "run_pipeline", "verify_certificate",
 ]
 
 __version__ = "0.1.0"

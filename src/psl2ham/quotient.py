@@ -8,19 +8,24 @@ v_A(c) ~ v_B(c + w) for every offset c.  Since S acts by automorphisms,
 the neighborhoods of the ten orbit bases determine the quotient; the
 full orbital graph is never built.
 
-The quotient cycle is the walk 0, 1, ..., 9 through the ten orbits.  If
-its chosen voltages sum to w != 0 (mod p) it unrolls to a single cycle
-through all 10p vertices; if w = 0 it unrolls to p disjoint 10-cycles.
-The certificate holds its field, the walk, the chosen voltages and the
-full vertex cycle, and can be re-verified from scratch with the O(1)
-adjacency rule `orbital.orbital_of`, which needs only the field and is
-derived independently of the matrix-form neighborhoods the quotient is
-built from.  `run_pipeline` chains quotient, lift and verify.
+The quotient cycle is the walk 0, 1, ..., 9 through the ten orbits.
+Voltages w_0..w_9 on it lift in closed form (`lift`): vertex 10r + j is
+orbit j at position c_j + r*T, with c_j = w_0 + ... + w_(j-1) and T the
+total mod p.  For T != 0 that is one cycle through all 10p vertices, as
+p is prime; T = 0 would give p disjoint 10-cycles.  The certificate holds
+its field, the walk, the chosen voltages and the full vertex cycle, and
+can be re-verified from scratch with the O(1) adjacency rule
+`orbital.orbital_of`, which needs only the field and is derived
+independently of the matrix-form neighborhoods the quotient is built
+from; the same closed form over the S-orbits then checks the walk and
+voltages of the header against the vertices.  `run_pipeline` chains
+quotient, lift and verify.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import NamedTuple
 
 from .action import parse_point, point_str, s_orbits
@@ -119,31 +124,21 @@ class HamiltonCertificate(NamedTuple):
         return (self.field.order + 1) // 2
 
 
-def unroll_lift(q: QuotientMultigraph, choices) -> list[array]:
-    """Explicitly unroll a voltage assignment over the quotient cycle 0..9.
-
-    Returns the cycles of the lift: one 10p-cycle when the voltages sum
-    to a nonzero residue mod p, else p disjoint 10-cycles.
+def lift(orbits, cycle, voltages) -> array:
+    """The lift of the quotient cycle `cycle` under `voltages`: vertex
+    10r + j is orbit cycle[j] at position c_j + r*T (mod p), where c_j is
+    the sum of the first j voltages and T the sum of all ten.  With
+    T != 0 and p prime, T generates Z_p, so this is one 10p-cycle.
     """
-    p, orbits = q.p, q.orbits
-    out = []
-    visited = bytearray(10 * p)  # orbit j, position c at j*p + c
-    for start in range(p):
-        if visited[start]:
-            continue
-        comp, j, c = array("l"), 0, start
-        while not visited[j * p + c]:
-            visited[j * p + c] = 1
-            comp.append(orbits[j][c])
-            c = (c + choices[j]) % p
-            j = (j + 1) % 10
-        out.append(comp)
-    return out
+    p = len(orbits[0])
+    *starts, total = accumulate(voltages, initial=0)
+    return array("l", (orbits[a][(c + r * total) % p]
+                       for r in range(p) for a, c in zip(cycle, starts)))
 
 
 def lift_cycle(q: QuotientMultigraph) -> HamiltonCertificate:
     """Choose voltages with nonzero total over the quotient cycle 0..9 and
-    unroll to a full cycle.
+    `lift` them to a full cycle.
 
     Takes the smallest voltage on every edge; if the total vanishes mod p,
     the first edge with two or more parallel edges switches to its second
@@ -168,15 +163,10 @@ def lift_cycle(q: QuotientMultigraph) -> HamiltonCertificate:
                 stage="quotient")
         choices[e] = edge_sets[e][1]
         total = sum(choices) % p
-    components = unroll_lift(q, choices)
-    if len(components) != 1 or len(components[0]) != 10 * p:
-        raise InvariantViolation(
-            f"lift with total voltage {total} did not produce a single "
-            f"{10 * p}-cycle", stage="quotient")
     return HamiltonCertificate(
         field=q.field, orbital_index=q.orbital_index, cycle=tuple(range(10)),
         chosen_voltages=tuple(choices), total_voltage=total,
-        vertices=components[0])
+        vertices=lift(q.orbits, range(10), choices))
 
 
 # --- independent verification ---
@@ -186,8 +176,10 @@ def verify_certificate(cert: HamiltonCertificate) -> str | None:
     or None when the certificate holds.
 
     Checks the header arithmetic, then tests every cycle edge with the
-    O(1) adjacency rule `orbital_of`, which needs the field alone; never
-    consults a group, a stored graph or a quotient.
+    O(1) adjacency rule `orbital_of`, which needs the field alone, and
+    last compares the vertices with the `lift` of the header's cycle and
+    voltages over the S-orbits; never consults a group, a stored graph or
+    a quotient.
     """
     field, p = cert.field, cert.p
     if not 0 <= cert.orbital_index <= 4:
@@ -221,6 +213,13 @@ def verify_certificate(cert: HamiltonCertificate) -> str | None:
             where = "closing edge" if idx == n - 1 else f"step {idx}->{idx + 1}"
             return (f"{where}: {point_str(field, v)} and {point_str(field, w)} "
                     f"are not adjacent in orbital graph {i}")
+
+    # the header's claims: they fix every vertex, so compare each one
+    claimed = lift(s_orbits(field), cert.cycle, volts)
+    for idx, (v, w) in enumerate(zip(verts, claimed)):
+        if v != w:
+            return (f"vertex {idx} is {point_str(field, v)}, but the header's "
+                    f"cycle and voltages put {point_str(field, w)} there")
     return None
 
 

@@ -6,8 +6,10 @@ read off the labels, and a walk of one element sigma of S.  This module
 keeps the exhaustive derivations those shortcuts are checked against:
 PSL(2,k) with canonical signs and its enumerated subgroups S and H, the
 right action as the label of a 2x2 product, and the ten H-orbits
-(suborbits) on the coset space.  It also keeps the helpers that only
-tests call: `coeffs`, `from_coeffs`, `point_of`, `equation_for_orbit_pair`,
+(suborbits) on the coset space, and the voltage lift as an explicit walk
+over its components (`unroll_lift`), against which the closed form
+`quotient.lift` is checked.  It also keeps the helpers that only tests
+call: `coeffs`, `from_coeffs`, `point_of`, `equation_for_orbit_pair`,
 `class_table` and `edges`.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
@@ -26,10 +28,12 @@ Distinguished elements and subgroups (all for 10 | k-1 where noted):
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from psl2ham import Field, InvariantViolation, neighborhood
+from psl2ham import (Field, InvariantViolation, QuotientMultigraph,
+                     neighborhood)
 from psl2ham.action import Mat, rep
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           DiagonalEquation, double_edge_equation)
@@ -113,6 +117,28 @@ def equation_for_orbit_pair(field: Field, orbital_index: int, a: int,
         return double_edge_equation(field, PAIR_INF_ZERO, orbital_index, a - 5, b)
     return double_edge_equation(field, PAIR_ZERO_ZERO, orbital_index, (b - 4) % 5,
                                 a - 5)
+
+
+def unroll_lift(q: QuotientMultigraph, choices) -> list[array]:
+    """Explicitly unroll a voltage assignment over the quotient cycle 0..9.
+
+    Returns the cycles of the lift: one 10p-cycle when the voltages sum
+    to a nonzero residue mod p, else p disjoint 10-cycles.
+    """
+    p, orbits = q.p, q.orbits
+    out = []
+    visited = bytearray(10 * p)  # orbit j, position c at j*p + c
+    for start in range(p):
+        if visited[start]:
+            continue
+        comp, j, c = array("l"), 0, start
+        while not visited[j * p + c]:
+            visited[j * p + c] = 1
+            comp.append(orbits[j][c])
+            c = (c + choices[j]) % p
+            j = (j + 1) % 10
+        out.append(comp)
+    return out
 
 
 def mulclose(gens, mul, max_size: int | None = None) -> set:

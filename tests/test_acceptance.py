@@ -25,11 +25,12 @@ import pytest
 
 from psl2ham import (DiagonalEquation, Field, build_quotient,
                      certificate_to_text, double_edge_equation, lift_cycle,
-                     s_orbits, solution_profile, unroll_lift,
-                     verify_certificate, weil_check)
+                     s_orbits, solution_profile, verify_certificate,
+                     weil_check)
 from psl2ham.diag import le_times_sqrt
 from psl2ham.gf import is_prime
-from reference import PSL2, equation_for_orbit_pair, mulclose, suborbits
+from reference import (PSL2, equation_for_orbit_pair, mulclose, suborbits,
+                       unroll_lift)
 from util import fresh_process_env, held_graph
 
 PRIME_POWERS_TO_121 = [

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from psl2ham import (Field, act, build_graph, parse_point, point_str, rep,
-                     s_orbits, sigma)
+from psl2ham import (Field, InvariantViolation, act, build_graph, parse_point,
+                     point_str, rep, s_orbits, sigma)
+from psl2ham.cli import run
 import reference
 from reference import PSL2, from_coeffs, point_of
 from util import ALPHA, OmegaPoint, code, point, points, random_words
@@ -205,6 +206,20 @@ def test_s_orbits_sizes_all_instances(fields):
         orbits = s_orbits(F)
         assert all(len(o) == p for o in orbits)
         assert len({q for o in orbits for q in o}) == 5 * (k + 1)
+
+
+def test_s_orbits_checks_its_orbits(field61, monkeypatch, capsys):
+    # with the identity for sigma every walk stands still: each orbit has
+    # one point, which s_orbits reports before anything reads the orbits
+    monkeypatch.setattr("psl2ham.action.sigma", lambda field: (1, 0, 0, 1))
+    with pytest.raises(InvariantViolation, match="S-orbit has 1 points, "
+                       "expected 31") as exc:
+        s_orbits(field61)
+    assert exc.value.stage == "action"
+    assert run(["hamilton", "--k", "61"]) == 3
+    assert capsys.readouterr().err == (
+        "invariant violation [stage: action]: S-orbit has 1 points, "
+        "expected 31\n")
 
 
 def test_point_serialization(field61, field81):

@@ -333,6 +333,9 @@ def test_cli_quotient_and_weil_report(capsys):
 FORGED_CLAIMS = [
     ("cycle 9 8 7 6 5 4 3 2 1 0", "voltages 1 1 1 1 1 1 1 1 1 1", "total 1"),
     ("cycle 0 0 0 0 0 0 0 0 0", "voltages 5", "total 3"),
+    # consistent arithmetic: only the lift of these claims contradicts the
+    # vertices
+    ("cycle 9 8 7 6 5 4 3 2 1 0", "voltages 1 1 1 1 1 1 1 1 1 1", "total 10"),
 ]
 
 

@@ -6,11 +6,14 @@ from array import array
 
 import pytest
 
-from psl2ham import (Field, build_quotient, certificate_to_text, lift_cycle,
-                     neighborhood, parse_certificate, s_orbits, unroll_lift,
-                     verify_certificate)
+from hypothesis import assume, given, settings, strategies as st
+
+from psl2ham import (Field, build_quotient, certificate_to_text, lift,
+                     lift_cycle, neighborhood, parse_certificate, point_str,
+                     s_orbits, verify_certificate)
 from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
+from reference import unroll_lift
 from util import code, point, vertex_index
 
 
@@ -266,6 +269,23 @@ def test_lift_dichotomy_zero_total(cache):
         assert len(cover) == 10 * p
 
 
+def test_lift_equals_the_walk(cache):
+    # the closed form against the explicit walk of tests/reference.py, on
+    # random nonzero-total choices from the true voltage sets
+    for k in (61, 81, 121):
+        for i in range(5):
+            q = cache.quotient(k, i)
+            rng = random.Random(100 * k + i)
+            edge_sets = [q.voltages[e][(e + 1) % 10] for e in range(10)]
+            tried = 0
+            while tried < 8:
+                choices = [rng.choice(vs) for vs in edge_sets]
+                if sum(choices) % q.p:
+                    tried += 1
+                    [walk] = unroll_lift(q, choices)
+                    assert lift(q.orbits, range(10), choices) == walk
+
+
 def test_lift_cycle_switches_away_from_zero_total(cache):
     # at k=121, orbital 3, the smallest voltages of the cycle 0..9 sum to
     # 0 mod p, so the lift needs the switch: the first edge with two
@@ -379,9 +399,38 @@ def test_verify_checks_zero_total_before_other_claims(cache):
 def test_verify_closing_edge(cache):
     cert = lift_cycle(cache.quotient(61, 0))
     vs = list(cert.vertices)
-    # rotating by one vertex keeps every adjacency, so stay valid
+    # rotating by one vertex keeps every adjacency, the closing edge
+    # included, but vertex 0 must be the start (inf, 0) of orbit cycle[0]:
+    # only the claim check, which runs after every edge, rejects it
     rotated = cert._replace(vertices=tuple(vs[1:] + vs[:1]))
-    assert verify_certificate(rotated) is None
+    field = cert.field
+    assert point_str(field, vs[0]) == "inf:0"
+    assert verify_certificate(rotated) == (
+        f"vertex 0 is {point_str(field, vs[1])}, but the header's cycle and "
+        "voltages put inf:0 there")
+
+
+@pytest.fixture(scope="module")
+def cert61(cache):
+    return lift_cycle(cache.quotient(61, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verify_holds_the_header_claims_to_the_vertices(cert61, data):
+    # the vertices fix the claims: vertex j gives cycle[j] and c_j, and
+    # vertex 10 gives T, so only the emitted claims verify
+    p, emitted = cert61.p, cert61.chosen_voltages
+    cycle = data.draw(st.one_of(st.just(cert61.cycle),
+                                st.permutations(range(10)).map(tuple)))
+    volts = tuple(data.draw(st.one_of(st.just(w), st.integers(0, p - 1)))
+                  for w in emitted)
+    assume(sum(volts) % p)
+    forged = cert61._replace(cycle=cycle, chosen_voltages=volts,
+                             total_voltage=sum(volts) % p)
+    failure = verify_certificate(forged)
+    assert (failure is None) == ((cycle, volts) == (cert61.cycle, emitted))
+    assert failure is None or failure.startswith("vertex ")
 
 
 def test_certificate_text_round_trip(cache):
