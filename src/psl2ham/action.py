@@ -9,9 +9,9 @@ Points of the coset space Omega are labeled (beta, fiber):
 * fiber in {0..4} locates Hg among the five H-cosets inside Kg, via the
   decomposition K = H + Ht + ... + Ht^4, t = diag(theta, theta^-1).
 
-Past the text (`point_str`, `parse_point`) a point is one int, its code
-f*(k+1) + (0 if beta is inf else beta + 1), in 0..5(k+1)-1, so a table
-over the points is a flat array indexed by code.
+A point is one int, its code f*(k+1) + (0 if beta is inf else beta + 1),
+in 0..5(k+1)-1, so a table over the points, its texts `point_texts`
+included, is a flat array indexed by code; `point_str` writes one point.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1; g and -g are the same element, and nothing here depends
@@ -53,16 +53,10 @@ def point_str(field: Field, v: int) -> str:
     return f"{'inf' if r == 0 else field.element_str(r - 1)}:{f}"
 
 
-def parse_point(field: Field, text: str) -> int:
-    """The code of the point written as "beta:fiber"."""
-    body, _, fiber = text.rpartition(":")
-    if not body:
-        raise ValueError(f"malformed point {text!r}")
-    f = int(fiber)
-    if not 0 <= f <= 4:
-        raise ValueError(f"fiber {f} out of range in {text!r}")
-    r = 0 if body == "inf" else field.parse_element(body) + 1
-    return f * (field.order + 1) + r
+def point_texts(field: Field) -> list[str]:
+    """The texts `point_str` writes, indexed by code."""
+    betas = ["inf", *field.element_texts()]
+    return [f"{beta}:{f}" for f in range(5) for beta in betas]
 
 
 def rep(field: Field, v: int) -> Mat:

@@ -15,9 +15,10 @@ by repeated multiplication by theta (x*theta mod s when m = 1, else a
 table step on the two halves of x's base-s digits, from tables of each
 half's products with theta reduced by the modulus), log by inverting it,
 negation as -x = theta^((k-1)/2)*x, and the coordinate order by reversing
-base-s digits; coordinates exist only at the text boundary.  Addition for
-m > 1 goes through the Zech logarithm zech[n] = log(1 + theta^n):
-x + y = x*(1 + y/x), so every table is O(k).
+base-s digits.  Addition for m > 1 goes through the Zech logarithm
+zech[n] = log(1 + theta^n): x + y = x*(1 + y/x), so every table is O(k).
+Coordinates exist only as text: `element_texts` writes all k elements by
+one product over the digit strings, and `element_str` writes one.
 """
 
 from __future__ import annotations
@@ -298,19 +299,14 @@ class Field:
             return str(x)
         return "[" + ",".join(str(c) for c in self._digits(x)) + "]"
 
-    def parse_element(self, text: str) -> int:
-        text = text.strip()
+    def element_texts(self) -> list[str]:
+        """The k texts `element_str` writes, in handle order."""
+        digits = [str(c) for c in range(self.s)]
         if self.m == 1:
-            v = int(text)
-            if not 0 <= v < self.s:
-                raise ValueError(f"residue {v} out of range for GF({self.s})")
-            return v
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ValueError(f"malformed element {text!r}")
-        cs = tuple(int(c) for c in text[1:-1].split(","))
-        if len(cs) != self.m or any(not 0 <= c < self.s for c in cs):
-            raise ValueError(f"malformed element {text!r}")
-        return sum(c * self.s**i for i, c in enumerate(cs))
+            return digits
+        # product varies its last digit fastest, the handle its first (c0)
+        return ["[" + ",".join(cs[::-1]) + "]"
+                for cs in product(digits, repeat=self.m)]
 
     def __repr__(self):
         if self.m == 1:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .action import point_str, rep
+from .action import point_str, point_texts, rep
 from .errors import InvariantViolation
 from .gf import Field
 
@@ -146,9 +146,9 @@ def export_chunks(field: Field, i: int, cls, fmt: str):
     or with fmt "dot" the DOT text, one chunk per vertex with later
     neighbors: each undirected edge once, (u, v) with u < v, u-major in
     vertex order, which is fiber-major, infinity first, then lex."""
-    F, k = field, field.order
+    F, k, texts = field, field.order, point_texts(field)
     rs = (0, *(beta + 1 for beta in F.elements_lex))  # inf, then lex
-    labels = [[point_str(F, f * (k + 1) + r) for r in rs] for f in range(5)]
+    labels = [[texts[f * (k + 1) + r] for r in rs] for f in range(5)]
     masks = [bytes(b == c for b in range(256)) for c in range(5)]
     if fmt == "dot":
         yield f'graph "Y{i}_k{F.order}" {{\n'

@@ -28,7 +28,7 @@ from array import array
 from itertools import accumulate
 from typing import NamedTuple
 
-from .action import parse_point, point_str, s_orbits
+from .action import point_str, point_texts, s_orbits
 from .errors import InvariantViolation
 from .gf import Field, admissible, factor_prime_power
 from .orbital import neighborhood, orbital_of
@@ -69,13 +69,12 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
             pos[v] = n
 
     def nbrs(v: int) -> set[int]:
-        nb, at = neighborhood(field, i, v), point_str(field, v)
-        if len(nb) != k:
+        nb = neighborhood(field, i, v)
+        if len(nb) != k or v in nb:  # formats the point only to raise
+            at = point_str(field, v)
             raise InvariantViolation(
-                f"vertex {at} has {len(nb)} neighbors, expected {k}",
-                stage="orbital")
-        if v in nb:
-            raise InvariantViolation(f"loop at vertex {at}", stage="orbital")
+                f"vertex {at} has {len(nb)} neighbors, expected {k}"
+                if len(nb) != k else f"loop at vertex {at}", stage="orbital")
         return nb
 
     nmat = [[None] * 10 for _ in range(10)]
@@ -250,8 +249,17 @@ def certificate_to_text(cert: HamiltonCertificate) -> str:
         f"total {cert.total_voltage}",
         f"vertices {len(cert.vertices)}",
     ]
-    lines.extend(point_str(field, v) for v in cert.vertices)
+    lines += map(point_texts(field).__getitem__, cert.vertices)
     return "\n".join(lines) + "\n"
+
+
+def _residue(text: str, p: int) -> int:
+    """x + 1 for the text str() writes of a residue x < p: as fast as a dict
+    of the p texts, without its 136 MB at p = 990361."""
+    x = int(text) if text.isdecimal() and len(text) < 20 else -1
+    if 0 <= x < p and str(x) == text:
+        return x + 1
+    raise KeyError(text)
 
 
 def parse_certificate(text: str) -> HamiltonCertificate:
@@ -288,10 +296,24 @@ def parse_certificate(text: str) -> HamiltonCertificate:
     n = int(fields["vertices"])
     if len(body) != n:
         raise ValueError(f"expected {n} vertex lines, found {len(body)}")
+    # canonical text only: one lookup of f, and of beta among "inf" and the
+    # k element texts (m > 1) or by `_residue` (m = 1)
+    betas = dict(zip(["inf", *field.element_texts()] if m > 1 else ["inf"],
+                     range(k + 1)))
+    fibers = {str(f): f * (k + 1) for f in range(5)}
+    verts = array("l")
+    for idx, ln in enumerate(body):
+        beta, _, f = ln.rpartition(":")
+        try:
+            r = betas[beta] if m > 1 or beta == "inf" else _residue(beta, k)
+            verts.append(r + fibers[f])
+        except KeyError:
+            raise ValueError(f"vertex {idx}: {ln!r} is not a point "
+                             f"beta:fiber of {field!r}") from None
     return HamiltonCertificate(
         field=field,
         orbital_index=int(fields["orbital"]),
         cycle=tuple(int(x) for x in fields["cycle"].split()),
         chosen_voltages=tuple(int(x) for x in fields["voltages"].split()),
         total_voltage=int(fields["total"]),
-        vertices=array("l", (parse_point(field, ln) for ln in body)))
+        vertices=verts)

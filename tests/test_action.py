@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from psl2ham import (Field, InvariantViolation, act, build_graph, parse_point,
-                     point_str, rep, s_orbits, sigma)
+from psl2ham import (Field, InvariantViolation, act, build_graph, point_str,
+                     point_texts, rep, s_orbits, sigma)
 from psl2ham.cli import run
 import reference
 from reference import PSL2, from_coeffs, point_of
@@ -226,15 +226,21 @@ def test_point_serialization(field61, field81):
     F61 = field61
     assert point_str(F61, code(F61, OmegaPoint(None, 3))) == "inf:3"
     assert point_str(F61, code(F61, OmegaPoint(17, 0))) == "17:0"
-    assert point(F61, parse_point(F61, "inf:3")) == OmegaPoint(None, 3)
-    assert point(F61, parse_point(F61, "17:0")) == OmegaPoint(17, 0)
+    texts = point_texts(F61)
+    assert len(texts) == 310
+    assert texts[code(F61, OmegaPoint(None, 3))] == "inf:3"
+    assert texts[code(F61, OmegaPoint(17, 0))] == "17:0"
     F81 = field81
     v = code(F81, OmegaPoint(from_coeffs(F81, (2, 1, 0, 1)), 4))
-    assert parse_point(F81, point_str(F81, v)) == v
-    with pytest.raises(ValueError):
-        parse_point(F61, "17:9")
-    with pytest.raises(ValueError):
-        parse_point(F61, "noinfix")
+    assert point_texts(F81)[v] == point_str(F81, v) == "[2,1,0,1]:4"
+    # one text per point: the table can be read back by a dict
+    assert len(set(point_texts(F81))) == 5 * 82
+
+
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_point_texts_are_point_str(k, fields):
+    F = fields[k]
+    assert point_texts(F) == [point_str(F, v) for v in range(5 * (k + 1))]
 
 
 def test_vertex_order_is_fiber_major(cache, field61):

@@ -203,6 +203,48 @@ def test_cli_verify_short_consistent_body_exits_4(tmp_path):
     assert run(["verify", "--cert", str(cert)]) == 4
 
 
+# spellings that name the right point but are not the one hamilton writes,
+# lines that name no point, and a residue or fiber out of range:
+# (k, the vertex line, its replacement)
+NONCANONICAL = [
+    (61, "17:0", "+17:0"),
+    (61, "17:0", "017:0"),
+    (61, "inf:0", "inf:00"),
+    (61, "17:0", "[2, 0,1,1]:4"),
+    (61, "17:0", "17:7"),
+    (61, "17:0", "17"),
+    (61, "17:0", "61:0"),
+    (61, "17:0", "1_7:0"),
+    (61, "17:0", "\u0661\u0667:0"),  # 17 in Arabic-Indic digits, which int() reads
+    (61, "17:0", "1" * 5000 + ":0"),  # past int()'s digit limit
+    (81, "[2,0,1,1]:4", "[2,0,1]:4"),
+    (81, "[2,0,1,1]:4", "[2, 0,1,1]:4"),
+    (81, "[2,0,1,1]:4", "[02,0,1,1]:4"),
+    (81, "[2,0,1,1]:4", "[2,0,1,1]:04"),
+    (81, "inf:0", "inf:00"),
+    (81, "[2,0,1,1]:4", "+17:0"),
+    (81, "[2,0,1,1]:4", "[2,0,1,1]:7"),
+]
+
+
+@pytest.mark.parametrize("k,line,spelling", NONCANONICAL,
+                         ids=[f"{k}-{new[:16]}" for k, _, new in NONCANONICAL])
+def test_cli_verify_reads_only_the_canonical_spelling(k, line, spelling,
+                                                      tmp_path, capsys):
+    cert = tmp_path / "c.txt"
+    assert run(["hamilton", "--k", str(k), "--out", str(cert)]) == 0
+    lines = cert.read_text().splitlines()
+    idx = lines.index(line, 10) - 10
+    lines[10 + idx] = spelling
+    cert.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["verify", "--cert", str(cert)]) == 2
+    field = "GF(61)" if k == 61 else "GF(3^4)"
+    assert capsys.readouterr().err == (
+        f"parameter error: vertex {idx}: {spelling!r} is not a point "
+        f"beta:fiber of {field}\n")
+
+
 INSTANCE_COMMANDS = ("build", "quotient", "hamilton", "weil-report", "full-graph")
 
 

@@ -241,17 +241,25 @@ def test_add_exhaustive(s, m):
 
 
 def test_serialization_round_trip():
+    # element_texts is read back by a dict in parse_certificate: one text
+    # per handle, in handle order
     Fp = Field(61, 1)
     assert Fp.element_str(17) == "17"
-    assert Fp.parse_element("17") == 17
+    assert Fp.element_texts()[17] == "17"
     Fe = Field(3, 4)
     x = from_coeffs(Fe, (2, 0, 1, 1))
     assert Fe.element_str(x) == "[2,0,1,1]"
-    assert Fe.parse_element("[2,0,1,1]") == x
-    with pytest.raises(ValueError):
-        Fe.parse_element("[2,0,1]")
-    with pytest.raises(ValueError):
-        Fp.parse_element("61")
+    texts = Fe.element_texts()
+    assert texts[x] == "[2,0,1,1]"
+    assert {t: h for h, t in enumerate(texts)}["[2,0,1,1]"] == x
+    assert len(set(texts)) == 81
+
+
+@pytest.mark.parametrize("s,m", [pytest.param(s, m, id=f"{s}-{m}") for s, m in
+                                 [(61, 1), (3, 4), (11, 2), (7, 4), (2, 4)]])
+def test_element_texts_are_element_str(s, m):
+    F = Field(s, m)
+    assert F.element_texts() == [F.element_str(x) for x in range(F.order)]
 
 
 def test_elements_lex_order():

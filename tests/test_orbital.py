@@ -1,7 +1,6 @@
 """Suborbits and orbital graphs: sizes, symmetry, regularity, exports."""
 
 import copy
-import functools
 import itertools
 import random
 import re
@@ -10,7 +9,7 @@ import tracemalloc
 import pytest
 
 from psl2ham import (Field, InvariantViolation, act, build_graph,
-                     neighborhood, orbital_of, parse_point, point_str, rep,
+                     neighborhood, orbital_of, point_str, point_texts, rep,
                      s_orbits)
 from psl2ham.cli import run
 from psl2ham.orbital import export_chunks
@@ -124,7 +123,7 @@ def test_exported_edges_are_the_edges_of_the_label_rule(k, fields):
     # in vertex order; no edge repeats and all 5(k+1)k/2 are there
     F = fields[k]
     index = {code(F, p): n for n, p in enumerate(points(F))}
-    parse = functools.lru_cache(maxsize=None)(lambda t: parse_point(F, t))
+    parse = {text: v for v, text in enumerate(point_texts(F))}.__getitem__
     line = {"edgelist": re.compile(r"(\S+) (\S+)\n"),
             "dot": re.compile(r'  "(\S+)" -- "(\S+)";\n')}
     for i, fmt in itertools.product(range(5), line):

@@ -191,6 +191,15 @@ def test_build_quotient_checks_fire(touched, new, message, stage, field61,
     assert exc.value.stage == stage
 
 
+def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
+    # the 20 neighborhoods are checked on codes; text is for the messages
+    def refuse(*args):
+        raise AssertionError("point text formatted on the passing path")
+
+    monkeypatch.setattr("psl2ham.quotient.point_str", refuse)
+    assert sum(build_quotient(field61, 0).mult[0]) == 61
+
+
 def test_cli_names_the_stage_of_a_broken_quotient(field61, monkeypatch, capsys):
     monkeypatch.setattr("psl2ham.quotient.neighborhood",
                         _tampered(s_orbits(field61), lambda a, w: w != 0, 2))
