@@ -11,12 +11,12 @@ quotient multigraph of an orbital graph over those orbits, from 20
 matrix-form neighborhoods -> voltage selection and a closed-form lift
 over the quotient cycle 0..9 -> a certificate that carries its field,
 re-verified by an O(1) rule on labels and that same lift.  Every point
-is one int code, and its text one entry of the table `point_texts`.
+is one int code; the table `point_texts` alone writes its text.
 Records are NamedTuples.  The command line, `psl2ham.cli`, only parses
 arguments and is not imported here.
 """
 
-from .action import act, point_str, point_texts, rep, s_orbits, sigma
+from .action import act, point_texts, rep, s_orbits, sigma
 from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
                    double_edge_equation, m_pairs, solution_profile,
                    weil_check)
@@ -28,7 +28,7 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        parse_certificate, run_pipeline, verify_certificate)
 
 __all__ = [
-    "act", "point_str", "point_texts", "rep", "s_orbits", "sigma",
+    "act", "point_texts", "rep", "s_orbits", "sigma",
     "DiagonalEquation", "SolutionProfile", "WeilReport",
     "double_edge_equation", "m_pairs", "solution_profile", "weil_check",
     "InvariantViolation", "ParameterError",

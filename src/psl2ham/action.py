@@ -11,7 +11,8 @@ Points of the coset space Omega are labeled (beta, fiber):
 
 A point is one int, its code f*(k+1) + (0 if beta is inf else beta + 1),
 in 0..5(k+1)-1, so a table over the points, its texts `point_texts`
-included, is a flat array indexed by code; `point_str` writes one point.
+included, is a flat array indexed by code.  That table is the one writer
+of point text: a message that names a point builds it when it raises.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1; g and -g are the same element, and nothing here depends
@@ -47,14 +48,8 @@ from .gf import Field
 Mat = tuple[int, int, int, int]
 
 
-def point_str(field: Field, v: int) -> str:
-    """The text "beta:fiber" of the point with code v."""
-    f, r = divmod(v, field.order + 1)
-    return f"{'inf' if r == 0 else field.element_str(r - 1)}:{f}"
-
-
 def point_texts(field: Field) -> list[str]:
-    """The texts `point_str` writes, indexed by code."""
+    """The text "beta:fiber" of every point, indexed by code."""
     betas = ["inf", *field.element_texts()]
     return [f"{beta}:{f}" for f in range(5) for beta in betas]
 
@@ -86,12 +81,16 @@ def act(field: Field, v: int, g: Mat) -> int:
 
 def sigma(field: Field) -> Mat:
     """The generator s(a,b) = [[a,b],[b*theta,a]] of S, a^2 - theta*b^2 = 1,
-    with the first b != 0 in coordinate-lex order for which a exists."""
-    F = field
-    for b in F.elements_lex[1:]:  # [0] is the zero element
-        roots = F.sqrt_list(F.add(1, F.mul(F.theta, F.mul(b, b))))
-        if roots:
-            return (roots[0], b, F.mul(b, F.theta), roots[0])
+    with the first b != 0 in coordinate-lex order for which a exists: with
+    k = 1 mod 4, 1 + theta*b^2 = theta^e != 0, and a is the lex-smaller of
+    +-theta^(e/2) for even e (elements_lex, a digit reversal, is an
+    involution, so it maps h to its lex rank)."""
+    F, exp, lex = field, field._exp, field.elements_lex
+    for b in lex[1:]:  # [0] is the zero element
+        e = F._log[F.add(1, F.mul(F.theta, F.mul(b, b)))]
+        if e % 2 == 0:
+            a = min(exp[e // 2], F._neg[exp[e // 2]], key=lex.__getitem__)
+            return (a, b, F.mul(b, F.theta), a)
     raise AssertionError("S has no element besides the identity")
 
 
@@ -122,15 +121,14 @@ def s_orbits(field: Field) -> tuple[array, ...]:
         for _ in range(p - 1):
             orb.append(act(field, orb[-1], g))
         orbits += [array("l", [(v + i * k1) % n for v in orb]) for i in range(5)]
+    # 10p = n codes mod n: all n are seen iff none repeats in or across orbits
     seen = bytearray(n)
     for orb in orbits:
-        if len(set(orb)) != p:
-            raise InvariantViolation(
-                f"S-orbit has {len(set(orb))} points, expected {p}",
-                stage="action")
         for v in orb:
             seen[v] = 1
     if 0 in seen:
         raise InvariantViolation(
-            "S-orbits do not partition the point set", stage="action")
+            "S-orbits do not partition the point set: "
+            f"{point_texts(field)[seen.index(0)]} lies in no orbit",
+            stage="action")
     return tuple(orbits)

@@ -124,8 +124,6 @@ def run(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "instances":
-            if args.max_k > MAX_K:
-                raise ParameterError(f"--max-k {args.max_k} exceeds the limit {MAX_K}")
             if args.max_k > INSTANCES_MAX_K:
                 raise ParameterError(
                     f"--max-k {args.max_k} exceeds the limit "

@@ -18,7 +18,7 @@ negation as -x = theta^((k-1)/2)*x, and the coordinate order by reversing
 base-s digits.  Addition for m > 1 goes through the Zech logarithm
 zech[n] = log(1 + theta^n): x + y = x*(1 + y/x), so every table is O(k).
 Coordinates exist only as text: `element_texts` writes all k elements by
-one product over the digit strings, and `element_str` writes one.
+one product over the digit strings, the one writer of element text.
 """
 
 from __future__ import annotations
@@ -144,14 +144,6 @@ class Field:
 
     # --- construction internals ---
 
-    def _digits(self, x: int) -> list[int]:
-        """The m coordinates of handle x, constant term first."""
-        out = []
-        for _ in range(self.m):
-            x, c = divmod(x, self.s)
-            out.append(c)
-        return out
-
     def _mul_poly(self, x: int, y: int) -> int:
         s, m = self.s, self.m
         if m == 1:
@@ -206,7 +198,7 @@ class Field:
             cut, wcut = s**low, w**low
 
             def wide(y):
-                return sum(c * w**i for i, c in enumerate(self._digits(y)))
+                return sum(y // s**i % s * w**i for i in range(m))
 
             lo_t = [wide(self._mul_poly(lo, theta)) for lo in range(cut)]
             hi_t = [wide(self._mul_poly(cut * hi, theta))
@@ -279,28 +271,11 @@ class Field:
             raise ValueError("dlog(0) is undefined")
         return self._log[x]
 
-    def sqrt_list(self, x: int) -> list[int]:
-        """All square roots of x, in coordinate-lex order."""
-        if x == 0:
-            return [0]
-        e = self._log[x]
-        if self.order % 2 == 1 and e % 2 == 1:
-            return []
-        if self.order % 2 == 0:
-            # char 2: squaring is a bijection
-            return [self._exp[(e * (self.order // 2)) % (self.order - 1)]]
-        r = self._exp[e // 2]
-        return sorted({r, self._neg[r]}, key=self._digits)
-
     # --- views and serialization ---
 
-    def element_str(self, x: int) -> str:
-        if self.m == 1:
-            return str(x)
-        return "[" + ",".join(str(c) for c in self._digits(x)) + "]"
-
     def element_texts(self) -> list[str]:
-        """The k texts `element_str` writes, in handle order."""
+        """The text of every element, in handle order: x itself for m = 1,
+        else its coordinates "[c0,c1,...]", constant term first."""
         digits = [str(c) for c in range(self.s)]
         if self.m == 1:
             return digits

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .action import point_str, point_texts, rep
+from .action import point_texts, rep
 from .errors import InvariantViolation
 from .gf import Field
 
@@ -115,20 +115,21 @@ def build_graph(field: Field, i: int) -> bytearray:
         row = cls[j * k:(j + 1) * k]
         if row.count(5) != 1:
             raise InvariantViolation(
-                f"vertex {point_str(F, beta + 1)} has {k1 - row.count(5)} "
+                f"vertex {point_texts(F)[beta + 1]} has {k1 - row.count(5)} "
                 f"neighbors, expected {k}", stage="orbital")
         if row[j] != 5:
             f = 3 * (i + row[j]) % 5  # 2f = i + chi(0)
             raise InvariantViolation(
-                f"loop at vertex {point_str(F, f * k1 + beta + 1)}",
+                f"loop at vertex {point_texts(F)[f * k1 + beta + 1]}",
                 stage="orbital")
         if row != cls[j::k]:
             x = next(x for x in range(k) if row[x] != cls[x * k + j])
             # the edge of the smaller class is there one way only
             g = (i + min(row[x], cls[x * k + j])) % 5
+            texts = point_texts(F)
             raise InvariantViolation(
-                f"asymmetric adjacency between {point_str(F, beta + 1)} and "
-                f"{point_str(F, g * k1 + lex[x] + 1)}", stage="orbital")
+                f"asymmetric adjacency between {texts[beta + 1]} and "
+                f"{texts[g * k1 + lex[x] + 1]}", stage="orbital")
     # one class c pairs star f with star i + c - f, and two classes a, b
     # give the shift f -> f + a - b, which reaches all five
     present = [c for c in range(5) if c in cls]

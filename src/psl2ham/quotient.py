@@ -28,7 +28,7 @@ from array import array
 from itertools import accumulate
 from typing import NamedTuple
 
-from .action import point_str, point_texts, s_orbits
+from .action import point_texts, s_orbits
 from .errors import InvariantViolation
 from .gf import Field, admissible, factor_prime_power
 from .orbital import neighborhood, orbital_of
@@ -71,7 +71,7 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
     def nbrs(v: int) -> set[int]:
         nb = neighborhood(field, i, v)
         if len(nb) != k or v in nb:  # formats the point only to raise
-            at = point_str(field, v)
+            at = point_texts(field)[v]
             raise InvariantViolation(
                 f"vertex {at} has {len(nb)} neighbors, expected {k}"
                 if len(nb) != k else f"loop at vertex {at}", stage="orbital")
@@ -210,15 +210,17 @@ def verify_certificate(cert: HamiltonCertificate) -> str | None:
         v, w = verts[idx], verts[(idx + 1) % n]
         if orbital_of(field, v, w) != i:
             where = "closing edge" if idx == n - 1 else f"step {idx}->{idx + 1}"
-            return (f"{where}: {point_str(field, v)} and {point_str(field, w)} "
+            texts = point_texts(field)
+            return (f"{where}: {texts[v]} and {texts[w]} "
                     f"are not adjacent in orbital graph {i}")
 
     # the header's claims: they fix every vertex, so compare each one
     claimed = lift(s_orbits(field), cert.cycle, volts)
     for idx, (v, w) in enumerate(zip(verts, claimed)):
         if v != w:
-            return (f"vertex {idx} is {point_str(field, v)}, but the header's "
-                    f"cycle and voltages put {point_str(field, w)} there")
+            texts = point_texts(field)
+            return (f"vertex {idx} is {texts[v]}, but the header's "
+                    f"cycle and voltages put {texts[w]} there")
     return None
 
 

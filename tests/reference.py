@@ -10,7 +10,9 @@ right action as the label of a 2x2 product, and the ten H-orbits
 over its components (`unroll_lift`), against which the closed form
 `quotient.lift` is checked.  It also keeps the helpers that only tests
 call: `coeffs`, `from_coeffs`, `point_of`, `equation_for_orbit_pair`,
-`class_table` and `edges`.
+`class_table` and `edges`, and the single-element and single-point text
+writers `element_str` and `point_str`, built from `coeffs`, against which
+the package's text tables are checked.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1, stored in canonical sign form: of the two matrices g, -g
@@ -37,7 +39,7 @@ from psl2ham import (Field, InvariantViolation, QuotientMultigraph,
 from psl2ham.action import Mat, rep
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           DiagonalEquation, double_edge_equation)
-from util import ALPHA, OmegaPoint, code, points
+from util import ALPHA, OmegaPoint, code, point, points
 
 
 def coeffs(field: Field, x: int) -> tuple[int, ...]:
@@ -54,6 +56,21 @@ def from_coeffs(field: Field, cs) -> int:
     if len(cs) != field.m:
         raise ValueError(f"expected {field.m} coordinates, got {len(cs)}")
     return sum(c % field.s * field.s**i for i, c in enumerate(cs))
+
+
+def element_str(field: Field, x: int) -> str:
+    """The text of the element with handle x, from its coordinates: the
+    residue for m = 1, else "[c0,c1,...]"."""
+    if field.m == 1:
+        return str(x)
+    return "[" + ",".join(map(str, coeffs(field, x))) + "]"
+
+
+def point_str(field: Field, v: int) -> str:
+    """The text "beta:fiber" of the point with code v."""
+    p = point(field, v)
+    beta = "inf" if p.beta is None else element_str(field, p.beta)
+    return f"{beta}:{p.fiber}"
 
 
 def point_of(field: Field, g: Mat) -> OmegaPoint:
@@ -255,13 +272,17 @@ class PSL2:
     @cached_property
     def S(self) -> tuple[Mat, ...]:
         """The cyclic subgroup of order (k+1)/2, listed as powers of a
-        fixed generator sigma, so list position is the Z_p coordinate."""
+        fixed generator sigma, so list position is the Z_p coordinate.
+        The roots a are found by trying every element in coordinate-lex
+        order, so sigma = s(a, b) has the first b != 0 with a root and the
+        lex-smaller of its two roots."""
         F = self.field
         found: dict[Mat, None] = {}
         for b in F.elements_lex:
             rhs = F.add(1, F.mul(F.theta, F.mul(b, b)))  # a^2 = 1 + theta*b^2
-            for a in F.sqrt_list(rhs):
-                found.setdefault(self.s_element(a, b))
+            for a in F.elements_lex:
+                if F.mul(a, a) == rhs:
+                    found.setdefault(self.s_element(a, b))
         n = (F.order + 1) // 2
         if len(found) != n:
             raise AssertionError(f"expected {n} elements in S, found {len(found)}")

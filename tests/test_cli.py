@@ -135,13 +135,6 @@ def test_cli_instances(capsys):
     assert out == ["k=61 s=61 m=1 p=31", "k=81 s=3 m=4 p=41", "k=121 s=11 m=2 p=61"]
 
 
-def test_cli_instances_caps_max_k(capsys):
-    # without the cap the listing steps through every k up to 10^20
-    assert run(["instances", "--max-k", str(10**20)]) == 2
-    assert capsys.readouterr().err == (
-        f"parameter error: --max-k {10**20} {TOO_LARGE}\n")
-
-
 def test_cli_instances_bounds_max_k(monkeypatch, capsys):
     # the refusal comes before any listing work; the limit itself is listed
     listed = []
@@ -155,6 +148,14 @@ def test_cli_instances_bounds_max_k(monkeypatch, capsys):
     assert listed == []
     assert run(["instances", "--max-k", str(10**6)]) == 0
     assert listed == [10**6]
+
+
+def test_cli_instances_caps_max_k(capsys):
+    # without the cap the listing steps through every k up to 10^20
+    assert run(["instances", "--max-k", str(10**20)]) == 2
+    assert capsys.readouterr().err == (
+        f"parameter error: --max-k {10**20} exceeds the limit "
+        f"1000000 of instances\n")
 
 
 def test_list_instances_steps_through_k_one_mod_ten():

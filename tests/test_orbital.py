@@ -9,12 +9,12 @@ import tracemalloc
 import pytest
 
 from psl2ham import (Field, InvariantViolation, act, build_graph,
-                     neighborhood, orbital_of, point_str, point_texts, rep,
-                     s_orbits)
+                     neighborhood, orbital_of, point_texts, rep, s_orbits)
 from psl2ham.cli import run
 from psl2ham.orbital import export_chunks
 import reference
-from reference import edges, point_of, suborbits, suborbits_by_h_orbits
+from reference import (edges, point_of, point_str, suborbits,
+                       suborbits_by_h_orbits)
 from util import (ALPHA, OmegaPoint, code, point, points, random_words,
                   vertex_index)
 
@@ -184,6 +184,24 @@ def test_build_graph_checks_raise(field61, edit, message):
         assert exc.value.stage == "orbital"
     assert field61._log[2] is not None  # the original is untouched
     build_graph(field61, 0)
+
+
+def test_build_graph_messages_are_exact(field61):
+    # each message names its points by their full text: the row of beta = 0
+    # fails first, and a loop sits at fiber f with 2f = i
+    expected = {
+        drop_chi_of_2: ["vertex 0:0 has 60 neighbors, expected 61"] * 5,
+        chi_of_zero_and_drop_2: [f"loop at vertex 0:{3 * i % 5}"
+                                 for i in range(5)],
+        shift_chi_of_2: [f"asymmetric adjacency between 0:0 and "
+                         f"2:{(i + 1) % 5}" for i in range(5)],
+    }
+    for edit, messages in expected.items():
+        field = tampered(field61, edit)
+        for i, message in enumerate(messages):
+            with pytest.raises(InvariantViolation) as exc:
+                build_graph(field, i)
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("fmt", ["edgelist", "dot"])

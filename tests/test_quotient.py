@@ -8,12 +8,12 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from psl2ham import (Field, build_quotient, certificate_to_text, lift,
-                     lift_cycle, neighborhood, parse_certificate, point_str,
+from psl2ham import (Field, build_graph, build_quotient, certificate_to_text,
+                     lift, lift_cycle, neighborhood, parse_certificate,
                      s_orbits, verify_certificate)
 from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
-from reference import unroll_lift
+from reference import point_str, unroll_lift
 from util import code, point, vertex_index
 
 
@@ -168,10 +168,11 @@ def _tampered(orbits, touched, new):
 
 # one case per check of build_quotient, each caught at k=61, orbital 0
 BROKEN_NEIGHBORHOODS = [
-    pytest.param(lambda a, w: True, None, "has 60 neighbors", "orbital",
+    pytest.param(lambda a, w: True, None,
+                 "vertex inf:0 has 60 neighbors, expected 61$", "orbital",
                  id="dropped"),
-    pytest.param(lambda a, w: True, "self", "loop at vertex", "orbital",
-                 id="loop"),
+    pytest.param(lambda a, w: True, "self", "loop at vertex inf:0$",
+                 "orbital", id="loop"),
     pytest.param(lambda a, w: w != 0, 2, "S-invariance broken", "quotient",
                  id="off-base"),
     pytest.param(lambda a, w: a == 0 and w <= 1, 2, r"asymmetric at \(0,1\)",
@@ -192,12 +193,32 @@ def test_build_quotient_checks_fire(touched, new, message, stage, field61,
 
 
 def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
-    # the 20 neighborhoods are checked on codes; text is for the messages
+    # the 20 neighborhoods are checked on codes; text is for the messages.
+    # So are the checks of s_orbits, build_graph and verify: each message
+    # that names a point builds the text table as it fails
+    cert = lift_cycle(build_quotient(field61, 0))
+
     def refuse(*args):
         raise AssertionError("point text formatted on the passing path")
 
-    monkeypatch.setattr("psl2ham.quotient.point_str", refuse)
+    for module in ("quotient", "orbital", "action"):
+        monkeypatch.setattr(f"psl2ham.{module}.point_texts", refuse)
     assert sum(build_quotient(field61, 0).mult[0]) == 61
+    assert len(s_orbits(field61)) == 10
+    assert len(build_graph(field61, 2)) == 61 * 61
+    assert verify_certificate(cert) is None
+
+
+def test_verify_names_points_by_their_text():
+    # at k = 81 a point's text holds its four coordinates: swapping
+    # vertices 1 and 2 breaks step 0->1 first
+    field = Field(3, 4)
+    cert = lift_cycle(build_quotient(field, 0))
+    vs = array("l", cert.vertices)
+    vs[1], vs[2] = vs[2], vs[1]
+    assert verify_certificate(cert._replace(vertices=vs)) == (
+        "step 0->1: inf:0 and [1,0,2,1]:1 are not adjacent in orbital "
+        "graph 0")
 
 
 def test_cli_names_the_stage_of_a_broken_quotient(field61, monkeypatch, capsys):
