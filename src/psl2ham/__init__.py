@@ -7,13 +7,13 @@ stage is a function of the field.  Exact GF(s^m) arithmetic -> coset
 labels (beta, fiber), with closed-form representatives and the right
 action read off the labels -> the ten orbits of the cyclic subgroup S of
 order p, two walks of one generator shifted across the fibers -> the
-quotient multigraph of an orbital graph over those orbits, from 20
-matrix-form neighborhoods -> voltage selection and a closed-form lift
-over the quotient cycle 0..9 -> a certificate that carries its field,
-re-verified by an O(1) rule on labels and that same lift.  Every point
-is one int code; the table `point_texts` alone writes its text.
-Records are NamedTuples.  The command line, `psl2ham.cli`, only parses
-arguments and is not imported here.
+quotient multigraph of an orbital graph, read off the two walks by the
+label rule and cross-derived by 4 matrix-form neighborhoods -> voltage
+selection and a closed-form lift over the quotient cycle 0..9 -> a
+certificate that carries its field, re-verified by the rule and that
+same lift.  Every point is one int code; the table `point_texts` alone
+writes its text.  Records are NamedTuples.  The command line,
+`psl2ham.cli`, only parses arguments and is not imported here.
 """
 
 from .action import act, point_texts, rep, s_orbits, sigma

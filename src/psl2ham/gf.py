@@ -221,10 +221,11 @@ class Field:
         # doubled, so a sum of two logs indexes it without reduction
         self._exp = tuple(exp) * 2
         self._log = log
-        # zech[n] = log(1 + theta^n), None where that is 0 (log[0] is None);
-        # adding 1 to a handle adds 1 to its constant coordinate
-        self._zech = [log[h + 1 if h % s != s - 1 else h - (s - 1)]
-                      for h in exp]
+        # for m > 1, zech[n] = log(1 + theta^n), None where that is 0 (log[0]
+        # is None); adding 1 to a handle adds 1 to its constant coordinate
+        if m > 1:
+            self._zech = [log[h + 1 if h % s != s - 1 else h - (s - 1)]
+                          for h in exp]
         # -1 = theta^((k-1)/2) for odd k, and -x = x in characteristic 2
         half = (k - 1) // 2
         self._neg = (range(k) if s == 2 else

@@ -18,7 +18,7 @@ beta is inf, so it lies in long suborbit i, the finite points of fiber i.
 
 Every function here takes the field.  `orbital_of` applies the rule in
 O(1); `neighborhood` keeps the matrix form as the independent derivation
-the quotient is built from.  `build_graph` fills the k^2 classes
+that cross-checks the quotient.  `build_graph` fills the k^2 classes
 chi(x - beta) by rotating the chi row, with no field arithmetic, and
 checks Y(i) on them; `export_chunks` streams the edge text off that table.
 """

@@ -5,8 +5,9 @@ Collapsing an orbital graph along the ten S-orbits gives a multigraph on
 neighbor of A's base vertex inside B.  Each such edge carries a voltage
 w in Z_p, the position of that neighbor in B's cyclic order, so that
 v_A(c) ~ v_B(c + w) for every offset c.  Since S acts by automorphisms,
-the neighborhoods of the ten orbit bases determine the quotient; the
-full orbital graph is never built.
+the label rule of `orbital.orbital_of` read along the two S-orbit walks
+gives every voltage, and four matrix-form neighborhoods cross-derive
+them (`build_quotient`); the full orbital graph is never built.
 
 The quotient cycle is the walk 0, 1, ..., 9 through the ten orbits.
 Voltages w_0..w_9 on it lift in closed form (`lift`): vertex 10r + j is
@@ -14,11 +15,9 @@ orbit j at position c_j + r*T, with c_j = w_0 + ... + w_(j-1) and T the
 total mod p.  For T != 0 that is one cycle through all 10p vertices, as
 p is prime; T = 0 would give p disjoint 10-cycles.  The certificate holds
 its field, the walk, the chosen voltages and the full vertex cycle, and
-can be re-verified from scratch with the O(1) adjacency rule
-`orbital.orbital_of`, which needs only the field and is derived
-independently of the matrix-form neighborhoods the quotient is built
-from; the same closed form over the S-orbits then checks the walk and
-voltages of the header against the vertices.  `run_pipeline` chains
+is re-verified from scratch: each cycle edge by `orbital_of`, which needs
+only the field, then the header's walk and voltages by the same closed
+form over verify's own walk of the S-orbits.  `run_pipeline` chains
 quotient, lift and verify.
 """
 
@@ -54,60 +53,60 @@ class QuotientMultigraph(NamedTuple):
 
 
 def build_quotient(field: Field, i: int) -> QuotientMultigraph:
-    """Collapse Y(i) along the ten S-orbits, recording voltages.
-
-    Reads the neighborhoods of only 20 vertices: the base of each orbit,
-    and its position 1 to check S-invariance by recounting.
+    """Collapse Y(i) along the ten S-orbits, recording voltages, by the
+    label rule: the base (inf, n) of orbit n is adjacent to (beta', f') iff
+    beta' is finite and n + f' = i, and the base (0, n) of orbit 5 + n iff
+    beta' != 0 and n + f' = i + chi(beta'), chi(inf) read as 0.  Orbit
+    5e + j is orbit 5e with every fiber raised by j, so position w of orbit
+    5e, a point (beta, f), goes in bucket[0][e][f] if beta is finite and in
+    bucket[1][e][f - chi(beta)] if beta != 0, and voltages[a][b] =
+    bucket[a // 5][b // 5][(i - a - b) % 5]: 100 cells, 20 sorted tuples.
+    Rows 0 and 5 hold all 20, and `neighborhood` at positions 0 and 1 of
+    orbits 0 and 5 cross-derives them, at 1 an exact S-invariance check.
     """
     if not 0 <= i <= 4:
         raise ValueError(f"orbital index {i} out of range 0..4")
-    k, p = field.order, (field.order + 1) // 2
+    k, p, log = field.order, (field.order + 1) // 2, field._log
     orbits = s_orbits(field)
-    pos = array("l", [0]) * (10 * p)  # code -> a*p + w
-    for a, orb in enumerate(orbits):
-        for n, v in enumerate(orb, start=a * p):
-            pos[v] = n
+    bucket = [[[[] for _ in range(5)] for _ in range(2)] for _ in range(2)]
+    for e in (0, 1):
+        for w, v in enumerate(orbits[5 * e]):  # in order, so each is sorted
+            f, r = divmod(v, k + 1)
+            if r:  # beta = r - 1 is finite
+                bucket[0][e][f].append(w)
+            if r != 1:  # beta != 0
+                bucket[1][e][(f - log[r - 1]) % 5 if r else f].append(w)
+    bucket = [[[tuple(ws) for ws in b5] for b5 in row] for row in bucket]
+    volts = tuple(tuple(bucket[a // 5][b // 5][(i - a - b) % 5]
+                        for b in range(10)) for a in range(10))
 
-    def nbrs(v: int) -> set[int]:
-        nb = neighborhood(field, i, v)
-        if len(nb) != k or v in nb:  # formats the point only to raise
-            at = point_texts(field)[v]
-            raise InvariantViolation(
-                f"vertex {at} has {len(nb)} neighbors, expected {k}"
-                if len(nb) != k else f"loop at vertex {at}", stage="orbital")
-        return nb
-
-    nmat = [[None] * 10 for _ in range(10)]
-    for a in range(10):
-        volts: list[set[int]] = [set() for _ in range(10)]
-        for v in nbrs(orbits[a][0]):
-            b, w = divmod(pos[v], p)
-            volts[b].add(w)
+    # checks of the walks: of each pair (a, b), (b, a), one has a = 0 or 5
+    for a in (0, 5):
         for b in range(10):
-            nmat[a][b] = tuple(sorted(volts[b]))
-
-        # S-invariance: counts at position 1 must match those at the base
-        counts = [0] * 10
-        for v in nbrs(orbits[a][1]):
-            counts[pos[v] // p] += 1
-        if counts != [len(nmat[a][b]) for b in range(10)]:
-            raise InvariantViolation(
-                f"neighbor counts differ across orbit {a}: S-invariance broken",
-                stage="quotient")
-
-    # each row holds k offsets: nbrs gives k distinct points, pos is injective
-    for a in range(10):
-        for b in range(10):
-            if len(nmat[a][b]) != len(nmat[b][a]):
+            if len(volts[a][b]) != len(volts[b][a]):
                 raise InvariantViolation(
                     f"multiplicity matrix asymmetric at ({a},{b})",
                     stage="quotient")
-            if set(nmat[b][a]) != {(-w) % p for w in nmat[a][b]}:
+            if set(volts[b][a]) != {(-w) % p for w in volts[a][b]}:
                 raise InvariantViolation(
                     f"voltage sets at ({a},{b}) are not negations",
                     stage="quotient")
+    for a in (0, 5):
+        for c, v in enumerate(orbits[a][:2]):  # v ~ orbits[b][w + c], w in row a
+            nb = neighborhood(field, i, v)
+            if len(nb) != k or v in nb:  # formats the point only to raise
+                at = point_texts(field)[v]
+                raise InvariantViolation(
+                    f"vertex {at} has {len(nb)} neighbors, expected {k}"
+                    if len(nb) != k else f"loop at vertex {at}", stage="orbital")
+            if nb != {orbits[b][(w + c) % p]
+                      for b in range(10) for w in volts[a][b]}:
+                raise InvariantViolation(
+                    f"neighbor counts differ across orbit {a}: S-invariance "
+                    "broken" if c else f"the neighbors of orbit {a}'s base "
+                    "differ from its voltages", stage="quotient")
     return QuotientMultigraph(field=field, orbital_index=i, orbits=orbits,
-                              voltages=tuple(tuple(row) for row in nmat))
+                              voltages=volts)
 
 
 class HamiltonCertificate(NamedTuple):

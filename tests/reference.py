@@ -8,7 +8,10 @@ PSL(2,k) with canonical signs and its enumerated subgroups S and H, the
 right action as the label of a 2x2 product, and the ten H-orbits
 (suborbits) on the coset space, and the voltage lift as an explicit walk
 over its components (`unroll_lift`), against which the closed form
-`quotient.lift` is checked.  It also keeps the helpers that only tests
+`quotient.lift` is checked, and the quotient's voltages read off the
+matrix-form neighborhoods of the ten orbit bases (`base_voltages`),
+against which the label-rule reading of `build_quotient` is checked.
+It also keeps the helpers that only tests
 call: `coeffs`, `from_coeffs`, `point_of`, `equation_for_orbit_pair`,
 `class_table` and `edges`, and the single-element and single-point text
 writers `element_str` and `point_str`, built from `coeffs`, against which
@@ -156,6 +159,19 @@ def unroll_lift(q: QuotientMultigraph, choices) -> list[array]:
             j = (j + 1) % 10
         out.append(comp)
     return out
+
+
+def base_voltages(field: Field, i: int, orbits) -> tuple:
+    """The voltages of Y(i) over `orbits`, read off the matrix-form
+    neighborhood of each orbit's base: voltages[a][b] holds, sorted, the
+    positions in orbit b of the neighbors of orbits[a][0]."""
+    pos = {v: (b, w) for b, orb in enumerate(orbits) for w, v in enumerate(orb)}
+    volts = [[[] for _ in range(10)] for _ in range(10)]
+    for a, orb in enumerate(orbits):
+        for v in neighborhood(field, i, orb[0]):
+            b, w = pos[v]
+            volts[a][b].append(w)
+    return tuple(tuple(tuple(sorted(ws)) for ws in row) for row in volts)
 
 
 def mulclose(gens, mul, max_size: int | None = None) -> set:

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from psl2ham import (Field, build_graph, build_quotient, certificate_to_text,
-                     lift, lift_cycle, neighborhood, parse_certificate,
-                     s_orbits, verify_certificate)
+                     lift, lift_cycle, list_instances, neighborhood,
+                     parse_certificate, s_orbits, verify_certificate)
 from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
-from reference import point_str, unroll_lift
+from reference import base_voltages, point_str, unroll_lift
 from util import code, point, vertex_index
 
 
@@ -80,6 +80,35 @@ def test_quotient_equals_collapse_of_full_graph(k, cache, fields):
         assert q.voltages == volts
         assert q.mult == tuple(tuple(len(vs) for vs in row) for row in volts)
         assert q.orbital_index == i
+
+
+@pytest.mark.parametrize("s,m", list_instances(2500))
+def test_quotient_equals_the_reading_of_the_ten_bases(s, m):
+    # the label rule along two walks against the matrix form at ten bases:
+    # 14 fields, m = 1, 2 and 4, k = 61 to 2401
+    field = Field(s, m)
+    orbits = s_orbits(field)
+    for i in range(5):
+        assert build_quotient(field, i).voltages == base_voltages(field, i,
+                                                                 orbits)
+
+
+def test_build_quotient_reads_four_neighborhoods(field61, monkeypatch):
+    # positions 0 and 1 of orbits 0 and 5 cross-derive the 20 distinct
+    # voltage tuples that the 100 cells share
+    calls = []
+
+    def counted(field, i, v):
+        calls.append(v)
+        return neighborhood(field, i, v)
+
+    monkeypatch.setattr("psl2ham.quotient.neighborhood", counted)
+    orbits = s_orbits(field61)
+    for i in range(5):
+        calls.clear()
+        q = build_quotient(field61, i)
+        assert calls == [orbits[a][c] for a in (0, 5) for c in (0, 1)]
+        assert len({id(vs) for row in q.voltages for vs in row}) == 20
 
 
 def expected_single_edge_pairs(i):
@@ -166,34 +195,74 @@ def _tampered(orbits, touched, new):
     return fake
 
 
-# one case per check of build_quotient, each caught at k=61, orbital 0
-BROKEN_NEIGHBORHOODS = [
-    pytest.param(lambda a, w: True, None,
+def _walked(orbits, edit):
+    """s_orbits() returning copies of `orbits` that edit(orbs) changed."""
+    orbs = [array("l", orb) for orb in orbits]
+    edit(orbs)
+    return lambda field: tuple(orbs)
+
+
+def _off_fiber(orbs):
+    """Positions 1 and 30 = -1 of orbit 0 moved to the next fiber (of 62
+    codes each): its own voltages stay closed under negation, but its row
+    of the multiplicity matrix is no longer its column."""
+    for w in (1, 30):
+        orbs[0][w] = (orbs[0][w] + 62) % 310
+
+
+def _swapped(orbs):
+    """Positions 1 and 2 of orbits 5-9 exchanged."""
+    for orb in orbs[5:]:
+        orb[1], orb[2] = orb[2], orb[1]
+
+
+def _rebased(orbs):
+    """Position 1 of orbit 5, the point 38:2, moved to 39:2: its fiber
+    stays, so only the voltages among the zero family change."""
+    orbs[5][1] += 1
+
+
+FAKES = {"neighborhood": _tampered, "s_orbits": _walked}
+
+# one case per check of build_quotient, each caught at k=61, orbital 0: a
+# tampered matrix form fails the cross-derivation, a tampered walk the
+# pair checks of the voltages read off it
+BROKEN_QUOTIENTS = [
+    pytest.param("neighborhood", (lambda a, w: True, None),
                  "vertex inf:0 has 60 neighbors, expected 61$", "orbital",
                  id="dropped"),
-    pytest.param(lambda a, w: True, "self", "loop at vertex inf:0$",
-                 "orbital", id="loop"),
-    pytest.param(lambda a, w: w != 0, 2, "S-invariance broken", "quotient",
-                 id="off-base"),
-    pytest.param(lambda a, w: a == 0 and w <= 1, 2, r"asymmetric at \(0,1\)",
-                 "quotient", id="asymmetric"),
-    pytest.param(lambda a, w: (a, w) == (0, 0), 1, "not negations", "quotient",
+    pytest.param("neighborhood", (lambda a, w: True, "self"),
+                 "loop at vertex inf:0$", "orbital", id="loop"),
+    pytest.param("neighborhood", (lambda a, w: (a, w) == (0, 0), 1),
+                 "the neighbors of orbit 0's base differ from its voltages$",
+                 "quotient", id="base-differs"),
+    pytest.param("neighborhood", (lambda a, w: w != 0, 2),
+                 "neighbor counts differ across orbit 0: S-invariance broken$",
+                 "quotient", id="off-base"),
+    pytest.param("s_orbits", (_off_fiber,),
+                 r"multiplicity matrix asymmetric at \(0,7\)$", "quotient",
+                 id="asymmetric"),
+    pytest.param("s_orbits", (_swapped,),
+                 r"voltage sets at \(0,7\) are not negations$", "quotient",
                  id="not-negated"),
+    pytest.param("s_orbits", (_rebased,),
+                 r"voltage sets at \(5,5\) are not negations$", "quotient",
+                 id="not-negated-in-row-5"),
 ]
 
 
-@pytest.mark.parametrize("touched,new,message,stage", BROKEN_NEIGHBORHOODS)
-def test_build_quotient_checks_fire(touched, new, message, stage, field61,
+@pytest.mark.parametrize("name,args,message,stage", BROKEN_QUOTIENTS)
+def test_build_quotient_checks_fire(name, args, message, stage, field61,
                                     monkeypatch):
-    monkeypatch.setattr("psl2ham.quotient.neighborhood",
-                        _tampered(s_orbits(field61), touched, new))
+    monkeypatch.setattr(f"psl2ham.quotient.{name}",
+                        FAKES[name](s_orbits(field61), *args))
     with pytest.raises(InvariantViolation, match=message) as exc:
         build_quotient(field61, 0)
     assert exc.value.stage == stage
 
 
 def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
-    # the 20 neighborhoods are checked on codes; text is for the messages.
+    # the 4 neighborhoods are checked on codes; text is for the messages.
     # So are the checks of s_orbits, build_graph and verify: each message
     # that names a point builds the text table as it fails
     cert = lift_cycle(build_quotient(field61, 0))
@@ -499,8 +568,9 @@ def test_corrupt_quotient_raises(cache):
 
 
 def test_hamilton_path_memory_is_linear_in_codes():
-    # orbits, the position table, the lift and verify's seen-mask are flat
-    # arrays of codes: at k=4621 (23,110 points) the path peaks below 3.5 MB
+    # orbits, the lift and verify's seen-mask are flat arrays of codes,
+    # and the voltages 20 tuples of positions: at k=4621 (23,110 points)
+    # the path peaks below 3.5 MB
     field = Field(4621, 1)
     tracemalloc.start()
     try:
