@@ -4,19 +4,19 @@ prime power with 10 | k-1 and p = (k+1)/2 prime.
 
 The pipeline needs field arithmetic only, and builds no group: every
 stage is a function of the field.  Exact GF(s^m) arithmetic -> coset
-labels (beta, fiber), with closed-form representatives and the right
-action read off the labels -> the ten orbits of the cyclic subgroup S of
-order p, two walks of one generator shifted across the fibers -> the
-quotient multigraph of an orbital graph, read off the two walks by the
-label rule and cross-derived by 4 matrix-form neighborhoods -> voltage
-selection and a closed-form lift over the quotient cycle 0..9 -> a
-certificate that carries its field, re-verified by the rule and that
-same lift.  Every point is one int code; the table `point_texts` alone
-writes its text.  Records are NamedTuples.  The command line,
-`psl2ham.cli`, only parses arguments and is not imported here.
+labels (beta, fiber), with closed-form representatives -> the ten orbits
+of the cyclic subgroup S of order p, two read off one power walk of
+sigma and shifted across the fibers -> the quotient multigraph of an
+orbital graph, read off those two orbits by the label rule and
+cross-derived by 4 matrix-form neighborhoods -> voltage selection and a
+closed-form lift over the quotient cycle 0..9 -> a certificate that
+carries its field, re-verified by the rule and that same lift.  Every
+point is one int code; the table `point_texts` alone writes its text.
+Records are NamedTuples.  The command line, `psl2ham.cli`, only parses
+arguments and is not imported here.
 """
 
-from .action import act, point_texts, rep, s_orbits, sigma
+from .action import point_texts, rep, s_orbits, sigma
 from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
                    double_edge_equation, m_pairs, solution_profile,
                    weil_check)
@@ -28,7 +28,7 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        parse_certificate, run_pipeline, verify_certificate)
 
 __all__ = [
-    "act", "point_texts", "rep", "s_orbits", "sigma",
+    "point_texts", "rep", "s_orbits", "sigma",
     "DiagonalEquation", "SolutionProfile", "WeilReport",
     "double_edge_equation", "m_pairs", "solution_profile", "weil_check",
     "InvariantViolation", "ParameterError",

@@ -1,5 +1,5 @@
-"""The right action of G = PSL(2,k) on the 5(k+1) cosets of H, from the
-field alone.
+"""The coset space of G = PSL(2,k) on the 5(k+1) cosets of H, and the
+ten orbits of its cyclic subgroup S, from the field alone.
 
 Points of the coset space Omega are labeled (beta, fiber):
 
@@ -23,19 +23,19 @@ independent of the sign representative because 10 | k-1.
 
 The representative of (beta, f) is rep = t^f * T_beta with T_inf the
 identity and T_beta = [[0,1],[-1,beta]], in closed form
-[[0, theta^f], [-theta^-f, theta^-f * beta]].  The right action `act` is
-the label of rep(p) * g, read off the labels.  With chi(x) = dlog(x) mod 5
-and x = beta*c - a:
+[[0, theta^f], [-theta^-f, theta^-f * beta]].  Every function here takes
+the field alone, and no group is built: the ten S-orbits come from one
+power walk of a generator sigma of S.  Its powers are
+sigma^w = [[x, y], [y*theta, x]] with x^2 - theta*y^2 = 1, and with
+chi(x) = dlog(x) mod 5 each gives two labels in closed form:
 
-    (inf, f) * g  = (inf, f + chi(a)) if c = 0, else (-d/c, f - chi(c))
-    (beta, f) * g = (inf, f + chi(c)) if x = 0, else ((b - beta*d)/x, f - chi(x))
+    H*sigma^w:   (inf, chi(x)) if y = 0, else (-x/(y*theta), -chi(y*theta))
+    H*l*sigma^w: (inf, chi(y*theta)) if x = 0, else (-y/x, -chi(x))
 
-since rep(p) * g has lower-left entry theta^-f * c (resp. theta^-f * x),
-and a finite label of a matrix with lower-left entry c has fiber
-chi(-1/c) = -chi(c) by det = 1 and chi(-1) = 0.  Every function here takes
-the field alone; no group is built, and the ten S-orbits are two walks of
-one generator sigma of S, from (inf, 0) and (0, 0), moved across the five
-fibers by the shift (beta, f) -> (beta, f+1).
+with l = [[0,-1],[1,0]] and l*sigma^w = -[[y*theta, x], [-x, -y]].  In
+the first, a*beta + b = (theta*y^2 - x^2)/(y*theta) = -1/(y*theta); in
+the second, a*beta + b = (x^2 - theta*y^2)/x = 1/x; and chi(-1) = 0, as
+-1 = theta^((k-1)/2) and 10 | k-1.
 """
 
 from __future__ import annotations
@@ -63,22 +63,6 @@ def rep(field: Field, v: int) -> Mat:
     return (0, th, field.neg(th_inv), field.mul(th_inv, r - 1))
 
 
-def act(field: Field, v: int, g: Mat) -> int:
-    """The code of H*rep(v)*g, read off v and g with no matrix product
-    by the rule in the module docstring."""
-    F, log, k1 = field, field._log, field.order + 1
-    f, r = divmod(v, k1)
-    a, b, c, d = g
-    if r == 0:
-        if c == 0:
-            return (f + log[a]) % 5 * k1
-        return (f - log[c]) % 5 * k1 + F.mul(F._neg[d], F.inv(c)) + 1
-    x = F.sub(F.mul(r - 1, c), a)
-    if x == 0:
-        return (f + log[c]) % 5 * k1
-    return (f - log[x]) % 5 * k1 + F.mul(F.sub(b, F.mul(r - 1, d)), F.inv(x)) + 1
-
-
 def sigma(field: Field) -> Mat:
     """The generator s(a,b) = [[a,b],[b*theta,a]] of S, a^2 - theta*b^2 = 1,
     with the first b != 0 in coordinate-lex order for which a exists: with
@@ -103,7 +87,9 @@ def s_orbits(field: Field) -> tuple[array, ...]:
     orbit is the power of sigma carrying the start there.  As p is
     prime, any element of S other than the identity generates it.
 
-    Only orbits 0 and 5 are walked.  The fiber shift (beta, f) ->
+    Orbits 0 and 5 are read off one walk of the powers of
+    sigma = [[a, b], [b*theta, a]], (x, y) <- (a*x + b*theta*y, a*y + b*x),
+    by the labels of the module docstring.  The fiber shift (beta, f) ->
     (beta, f+1 mod 5), code v -> v + (k+1) mod 5(k+1), commutes with the
     right action: rep(beta, f+1) = t * rep(beta, f), and t normalizes H,
     so H*rep(beta, f+1)*g = t*(H*rep(beta, f)*g); for f = 4 the product
@@ -114,13 +100,27 @@ def s_orbits(field: Field) -> tuple[array, ...]:
     if (k - 1) % 10:
         raise ValueError("coset space requires 10 | k-1")
     p, k1, n = (k + 1) // 2, k + 1, 5 * (k + 1)
-    g = sigma(field)
-    orbits = []
-    for start in (0, 1):  # (inf, 0) and (0, 0)
-        orb = array("l", [start])
-        for _ in range(p - 1):
-            orb.append(act(field, orb[-1], g))
-        orbits += [array("l", [(v + i * k1) % n for v in orb]) for i in range(5)]
+    F, exp, log, half = field, field._exp, field._log, (k - 1) // 2
+    a, b, bt, _ = sigma(field)
+    orb0, orb5 = array("l"), array("l")
+    x, y = 1, 0
+    for _ in range(p):
+        # the labels of H*sigma^w and H*l*sigma^w by the module docstring,
+        # with theta = exp[1]
+        lx, ly = log[x], log[y]
+        if y == 0:
+            orb0.append(lx % 5 * k1)
+            orb5.append(-lx % 5 * k1 + 1)
+        elif x == 0:
+            orb0.append(-(ly + 1) % 5 * k1 + 1)
+            orb5.append((ly + 1) % 5 * k1)
+        else:
+            orb0.append(-(ly + 1) % 5 * k1 + exp[lx - ly - 1 + half] + 1)
+            orb5.append(-lx % 5 * k1 + exp[ly - lx + half] + 1)
+        x, y = (F.add(F.mul(a, x), F.mul(bt, y)),
+                F.add(F.mul(a, y), F.mul(b, x)))
+    orbits = [array("l", [(v + i * k1) % n for v in orb])
+              for orb in (orb0, orb5) for i in range(5)]
     # 10p = n codes mod n: all n are seen iff none repeats in or across orbits
     seen = bytearray(n)
     for orb in orbits:

@@ -254,11 +254,6 @@ class Field:
             return 0
         return self._exp[self._log[x] + self._log[y]]
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ValueError("0 has no multiplicative inverse")
-        return self._exp[(-self._log[x]) % (self.order - 1)]
-
     def pow(self, x: int, e: int) -> int:
         if x == 0:
             if e < 0:

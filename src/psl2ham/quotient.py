@@ -5,9 +5,10 @@ Collapsing an orbital graph along the ten S-orbits gives a multigraph on
 neighbor of A's base vertex inside B.  Each such edge carries a voltage
 w in Z_p, the position of that neighbor in B's cyclic order, so that
 v_A(c) ~ v_B(c + w) for every offset c.  Since S acts by automorphisms,
-the label rule of `orbital.orbital_of` read along the two S-orbit walks
-gives every voltage, and four matrix-form neighborhoods cross-derive
-them (`build_quotient`); the full orbital graph is never built.
+the label rule of `orbital.orbital_of` read along orbits 0 and 5, both
+from one power walk of sigma, gives every voltage, and four matrix-form
+neighborhoods cross-derive them (`build_quotient`); the full orbital
+graph is never built.
 
 The quotient cycle is the walk 0, 1, ..., 9 through the ten orbits.
 Voltages w_0..w_9 on it lift in closed form (`lift`): vertex 10r + j is
@@ -80,7 +81,7 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
     volts = tuple(tuple(bucket[a // 5][b // 5][(i - a - b) % 5]
                         for b in range(10)) for a in range(10))
 
-    # checks of the walks: of each pair (a, b), (b, a), one has a = 0 or 5
+    # checks of the orbits: of each pair (a, b), (b, a), one has a = 0 or 5
     for a in (0, 5):
         for b in range(10):
             if len(volts[a][b]) != len(volts[b][a]):
@@ -102,9 +103,9 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
             if nb != {orbits[b][(w + c) % p]
                       for b in range(10) for w in volts[a][b]}:
                 raise InvariantViolation(
-                    f"neighbor counts differ across orbit {a}: S-invariance "
-                    "broken" if c else f"the neighbors of orbit {a}'s base "
-                    "differ from its voltages", stage="quotient")
+                    f"neighbors differ across orbit {a}: S-invariance broken"
+                    if c else f"the neighbors of orbit {a}'s base differ "
+                    "from its voltages", stage="quotient")
     return QuotientMultigraph(field=field, orbital_index=i, orbits=orbits,
                               voltages=volts)
 

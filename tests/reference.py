@@ -1,21 +1,23 @@
 """Reference derivations the tests compare the package against.
 
 The package builds no group: it needs only field arithmetic, the closed
-forms of `action.rep` and `neighborhood`, the right action `action.act`
-read off the labels, and a walk of one element sigma of S.  This module
-keeps the exhaustive derivations those shortcuts are checked against:
-PSL(2,k) with canonical signs and its enumerated subgroups S and H, the
-right action as the label of a 2x2 product, and the ten H-orbits
-(suborbits) on the coset space, and the voltage lift as an explicit walk
-over its components (`unroll_lift`), against which the closed form
-`quotient.lift` is checked, and the quotient's voltages read off the
-matrix-form neighborhoods of the ten orbit bases (`base_voltages`),
-against which the label-rule reading of `build_quotient` is checked.
-It also keeps the helpers that only tests
-call: `coeffs`, `from_coeffs`, `point_of`, `equation_for_orbit_pair`,
-`class_table` and `edges`, and the single-element and single-point text
-writers `element_str` and `point_str`, built from `coeffs`, against which
-the package's text tables are checked.
+forms of `action.rep` and `neighborhood`, and one power walk of sigma,
+a generator of S, whose powers give their labels in closed form.  This
+module keeps the exhaustive derivations those shortcuts are checked
+against: PSL(2,k) with canonical signs and its enumerated subgroups S
+and H, the right action `act` as the label of a 2x2 product, the ten
+S-orbits walked point by point with it (`walked_orbits`), against which
+`s_orbits` is checked, the ten H-orbits (suborbits) on the coset space,
+and the voltage lift as an explicit walk over its components
+(`unroll_lift`), against which the closed form `quotient.lift` is
+checked, and the quotient's voltages read off the matrix-form
+neighborhoods of the ten orbit bases (`base_voltages`), against which
+the label-rule reading of `build_quotient` is checked.  It also keeps
+the helpers that only tests call: `coeffs`, `from_coeffs`, `point_of`,
+`equation_for_orbit_pair`, `class_table` and `edges`, and the
+single-element and single-point text writers `element_str` and
+`point_str`, built from `coeffs`, against which the package's text
+tables are checked.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1, stored in canonical sign form: of the two matrices g, -g
@@ -39,7 +41,7 @@ from functools import cached_property
 
 from psl2ham import (Field, InvariantViolation, QuotientMultigraph,
                      neighborhood)
-from psl2ham.action import Mat, rep
+from psl2ham.action import Mat, rep, sigma
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           DiagonalEquation, double_edge_equation)
 from util import ALPHA, OmegaPoint, code, point, points
@@ -81,7 +83,7 @@ def point_of(field: Field, g: Mat) -> OmegaPoint:
     a, b, c, d = g
     if c == 0:
         return OmegaPoint(None, field._log[a] % 5)
-    beta = field.mul(field._neg[d], field.inv(c))
+    beta = field.mul(field._neg[d], field.pow(c, -1))
     return OmegaPoint(beta, field._log[field.add(field.mul(a, beta), b)] % 5)
 
 
@@ -98,6 +100,20 @@ def act(field: Field, v: int, g: Mat) -> int:
     """The right action on codes as point_of(rep(v) * g), with a plain 2x2
     product."""
     return code(field, point_of(field, product(field, rep(field, v), g)))
+
+
+def walked_orbits(field: Field) -> list[list[int]]:
+    """The ten S-orbits, each walked from its base, (inf, i) for orbit i
+    and (0, i) for orbit 5+i, by `act` with sigma: plain 2x2 products, no
+    fiber shift and no closed form for the powers of sigma."""
+    k1, g = field.order + 1, sigma(field)
+    orbits = []
+    for base in [i * k1 for i in range(5)] + [i * k1 + 1 for i in range(5)]:
+        orb = [base]
+        for _ in range(field.order // 2):
+            orb.append(act(field, orb[-1], g))
+        orbits.append(orb)
+    return orbits
 
 
 def class_table(field: Field) -> bytes:
@@ -272,7 +288,7 @@ class PSL2:
         if k % 4 != 1:
             raise ValueError("generators require k = 1 (mod 4)")
         l = self.canon((0, F.neg(1), 1, 0))
-        t = self.canon((F.theta, 0, 0, F.inv(F.theta)))
+        t = self.canon((F.theta, 0, 0, F.pow(F.theta, -1)))
         u = self.canon((1, 1, 0, 1))
         return l, t, u
 
@@ -323,7 +339,7 @@ class PSL2:
         out = []
         for r in range((k - 1) // 10):
             d1 = F.pow(F.theta, 5 * r)
-            d2 = F.inv(d1)
+            d2 = F.pow(d1, -1)
             for y in F.elements_lex:
                 out.append(self.canon((d1, y, 0, d2)))
         if len(set(out)) != k * (k - 1) // 10:

@@ -1,16 +1,23 @@
 """Command-line surface: instances, pipelines, exit codes, determinism."""
 
+import contextlib
+import io
+import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from psl2ham import (ParameterError, list_instances, orbital_of,
-                     parse_certificate, run_pipeline, verify_certificate)
+from psl2ham import (ParameterError, certificate_to_text,
+                     list_instances, orbital_of, parse_certificate,
+                     run_pipeline, verify_certificate)
 from psl2ham.cli import (DESK_SCALE_MAX_K, INSTANCES_MAX_K, _resolve_params,
                          make_parser, run)
 from psl2ham.gf import admissible, factor_prime_power, prime_factors
+import reference
 from util import code, fresh_process_env, points
 
 
@@ -394,6 +401,113 @@ def test_cli_verify_rejects_forged_header_claims(claims, tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", "--cert", str(cert)]) == 4
     assert "certificate INVALID" in capsys.readouterr().out
+
+
+# one non-ASCII digit of each value from three scripts: Arabic-Indic,
+# Devanagari and fullwidth; int() reads them all, the certificate none
+NON_ASCII_DIGITS = [chr(base + d) for base in (0x660, 0x966, 0xFF10)
+                    for d in range(10)]
+
+
+def _mutation(blob: bytes, data) -> bytes:
+    """One edit of a certificate: a line dropped, duplicated or swapped
+    with another, the text cut at any byte, one number of the header
+    replaced, or one digit of a vertex line made non-ASCII."""
+    lines = blob.splitlines(keepends=True)
+    kind = data.draw(st.sampled_from(
+        ["drop", "dup", "swap", "cut", "header", "digit"]))
+    if kind == "cut" or not lines:
+        return blob[:data.draw(st.integers(0, len(blob)))]
+    if kind in ("drop", "dup", "swap"):
+        at, other = (data.draw(st.integers(0, len(lines) - 1))
+                     for _ in range(2))
+        if kind == "drop":
+            del lines[at]
+        elif kind == "dup":
+            lines.insert(at, lines[at])
+        else:
+            lines[at], lines[other] = lines[other], lines[at]
+        return b"".join(lines)
+    header = kind == "header"
+    rows = range(1, min(10, len(lines))) if header else range(10, len(lines))
+    if not rows:
+        return blob
+    at = data.draw(st.sampled_from(rows))
+    spans = [m.span() for m in re.finditer(rb"\d+" if header else rb"\d",
+                                           lines[at])]
+    if not spans:
+        return blob
+    lo, hi = data.draw(st.sampled_from(spans))
+    new = (str(data.draw(st.integers(-2, 1000))) if header else
+           data.draw(st.sampled_from(NON_ASCII_DIGITS)))
+    lines[at] = lines[at][:lo] + new.encode() + lines[at][hi:]
+    return b"".join(lines)
+
+
+def _forged(blob: bytes, data) -> bytes:
+    """A valid certificate with one voltage replaced and the total set to
+    the new sum: a false claim that passes the header arithmetic."""
+    lines = blob.splitlines(keepends=True)
+    p = int(lines[4].split()[1])
+    volts = [int(w) for w in lines[7].split()[1:]]
+    volts[data.draw(st.integers(0, 9))] = data.draw(st.integers(0, p - 1))
+    lines[7] = ("voltages " + " ".join(map(str, volts)) + "\n").encode()
+    lines[8] = f"total {sum(volts) % p}\n".encode()
+    return b"".join(lines)
+
+
+def _is_the_lift_of_its_header(cert) -> bool:
+    """The vertices are a Hamilton cycle of Y(i) by the reference class
+    table, and they are `unroll_lift` of the header over the reference
+    walks of the S-orbits."""
+    field, i, verts = cert.field, cert.orbital_index, list(cert.vertices)
+    k, k1, lex = field.order, field.order + 1, field.elements_lex
+    table = reference.class_table(field)
+    if sorted(verts) != list(range(5 * k1)):
+        return False
+    for v, w in zip(verts, verts[1:] + verts[:1]):
+        (f, r), (g, q) = divmod(v, k1), divmod(w, k1)
+        chi = table[lex[r - 1] * k + lex[q - 1]] if r and q else 0
+        if r == q or (f + g - i - chi) % 5:
+            return False
+    orbits = reference.walked_orbits(field)
+    comps = reference.unroll_lift(SimpleNamespace(p=(k + 1) // 2,
+                                                  orbits=orbits),
+                                  cert.chosen_voltages)
+    return cert.cycle == tuple(range(10)) and [verts] == [list(c) for c in comps]
+
+
+@pytest.fixture(scope="module")
+def fuzz_certs(fields):
+    return {(k, i): certificate_to_text(run_pipeline(fields[k], i)).encode()
+            for k in (61, 81) for i in range(5)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cert.txt"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_verify_is_total_on_mutated_certificates(fuzz_certs, fuzz_file,
+                                                     data):
+    # verify exits 0, 2 or 4 on any edit of a valid k = 61 or 81 certificate,
+    # and exits 0 only on a Hamilton cycle that is the lift of its header;
+    # the unedited certificates are drawn too
+    blob = fuzz_certs[data.draw(st.sampled_from(sorted(fuzz_certs)))]
+    if data.draw(st.booleans()):
+        blob = _forged(blob, data)
+    for _ in range(data.draw(st.integers(0, 2))):
+        blob = _mutation(blob, data)
+    fuzz_file.write_bytes(blob)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        status = run(["verify", "--cert", str(fuzz_file)])
+    assert status in (0, 2, 4)
+    if status == 0:
+        assert _is_the_lift_of_its_header(
+            parse_certificate(blob.decode()))
 
 
 def test_cli_full_graph(tmp_path):

@@ -156,7 +156,7 @@ def test_weil_bound_randomized_sample():
 
 def test_weil_report_fields():
     F = Field(61, 1)
-    eq = DiagonalEquation(a1=1, k1=2, a2=F.neg(F.inv(F.theta)), k2=10, b=1)
+    eq = DiagonalEquation(a1=1, k1=2, a2=F.neg(F.pow(F.theta, -1)), k2=10, b=1)
     rep = weil_check(F, eq)
     assert (rep.d1, rep.d2, rep.M) == (2, 10, 1)
     assert rep.bound == pytest.approx(8 * math.sqrt(61) + 1)
@@ -208,7 +208,7 @@ def test_solution_symmetry_in_first_coordinate():
 def test_double_edge_equation_forms(field61):
     F = field61
     eq1 = double_edge_equation(F, PAIR_INF_INF, 0, 0, 0)
-    assert eq1 == DiagonalEquation(a1=1, k1=2, a2=F.neg(F.inv(F.theta)), k2=10, b=1)
+    assert eq1 == DiagonalEquation(a1=1, k1=2, a2=F.neg(F.pow(F.theta, -1)), k2=10, b=1)
     eq2 = double_edge_equation(F, PAIR_INF_ZERO, 0, 0, 0)
     assert eq2 == DiagonalEquation(a1=F.theta, k1=2, a2=F.neg(1), k2=10, b=F.neg(1))
     eq3 = double_edge_equation(F, PAIR_ZERO_ZERO, 2, 3, 1)

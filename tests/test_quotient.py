@@ -237,8 +237,11 @@ BROKEN_QUOTIENTS = [
                  "the neighbors of orbit 0's base differ from its voltages$",
                  "quotient", id="base-differs"),
     pytest.param("neighborhood", (lambda a, w: w != 0, 2),
-                 "neighbor counts differ across orbit 0: S-invariance broken$",
+                 "neighbors differ across orbit 0: S-invariance broken$",
                  "quotient", id="off-base"),
+    pytest.param("neighborhood", (lambda a, w: (a, w) == (0, 1), 1),
+                 "neighbors differ across orbit 0: S-invariance broken$",
+                 "quotient", id="same-counts"),
     pytest.param("s_orbits", (_off_fiber,),
                  r"multiplicity matrix asymmetric at \(0,7\)$", "quotient",
                  id="asymmetric"),
@@ -295,7 +298,7 @@ def test_cli_names_the_stage_of_a_broken_quotient(field61, monkeypatch, capsys):
                         _tampered(s_orbits(field61), lambda a, w: w != 0, 2))
     assert run(["hamilton", "--k", "61"]) == 3
     assert capsys.readouterr().err == (
-        "invariant violation [stage: quotient]: neighbor counts differ across "
+        "invariant violation [stage: quotient]: neighbors differ across "
         "orbit 0: S-invariance broken\n")
 
 
