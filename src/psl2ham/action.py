@@ -17,8 +17,8 @@ of point text: a message that names a point builds it when it raises.
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1; g and -g are the same element, and nothing here depends
 on the sign.  For g = [[a,b],[c,d]] the label is computed in O(1):
-beta = -d/c (infinity when c = 0), and fiber = dlog(a*beta + b) mod 5
-(dlog(a) mod 5 in the infinity case).  This is well defined on cosets and
+beta = -d/c (infinity when c = 0), and fiber = log(a*beta + b) mod 5
+(log(a) mod 5 in the infinity case).  This is well defined on cosets and
 independent of the sign representative because 10 | k-1.
 
 The representative of (beta, f) is rep = t^f * T_beta with T_inf the
@@ -27,7 +27,7 @@ identity and T_beta = [[0,1],[-1,beta]], in closed form
 the field alone, and no group is built: the ten S-orbits come from one
 power walk of a generator sigma of S.  Its powers are
 sigma^w = [[x, y], [y*theta, x]] with x^2 - theta*y^2 = 1, and with
-chi(x) = dlog(x) mod 5 each gives two labels in closed form:
+chi(x) = log(x) mod 5 each gives two labels in closed form:
 
     H*sigma^w:   (inf, chi(x)) if y = 0, else (-x/(y*theta), -chi(y*theta))
     H*l*sigma^w: (inf, chi(y*theta)) if x = 0, else (-y/x, -chi(x))

@@ -2,7 +2,7 @@
 
 Solution counts are exact and computed in O(q/d1 + q/d2): as x runs over
 GF(q)*, a*x^e takes each of its values exactly d = gcd(e, q-1) times.
-The classical bound
+The classical bound (Lidl and Niederreiter, Finite Fields, ch. 6)
 
     |N - q| <= [(d1-1)(d2-1) - (1 - q^{-1/2}) M(d1,d2)] * sqrt(q),
 
@@ -12,26 +12,39 @@ integer arithmetic: writing the right side as A*sqrt(q) + M, the test
 |N - q| - M <= A*sqrt(q) squares both sides after a sign check, so no
 float ever influences the verdict.
 
-Two specialized families drive the quotient construction.  For orbits
-n and j of the i-th orbital graph the deciding equations are
+Two specialized forms count the quotient's parallel edges.  For orbits
+n and j of orbital graph i, with e = n + j - i:
 
-* both orbits in the infinity family:  x^2 + c*y^10 = 1, c = -theta^(2(j-i+n)-1)
-* infinity to zero family:             theta*x^2 + c*y^10 = -1, c = -theta^(2(j-i+n))
+* both orbits in the infinity family:  x^2 + c*y^10 = 1, c = -theta^(2e-1)
+* infinity to zero family:             theta*x^2 + c*y^10 = -1, c = -theta^(2e)
 * both in the zero family:             the first form with j + 1 for j
 
-A solution with x1 != 0 and x2 = y != 0 yields a double edge between
-the orbits, because (x1, y) and (-x1, y) map to distinct group elements.
-That pairing degenerates when x1 = 0, so the exact test for d >= 2 is a
-solution with x1 != 0 and x2 != 0, not one with x2 != 0.  In full,
+Then d(A,B) = N(x2 != 0)/10.  Proof: d(A,B) is the size of a bucket of
+`quotient.build_quotient`, the positions w of orbit 0 (of orbit 5 for
+zero-zero) whose label (`action`) passes the bucket's test, with
+sigma^w = +-[[x, y], [y*theta, x]], x^2 - theta*y^2 = 1.  With
+chi = log mod 5, the tests are, mod 5:
 
-    d(A,B) = N(x1 != 0, y != 0)/10 + [N(x1 = 0, y != 0) > 0],
+* inf-inf, base (inf, n), orbit j: y != 0 and chi(y*theta) = e.  With
+  y = theta^(e-1)*u^5: x^2 - theta^(2e-1)*u^10 = 1, the first form.
+* inf-zero, base (0, n), orbit j: x != 0 and chi(x) = e, which w = 0
+  (x = 1, y = 0) passes iff e = 0.  With x = theta^e*u^5:
+  theta*y^2 - theta^(2e)*u^10 = -1, the second form in (x1, x2) = (y, u),
+  whose x1 = 0 solutions are the position w = 0.
+* zero-zero, base (0, n), orbit 5 + j: y != 0 and chi(y) = e (at x = 0
+  the label (inf, chi(y*theta)) gives the same, as chi(y) = 2).  With
+  y = theta^e*u^5: x^2 - theta^(2e+1)*u^10 = 1, the first form with j + 1.
 
-checked on every ordered pair at k = 61, 81 and 121 (tests/test_diag.py),
-not proven here.  The two tests differ over GF(81): the tenth powers
-there are the nonzero elements of the GF(9) subfield, all of them
-squares, so the crossing equations with j - i + n = 0 (mod 5) admit only
-x1 = 0 solutions and the corresponding orbit pairs carry a single edge
-(tests/test_quotient.py pins the pattern).
+The torus x^2 - theta*y^2 = 1 modulo +-1 is S = <sigma>, each test holds
+at (x, y) iff at (-x, -y) as chi(-1) = 0, and as 5 | k-1 a fifth power
+has five fifth roots u: each adjacent position gives exactly 10
+solutions with x2 = u != 0.  Over GF(81) the inf-zero forms with e = 0
+have N(x2 != 0) = 10, the position w = 0 alone: those pairs carry a
+single edge (tests/test_quotient.py pins them).
+
+Every pair has d >= 2 from k = 121 on: here (d1, d2, M) = (2, 10, 1), so
+|N - k| <= 8*sqrt(k) + 1, and a1*x1^2 = b has at most two roots, so
+10*d >= k - 8*sqrt(k) - 3 > 10 iff not le_times_sqrt(k - 13, 8, k).
 """
 
 from __future__ import annotations
@@ -67,7 +80,7 @@ class DiagonalEquation(NamedTuple):
 def _term_values(field: Field, a: int, e: int) -> dict[int, int]:
     """The values of a*x^e over x in GF(q)*, each with its count
     d = gcd(e, q-1): theta^(log a + d*t) for t < (q-1)/d."""
-    la, km1 = field.dlog(a), field.order - 1
+    la, km1 = field._log[a], field.order - 1
     d = math.gcd(e, km1)
     return dict.fromkeys(field._exp[la:la + km1:d], d)
 
@@ -75,13 +88,12 @@ def _term_values(field: Field, a: int, e: int) -> dict[int, int]:
 class SolutionProfile(NamedTuple):
     total: int  # N
     nonzero_x2: int  # solutions with x2 != 0
-    nonzero_both: int  # solutions with x1 != 0 and x2 != 0
 
 
 def solution_profile(field: Field, eq: DiagonalEquation) -> SolutionProfile:
     """The solution counts of the equation from the value counts of its
-    two terms; O(q/d1 + q/d2).  A term is 0 at x = 0 alone, so the x2 = 0
-    solutions are the x1 with term b, and the x1 = 0 ones the x2 != 0."""
+    two terms; O(q/d1 + q/d2).  A term is 0 at x = 0 alone, so x2 = 0
+    solves with the x1 of term b, and x1 = 0 with the x2 != 0 of term b."""
     eq.validate(field)
     c1 = _term_values(field, eq.a1, eq.k1)
     c2 = _term_values(field, eq.a2, eq.k2)
@@ -89,27 +101,21 @@ def solution_profile(field: Field, eq: DiagonalEquation) -> SolutionProfile:
     nonzero_x2 = sum(n * (c1.get(sub(b, v), 0) + (v == b))
                      for v, n in c2.items())
     return SolutionProfile(total=nonzero_x2 + c1.get(b, 0) + (b == 0),
-                           nonzero_x2=nonzero_x2,
-                           nonzero_both=nonzero_x2 - c2.get(b, 0))
+                           nonzero_x2=nonzero_x2)
 
 
 def m_pairs(d1: int, d2: int) -> int:
-    """Pairs (j1, j2), 1 <= j_i <= d_i - 1, with j1/d1 + j2/d2 an integer."""
+    """Pairs (j1, j2), 1 <= j_i <= d_i - 1, with j1/d1 + j2/d2 an integer:
+    gcd(d1, d2) - 1.  With g = gcd(d1, d2), d1 | j1*d2 forces (d1/g) | j1,
+    so j1 is one of the g - 1 multiples of d1/g below d1, and j2 is then
+    fixed: j2/d2 = 1 - j1/d1."""
     if d1 < 1 or d2 < 1:
         raise ValueError("d1, d2 must be >= 1")
-    count = 0
-    for j1 in range(1, d1):
-        for j2 in range(1, d2):
-            if (j1 * d2 + j2 * d1) % (d1 * d2) == 0:
-                count += 1
-    return count
+    return math.gcd(d1, d2) - 1
 
 
 class WeilReport(NamedTuple):
     profile: SolutionProfile
-    d1: int
-    d2: int
-    M: int
     bound: float
     holds: bool
 
@@ -138,33 +144,31 @@ def weil_check(field: Field, eq: DiagonalEquation) -> WeilReport:
     # |N - q| <= A*sqrt(q) + M with A = (d1-1)(d2-1) - M
     A = (d1 - 1) * (d2 - 1) - M
     holds = le_times_sqrt(abs(profile.total - q) - M, A, q)
-    return WeilReport(profile=profile, d1=d1, d2=d2, M=M,
-                      bound=A * math.sqrt(q) + M, holds=holds)
+    return WeilReport(profile=profile, bound=A * math.sqrt(q) + M,
+                      holds=holds)
 
 
 # --- the specialized equations behind the quotient's double edges ---
 
 def double_edge_equation(field: Field, pair_type: int, i: int, j: int,
                          n: int) -> DiagonalEquation:
-    """Equation deciding d >= 2 between orbits n and j of orbital graph i.
+    """Equation counting the edges between orbits n and j of orbital
+    graph i: d = N(x2 != 0)/10 by the module docstring, so d >= 2 iff
+    `solution_profile(...).nonzero_x2 >= 20`.
 
-    d >= 2 holds exactly when it has a solution with x1 != 0 and x2 != 0
-    (`solution_profile(...).nonzero_both > 0`); a solution with x1 = 0
-    gives one edge only.
-
-    pair_type selects which of the two orbit families each side lies in:
-    PAIR_INF_INF, PAIR_INF_ZERO or PAIR_ZERO_ZERO (bases over beta = inf
-    resp. beta = 0).
+    pair_type selects the orbit families of the two sides: PAIR_INF_INF,
+    PAIR_INF_ZERO or PAIR_ZERO_ZERO (bases over beta = inf resp. 0); for
+    zero-zero, orbit 5 + j takes j + 1 here.
     """
     for v in (i, j, n):
         if not 0 <= v <= 4:
             raise ValueError(f"index {v} out of range 0..4")
-    e = 2 * (j - i + n)
+    e = n + j - i
     if pair_type in (PAIR_INF_INF, PAIR_ZERO_ZERO):
-        c = field.neg(field.pow(field.theta, e - 1))
+        c = field.neg(field.pow(field.theta, 2 * e - 1))
         return DiagonalEquation(a1=1, k1=2, a2=c, k2=10, b=1)
     if pair_type == PAIR_INF_ZERO:
-        c = field.neg(field.pow(field.theta, e))
+        c = field.neg(field.pow(field.theta, 2 * e))
         return DiagonalEquation(a1=field.theta, k1=2, a2=c, k2=10,
                                 b=field.neg(1))
     raise ValueError(f"unknown pair type {pair_type}")
@@ -174,7 +178,7 @@ def solvability_report(field: Field) -> list[str]:
     """One row per (k, pair_type, i, j, n): exact counts and the bound.
 
     Columns: k type i j n N_total N_nonzero bound holds.  The 375 rows
-    hold 26 distinct equations (e = 2(j-i+n) takes 13 values and the two
+    hold 26 distinct equations (e = n+j-i takes 13 values and the two
     same-family types agree), so each is counted once.
     """
     rows = ["k type i j n N_total N_nonzero bound holds"]

@@ -261,12 +261,6 @@ class Field:
             return 1 if e == 0 else 0
         return self._exp[(self._log[x] * e) % (self.order - 1)]
 
-    def dlog(self, x: int) -> int:
-        """e in [0, k-2] with theta^e = x; table lookup."""
-        if x == 0:
-            raise ValueError("dlog(0) is undefined")
-        return self._log[x]
-
     # --- views and serialization ---
 
     def element_texts(self) -> list[str]:

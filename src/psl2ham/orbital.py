@@ -4,7 +4,7 @@ The stabilizer H has ten orbits on the point set: five fixed points
 (inf, i) and five orbits of size k.  Long suborbit i is the set of
 labels of [[0, -theta^i], [theta^-i, x]] over x in GF(k), and the
 neighborhood of omega in Y(i) is its image under rep(omega) acting on
-the right (`neighborhood`).  With chi(x) = dlog(x) mod 5, for which
+the right (`neighborhood`).  With chi(x) = log(x) mod 5, for which
 chi(-1) = 0 as 10 | k-1, adjacency is one rule on labels:
 
     (beta, f) ~ (beta', f') in Y(i)  iff  f + f' = i + chi(beta' - beta)  (mod 5)
@@ -34,7 +34,7 @@ from .gf import Field
 
 def neighborhood(field: Field, i: int, v: int) -> set[int]:
     """Codes of the neighbors of v in Y(i): the labels (beta = -d/c,
-    dlog(a*beta + b) mod 5), or (inf, dlog(a) mod 5) if c = 0, of
+    log(a*beta + b) mod 5), or (inf, log(a) mod 5) if c = 0, of
     [[a,b],[c,d]] = [[0,-theta^i],[theta^-i,x]] * rep(v) over x in GF(k)."""
     F, k = field, field.order
     exp, log, neg, add, mul = F._exp, F._log, F._neg, F.add, F.mul

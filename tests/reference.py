@@ -14,8 +14,8 @@ checked, and the quotient's voltages read off the matrix-form
 neighborhoods of the ten orbit bases (`base_voltages`), against which
 the label-rule reading of `build_quotient` is checked.  It also keeps
 the helpers that only tests call: `coeffs`, `from_coeffs`, `point_of`,
-`equation_for_orbit_pair`, `class_table` and `edges`, and the
-single-element and single-point text writers `element_str` and
+`equation_for_orbit_pair`, `brute_count`, `class_table` and `edges`,
+and the single-element and single-point text writers `element_str` and
 `point_str`, built from `coeffs`, against which the package's text
 tables are checked.
 
@@ -155,6 +155,19 @@ def equation_for_orbit_pair(field: Field, orbital_index: int, a: int,
                                 a - 5)
 
 
+def brute_count(field: Field, eq: DiagonalEquation, require_nonzero_x2=False,
+                require_nonzero_x1=False) -> int:
+    """Solutions of eq, restricted on request to x2 != 0 and to x1 != 0:
+    an O(q^2) oracle, straight from the definition."""
+    n = 0
+    for x1 in range(1 if require_nonzero_x1 else 0, field.order):
+        t1 = field.mul(eq.a1, field.pow(x1, eq.k1))
+        for x2 in range(1 if require_nonzero_x2 else 0, field.order):
+            if field.add(t1, field.mul(eq.a2, field.pow(x2, eq.k2))) == eq.b:
+                n += 1
+    return n
+
+
 def unroll_lift(q: QuotientMultigraph, choices) -> list[array]:
     """Explicitly unroll a voltage assignment over the quotient cycle 0..9.
 
@@ -220,7 +233,7 @@ class PSL2:
         # _pos[e]: e is the canonical representative of {e, -e}
         self._pos = [False] * k
         for e in range(1, k):
-            self._pos[e] = field.dlog(e) < half
+            self._pos[e] = field._log[e] < half
         self.identity: Mat = (1, 0, 0, 1)
 
     # --- element operations ---

@@ -3,15 +3,15 @@
 Run with `pytest tests/test_acceptance.py -v -s`.
 
 The quotient checks (criteria 1, 2 and 7) hold the double edges to the
-exact criterion: orbits A and B are joined by d(A,B) >= 2 edges iff the
-matching diagonal equation has a solution with x != 0 and y != 0, since
-(x, y) and (-x, y) then give two group elements.  The lift needs only one
-such edge on the quotient cycle.  At k = 61 and 121 every off-diagonal
-pair has one.  Over GF(81) the tenth powers are exactly the nonzero
-elements of the GF(9) subfield and all of those are squares in GF(81),
-so for the five crossing orbit pairs per orbital graph with
-j - i + n = 0 (mod 5) the equation theta*b^2 + c*y^10 = -1 only has
-solutions with b = 0: d(A,B) = 1 there (README, "The k=81 degeneracy").
+single count of `psl2ham.diag`: orbits A and B are joined by
+d(A,B) = N(y != 0)/10 edges, N(y != 0) the solutions with y != 0 of the
+matching diagonal equation.  The lift needs one double edge on the
+quotient cycle.  At k = 61 and 121 every off-diagonal pair has one.
+Over GF(81) the tenth powers are exactly the nonzero elements of the
+GF(9) subfield and all of those are squares in GF(81), so for the five
+crossing orbit pairs per orbital graph with j - i + n = 0 (mod 5) the
+equation theta*b^2 + c*y^10 = -1 has only the ten solutions with b = 0,
+the position w = 0: d(A,B) = 1 there (README, "The k=81 degeneracy").
 Criterion 2 derives that single-edge set from the field and asserts
 d = 1 exactly on it and d >= 2 everywhere else.
 """
@@ -29,8 +29,8 @@ from psl2ham import (DiagonalEquation, Field, build_quotient,
                      weil_check)
 from psl2ham.diag import le_times_sqrt
 from psl2ham.gf import is_prime
-from reference import (PSL2, equation_for_orbit_pair, mulclose, suborbits,
-                       unroll_lift)
+from reference import (PSL2, brute_count, equation_for_orbit_pair, mulclose,
+                       suborbits, unroll_lift)
 from util import fresh_process_env, held_graph
 
 PRIME_POWERS_TO_121 = [
@@ -252,21 +252,28 @@ def test_criterion_6_lift_dichotomy(cache):
 def test_criterion_7_cross_module_consistency(k, cache, fields):
     failures = []
     F = fields[k]
+    both = {}  # N(x != 0, y != 0) of each distinct equation, by brute force
     for i in range(5):
         quot = cache.quotient(k, i)
         for a in range(10):
             for b in range(10):
                 if a == b:
                     continue
+                d = quot.mult[a][b]
                 eq = equation_for_orbit_pair(F, i, a, b)
-                solvable = solution_profile(F, eq).nonzero_both > 0
-                if solvable != (quot.mult[a][b] >= 2):
+                nonzero = solution_profile(F, eq).nonzero_x2
+                if 10 * d != nonzero:
+                    failures.append(f"i={i} pair ({a},{b}): d = {d} but "
+                                    f"N(y != 0) = {nonzero}")
+                if eq not in both:
+                    both[eq] = brute_count(F, eq, True, True)
+                if (both[eq] > 0) != (d >= 2):
                     failures.append(
-                        f"i={i} pair ({a},{b}): d = {quot.mult[a][b]} but "
-                        f"solvable with x, y != 0 = {solvable}")
-    report(f"criterion 7: k={k} d(A,B) >= 2 iff matching equation solvable "
-           f"with x != 0 and y != 0, all 90 ordered pairs x 5 orbitals",
-           failures[:6])
+                        f"i={i} pair ({a},{b}): d = {d} but "
+                        f"N(x != 0, y != 0) = {both[eq]}")
+    report(f"criterion 7: k={k} 10*d(A,B) = N(y != 0), and d(A,B) >= 2 iff "
+           f"matching equation solvable with x != 0 and y != 0, all 90 "
+           f"ordered pairs x 5 orbitals", failures[:6])
 
 
 @pytest.mark.parametrize("k,i", [(61, 0), (61, 1), (61, 2), (61, 3), (61, 4),

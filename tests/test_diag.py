@@ -13,7 +13,7 @@ from psl2ham import (DiagonalEquation, Field, build_quotient,
                      solution_profile, weil_check)
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           le_times_sqrt, solvability_report)
-from reference import equation_for_orbit_pair
+from reference import brute_count, equation_for_orbit_pair
 
 PRIME_POWERS_TO_121 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
@@ -23,19 +23,6 @@ PRIME_POWERS_TO_121 = [
     (89, 1), (97, 1), (101, 1), (103, 1), (107, 1), (109, 1), (113, 1),
     (11, 2),
 ]
-
-
-def brute_count(field, eq, require_nonzero_x2=False, require_nonzero_x1=False):
-    """O(q^2) oracle, straight from the definition."""
-    n = 0
-    for x1 in range(1 if require_nonzero_x1 else 0, field.order):
-        t1 = field.mul(eq.a1, field.pow(x1, eq.k1))
-        for x2 in range(field.order):
-            if require_nonzero_x2 and x2 == 0:
-                continue
-            if field.add(t1, field.mul(eq.a2, field.pow(x2, eq.k2))) == eq.b:
-                n += 1
-    return n
 
 
 def test_circle_gf3():
@@ -66,8 +53,7 @@ def test_count_matches_brute_force():
                 a2=rng.randrange(1, F.order), k2=rng.randrange(1, 15),
                 b=rng.randrange(F.order))
             assert solution_profile(F, eq) == (
-                brute_count(F, eq), brute_count(F, eq, True),
-                brute_count(F, eq, True, True))
+                brute_count(F, eq), brute_count(F, eq, True))
 
 
 @pytest.mark.parametrize("s,m", [(7, 1), (3, 2), (2, 4), (13, 1)])
@@ -83,19 +69,20 @@ def test_count_matches_brute_force_at_the_edges(s, m):
             eq = DiagonalEquation(a1=rng.randrange(1, q), k1=k1,
                                   a2=rng.randrange(1, q), k2=k2, b=b)
             assert solution_profile(F, eq) == (
-                brute_count(F, eq), brute_count(F, eq, True),
-                brute_count(F, eq, True, True))
+                brute_count(F, eq), brute_count(F, eq, True))
 
 
 def test_double_edge_solution_on_orbit_pair_equations():
-    # the k=81 degeneracy: every solution with y != 0 has x1 = 0
+    # the k=81 degeneracy: the ten solutions with y != 0 all have x1 = 0,
+    # the position w = 0 alone, so d = 1; over GF(61) the same form has
+    # d >= 2 and solutions with x1 != 0
     F81 = Field(3, 4)
     degenerate = double_edge_equation(F81, PAIR_INF_ZERO, 0, 0, 0)
-    assert solution_profile(F81, degenerate).nonzero_both == 0
+    assert solution_profile(F81, degenerate).nonzero_x2 == 10
     assert brute_count(F81, degenerate, True, True) == 0
     F61 = Field(61, 1)
     generic = double_edge_equation(F61, PAIR_INF_ZERO, 0, 0, 0)
-    assert solution_profile(F61, generic).nonzero_both > 0
+    assert solution_profile(F61, generic).nonzero_x2 >= 20
     assert brute_count(F61, generic, True, True) > 0
 
 
@@ -158,7 +145,8 @@ def test_weil_report_fields():
     F = Field(61, 1)
     eq = DiagonalEquation(a1=1, k1=2, a2=F.neg(F.pow(F.theta, -1)), k2=10, b=1)
     rep = weil_check(F, eq)
-    assert (rep.d1, rep.d2, rep.M) == (2, 10, 1)
+    d1, d2 = math.gcd(eq.k1, 60), math.gcd(eq.k2, 60)
+    assert (d1, d2, m_pairs(d1, d2)) == (2, 10, 1)
     assert rep.bound == pytest.approx(8 * math.sqrt(61) + 1)
     assert rep.holds
 
@@ -166,7 +154,7 @@ def test_weil_report_fields():
 def test_weil_circle_gf3():
     # N = 4, q = 3: |4 - 3| <= [(1)(1) - (1 - 3^-1/2)*1]*sqrt(3) = 1 exactly
     rep = weil_check(Field(3, 1), DiagonalEquation(a1=1, k1=2, a2=1, k2=2, b=1))
-    assert rep.N == 4 and rep.M == 1
+    assert rep.N == 4 and m_pairs(math.gcd(2, 2), math.gcd(2, 2)) == 1
     assert rep.bound == pytest.approx(1.0)
     assert rep.holds
 
@@ -229,10 +217,10 @@ def test_equation_for_orbit_pair_symmetry(field61):
 
 
 def test_solvability_matches_multiplicity(cache, fields):
-    # d(A,B) >= 2 iff the matching equation has a solution with x1 != 0 and
-    # y != 0; nonzero y alone agrees except for the k=81 crossing
-    # degeneracy, where all solutions sit at x1 = 0 and collapse to a single
-    # group element
+    # d(A,B) >= 2 iff the matching equation has 20 or more solutions with
+    # y != 0, the k=81 crossing degeneracy included; the degenerate pairs
+    # have solutions with y != 0 but d = 1: all ten sit at x1 = 0, the
+    # position w = 0
     from test_quotient import expected_single_edge_pairs
     for k in (61, 81, 121):
         F = fields[k]
@@ -244,7 +232,7 @@ def test_solvability_matches_multiplicity(cache, fields):
                     if a == b:
                         continue
                     prof = solution_profile(F, equation_for_orbit_pair(F, i, a, b))
-                    assert (prof.nonzero_both > 0) == (q.mult[a][b] >= 2)
+                    assert (prof.nonzero_x2 >= 20) == (q.mult[a][b] >= 2)
                     solvable = prof.nonzero_x2 > 0
                     if (a, b) in degenerate:
                         assert solvable and q.mult[a][b] == 1
@@ -256,12 +244,12 @@ def test_k81_degenerate_solutions_all_have_zero_first_coordinate():
     F = Field(3, 4)
     eq = double_edge_equation(F, PAIR_INF_ZERO, 0, 0, 0)  # j - i + n = 0
     prof = solution_profile(F, eq)
-    assert prof.nonzero_x2 > 0 and prof.nonzero_both == 0
+    assert prof.nonzero_x2 == 10
     sols = [(x1, x2)
             for x1 in range(81) for x2 in range(1, 81)
             if F.add(F.mul(eq.a1, F.pow(x1, 2)),
                      F.mul(eq.a2, F.pow(x2, 10))) == eq.b]
-    assert sols and all(x1 == 0 for x1, _ in sols)
+    assert len(sols) == 10 and all(x1 == 0 for x1, _ in sols)
 
 
 def brute_x1_split(field, eq):
@@ -274,9 +262,11 @@ def brute_x1_split(field, eq):
 
 @pytest.mark.parametrize("k", [61, 81, 121])
 def test_multiplicity_from_solution_counts(k, cache, fields):
-    # d(A,B) = N(x1 != 0, y != 0)/10 + [N(x1 = 0, y != 0) > 0] on every
-    # ordered pair of every orbital; both orbits in the zero family pair
-    # orbit 5+j with j + 1
+    # d(A,B) = N(y != 0)/10 on every ordered pair of every orbital, counted
+    # from every pair (x1, y) without solution_profile; N(x1 = 0, y != 0)
+    # is 10 exactly for the inf-zero forms with e = 0 (a1 = theta, -c a
+    # tenth power), the position w = 0, and 0 otherwise.  Both orbits in
+    # the zero family pair orbit 5+j with j + 1
     F = fields[k]
     split = {}
     bad = []
@@ -290,7 +280,8 @@ def test_multiplicity_from_solution_counts(k, cache, fields):
                 if eq not in split:
                     split[eq] = brute_x1_split(F, eq)
                 both, x1_zero = split[eq]
-                if 10 * (q.mult[a][b] - (x1_zero > 0)) != both:
+                w0 = eq.a1 == F.theta and F._log[F.neg(eq.a2)] % 10 == 0
+                if 10 * q.mult[a][b] != both + x1_zero or x1_zero != 10 * w0:
                     bad.append((i, a, b))
     assert bad == []
 
@@ -332,8 +323,8 @@ def test_specialized_lower_bound():
 def test_the_bound_forces_a_double_edge_from_k_121_on(s, m):
     # the existence argument: every deciding equation has (d1, d2, M) =
     # (2, 10, 1), so |N - k| <= 8*sqrt(k) + 1; at most 2 solutions have
-    # y = 0 and at most 10 have x1 = 0, so N(x1 != 0, y != 0) >= k -
-    # 8*sqrt(k) - 13, which is positive exactly from k = 121 on
+    # y = 0, so 10*d = N(y != 0) >= k - 8*sqrt(k) - 3, which exceeds 10,
+    # forcing d >= 2, exactly from k = 121 on
     F = Field(s, m)
     k = F.order
     eqs = {double_edge_equation(F, pair_type, i, j, n) for pair_type, i, j, n
@@ -342,19 +333,22 @@ def test_the_bound_forces_a_double_edge_from_k_121_on(s, m):
     assert m_pairs(2, 10) == 1
     forced = not le_times_sqrt(k - 13, 8, k)
     assert forced == (k >= 121)
-    both = []
+    nonzero = []
     for eq in eqs:
         rep = weil_check(F, eq)
-        assert (rep.d1, rep.d2, rep.M) == (2, 10, 1) and rep.holds
+        d1, d2 = math.gcd(eq.k1, k - 1), math.gcd(eq.k2, k - 1)
+        assert (d1, d2, m_pairs(d1, d2)) == (2, 10, 1) and rep.holds
         prof = rep.profile
         assert prof.total - prof.nonzero_x2 <= 2
-        assert prof.nonzero_x2 - prof.nonzero_both <= 10
-        assert le_times_sqrt(k - 13 - prof.nonzero_both, 8, k)
-        both.append(prof.nonzero_both)
+        assert prof.nonzero_x2 % 10 == 0
+        assert le_times_sqrt(k - 3 - prof.nonzero_x2, 8, k)
+        nonzero.append(prof.nonzero_x2)
     if forced:
-        assert min(both) > 0
+        assert min(nonzero) >= 20
+    elif k == 61:
+        assert min(nonzero) == 20
     elif k == 81:
-        assert min(both) == 0  # the GF(9) degeneracy: some pair has d = 1
+        assert min(nonzero) == 10  # the GF(9) degeneracy: some pair has d = 1
 
 
 def test_report_rows(field61):
@@ -375,7 +369,7 @@ def test_report_counts_each_distinct_equation_once(field61, monkeypatch):
 
     monkeypatch.setattr("psl2ham.diag.solution_profile", count)
     rows = solvability_report(field61)
-    # e = 2(j-i+n) takes 13 values, two pair families: 26 equations, not 375
+    # e = n+j-i takes 13 values, two pair families: 26 equations, not 375
     assert len(counted) == len(set(counted)) == 26
     # rows whose equation an earlier row already counted
     for pair_type, i, j, n in ((PAIR_INF_ZERO, 1, 3, 2),

@@ -1,7 +1,8 @@
 """The package ships no test-only API: every function, class and method
-defined in src/psl2ham has a caller in src/psl2ham.  Helpers that only
-tests call belong in tests/reference.py or tests/util.py.  Importing the
-package loads none of `dataclasses`, `inspect` and `argparse`."""
+defined in src/psl2ham has a caller in src/psl2ham, and every field of
+its records is read there.  Helpers that only tests call belong in
+tests/reference.py or tests/util.py.  Importing the package loads none
+of `dataclasses`, `inspect` and `argparse`."""
 
 import ast
 import subprocess
@@ -27,23 +28,26 @@ def test_import_loads_no_dataclasses_inspect_or_argparse():
     assert out == "[]\n"
 
 
+def src_trees():
+    """(file name, syntax tree) of every module but __init__.py, which
+    only re-exports, so its imports do not count as callers."""
+    return [(path.name, ast.parse(path.read_text(), str(path)))
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+
+
 def test_every_definition_has_a_caller_in_src():
-    # __init__.py only re-exports, so its imports do not count as callers.
     # A method counts as used only through an attribute, and a plain name
     # only where it is read: a local variable named like a method, or
     # assigned over a function, keeps neither alive
     defined, names, attrs = [], set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(), str(path))
+    for name, tree in src_trees():
         methods = {id(node) for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef) for node in cls.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.append((node.name, f"{path.name}:{node.lineno}",
+                    defined.append((node.name, f"{name}:{node.lineno}",
                                     id(node) in methods))
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -54,3 +58,23 @@ def test_every_definition_has_a_caller_in_src():
     assert defined, f"no definitions found under {SRC}"
     assert sorted(f"{where} {name}" for name, where, method in defined
                   if name not in attrs and (method or name not in names)) == []
+
+
+def test_every_record_field_is_read_in_src():
+    # a NamedTuple field counts as read only where an attribute of its
+    # name is loaded: a keyword argument that fills it does not; a field
+    # that only tests read belongs in the tests
+    fields, attrs = [], set()
+    for name, tree in src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "NamedTuple"
+                    for b in node.bases):
+                fields += [(f.target.id, f"{name}:{f.lineno} {node.name}")
+                           for f in node.body if isinstance(f, ast.AnnAssign)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Load):
+                attrs.add(node.attr)
+    assert fields, f"no records found under {SRC}"
+    assert sorted(f"{where}.{field}" for field, where in fields
+                  if field not in attrs) == []
