@@ -7,11 +7,11 @@ stage is a function of the field.  Exact GF(s^m) arithmetic -> coset
 labels (beta, fiber), with closed-form representatives -> the ten orbits
 of the cyclic subgroup S of order p, two read off one power walk of
 sigma and shifted across the fibers -> the quotient multigraph of an
-orbital graph, read off those two orbits by the label rule and
-cross-derived by 4 matrix-form neighborhoods -> voltage selection and a
-closed-form lift over the quotient cycle 0..9 -> a certificate that
-carries its field, re-verified by the rule and that same lift.  Every
-point is one int code; the table `point_texts` alone writes its text.
+orbital graph, read off those two orbits by the adjacency oracle
+`orbital_of` and cross-derived by 4 matrix-form neighborhoods -> voltage
+selection and a closed-form lift over the quotient cycle 0..9 -> a
+certificate that carries its field, re-verified by that oracle and lift.
+Every point is one int code; the table `point_texts` alone writes it.
 Records are NamedTuples.  The command line, `psl2ham.cli`, only parses
 arguments and is not imported here.
 """

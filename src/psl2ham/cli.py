@@ -109,14 +109,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _quotient_text(q: QuotientMultigraph) -> str:
     lines = [f"orbital {q.orbital_index}  p {q.p}", "multiplicities:"]
-    for row in q.mult:
-        lines.append("  " + " ".join(f"{d:3d}" for d in row))
+    lines += ("  " + " ".join(f"{d:3d}" for d in row) for row in q.mult)
     lines.append("voltages:")
-    for a in range(10):
-        for b in range(10):
-            if q.voltages[a][b]:
-                vs = ",".join(str(w) for w in q.voltages[a][b])
-                lines.append(f"  {a} {b}: {vs}")
+    lines += (f"  {a} {b}: " + ",".join(map(str, vs))
+              for a, row in enumerate(q.voltages) for b, vs in enumerate(row) if vs)
     return "\n".join(lines) + "\n"
 
 

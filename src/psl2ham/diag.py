@@ -19,11 +19,11 @@ n and j of orbital graph i, with e = n + j - i:
 * infinity to zero family:             theta*x^2 + c*y^10 = -1, c = -theta^(2e)
 * both in the zero family:             the first form with j + 1 for j
 
-Then d(A,B) = N(x2 != 0)/10.  Proof: d(A,B) is the size of a bucket of
-`quotient.build_quotient`, the positions w of orbit 0 (of orbit 5 for
-zero-zero) whose label (`action`) passes the bucket's test, with
-sigma^w = +-[[x, y], [y*theta, x]], x^2 - theta*y^2 = 1.  With
-chi = log mod 5, the tests are, mod 5:
+Then d(A,B) = N(x2 != 0)/10.  Proof: d(A,B) counts the points v of B
+with `orbital.orbital_of`(base of A, v) = i, f + f' = i + chi(beta' -
+beta) with chi = log mod 5, read as 0 at inf.  Position w of orbit j
+(5 + j) is the label (`action`) of sigma^w (l*sigma^w), fiber raised by
+j, sigma^w = +-[[x, y], [y*theta, x]], x^2 - theta*y^2 = 1.  Mod 5:
 
 * inf-inf, base (inf, n), orbit j: y != 0 and chi(y*theta) = e.  With
   y = theta^(e-1)*u^5: x^2 - theta^(2e-1)*u^10 = 1, the first form.
@@ -158,7 +158,8 @@ def double_edge_equation(field: Field, pair_type: int, i: int, j: int,
 
     pair_type selects the orbit families of the two sides: PAIR_INF_INF,
     PAIR_INF_ZERO or PAIR_ZERO_ZERO (bases over beta = inf resp. 0); for
-    zero-zero, orbit 5 + j takes j + 1 here.
+    zero-zero, orbit 5 + j takes j + 1 here, so (PAIR_ZERO_ZERO, i, j, n)
+    counts the edges between orbits 5 + n and 5 + (j - 1) % 5.
     """
     for v in (i, j, n):
         if not 0 <= v <= 4:
@@ -179,7 +180,9 @@ def solvability_report(field: Field) -> list[str]:
 
     Columns: k type i j n N_total N_nonzero bound holds.  The 375 rows
     hold 26 distinct equations (e = n+j-i takes 13 values and the two
-    same-family types agree), so each is counted once.
+    same-family types agree), so each is counted once.  N_nonzero/10 is
+    d(n, j), d(5 + n, j) and, as called, d(5 + n, 5 + (j - 1) % 5) for
+    types 1, 2 and 3.
     """
     rows = ["k type i j n N_total N_nonzero bound holds"]
     counted: dict[DiagonalEquation, WeilReport] = {}

@@ -171,13 +171,9 @@ class Field:
 
     def _find_generator(self) -> int:
         km1 = self.order - 1
-        if km1 == 1:
-            return 1
-        qs = prime_factors(km1)
+        qs = prime_factors(km1)  # none for GF(2), whose generator is 1
         for h in self.elements_lex:
-            if h == 0:
-                continue
-            if all(self._pow_poly(h, km1 // q) != 1 for q in qs):
+            if h and all(self._pow_poly(h, km1 // q) != 1 for q in qs):
                 return h
         raise AssertionError("no generator found")  # cannot happen in a field
 

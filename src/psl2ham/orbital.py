@@ -16,11 +16,12 @@ c != 0, its label is finite of fiber chi(a*beta + b) = chi(-1/c) =
 t^-f has c = theta^-(f+f') (beta' - beta), or +-theta^-(f+f') when one
 beta is inf, so it lies in long suborbit i, the finite points of fiber i.
 
-Every function here takes the field.  `orbital_of` applies the rule in
-O(1); `neighborhood` keeps the matrix form as the independent derivation
-that cross-checks the quotient.  `build_graph` fills the k^2 classes
-chi(x - beta) by rotating the chi row, with no field arithmetic, and
-checks Y(i) on them; `export_chunks` streams the edge text off that table.
+Every function here takes the field.  `orbital_of`, the rule in O(1), is
+the one adjacency oracle of `build_quotient` and `verify_certificate`;
+`neighborhood` keeps the matrix form to cross-check the quotient.
+`build_graph` fills the k^2 classes chi(x - beta) by rotating the chi
+row, with no field arithmetic, and checks Y(i) on them; `export_chunks`
+streams the edge text off that table.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def orbital_of(field: Field, v: int, w: int) -> int | None:
     rv, rw = v % k1, w % k1
     if rv == rw:
         return None
-    if rv and rw:  # both finite, beta = r - 1
-        return (v // k1 + w // k1 - field._log[field.sub(rw - 1, rv - 1)]) % 5
-    return (v // k1 + w // k1) % 5
+    # chi(beta' - beta), read as 0 when a beta = r - 1 is inf (r = 0)
+    chi = field._log[field.sub(rw - 1, rv - 1)] if rv and rw else 0
+    return (v // k1 + w // k1 - chi) % 5
 
 
 def build_graph(field: Field, i: int) -> bytearray:

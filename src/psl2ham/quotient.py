@@ -5,10 +5,10 @@ Collapsing an orbital graph along the ten S-orbits gives a multigraph on
 neighbor of A's base vertex inside B.  Each such edge carries a voltage
 w in Z_p, the position of that neighbor in B's cyclic order, so that
 v_A(c) ~ v_B(c + w) for every offset c.  Since S acts by automorphisms,
-the label rule of `orbital.orbital_of` read along orbits 0 and 5, both
-from one power walk of sigma, gives every voltage, and four matrix-form
-neighborhoods cross-derive them (`build_quotient`); the full orbital
-graph is never built.
+the adjacency oracle `orbital.orbital_of` at the bases (inf, 0) and
+(0, 0), over orbits 0 and 5 from one power walk of sigma, gives every
+voltage, and four matrix-form neighborhoods cross-derive them
+(`build_quotient`); the full orbital graph is never built.
 
 The quotient cycle is the walk 0, 1, ..., 9 through the ten orbits.
 Voltages w_0..w_9 on it lift in closed form (`lift`): vertex 10r + j is
@@ -16,7 +16,7 @@ orbit j at position c_j + r*T, with c_j = w_0 + ... + w_(j-1) and T the
 total mod p.  For T != 0 that is one cycle through all 10p vertices, as
 p is prime; T = 0 would give p disjoint 10-cycles.  The certificate holds
 its field, the walk, the chosen voltages and the full vertex cycle, and
-is re-verified from scratch: each cycle edge by `orbital_of`, which needs
+is re-verified from scratch: each cycle edge by that oracle, which needs
 only the field, then the header's walk and voltages by the same closed
 form over verify's own walk of the S-orbits.  `run_pipeline` chains
 quotient, lift and verify.
@@ -54,29 +54,26 @@ class QuotientMultigraph(NamedTuple):
 
 
 def build_quotient(field: Field, i: int) -> QuotientMultigraph:
-    """Collapse Y(i) along the ten S-orbits, recording voltages, by the
-    label rule: the base (inf, n) of orbit n is adjacent to (beta', f') iff
-    beta' is finite and n + f' = i, and the base (0, n) of orbit 5 + n iff
-    beta' != 0 and n + f' = i + chi(beta'), chi(inf) read as 0.  Orbit
-    5e + j is orbit 5e with every fiber raised by j, so position w of orbit
-    5e, a point (beta, f), goes in bucket[0][e][f] if beta is finite and in
-    bucket[1][e][f - chi(beta)] if beta != 0, and voltages[a][b] =
-    bucket[a // 5][b // 5][(i - a - b) % 5]: 100 cells, 20 sorted tuples.
-    Rows 0 and 5 hold all 20, and `neighborhood` at positions 0 and 1 of
-    orbits 0 and 5 cross-derives them, at 1 an exact S-invariance check.
+    """Collapse Y(i) along the ten S-orbits, recording voltages.  Position
+    w of orbit 5e goes in bucket[c][e][o] when `orbital_of` puts it in
+    Y(o) with code c, the base (inf, 0) or (0, 0).  Orbit 5e + j is orbit
+    5e with every fiber raised by j, which raises the orbital of each pair
+    by j, so voltages[a][b] = bucket[a // 5][b // 5][(i - a - b) % 5]:
+    100 cells, 20 sorted tuples.  Rows 0 and 5 hold all 20, and
+    `neighborhood` at positions 0 and 1 of orbits 0 and 5 cross-derives
+    them, at 1 an exact S-invariance check.
     """
     if not 0 <= i <= 4:
         raise ValueError(f"orbital index {i} out of range 0..4")
-    k, p, log = field.order, (field.order + 1) // 2, field._log
+    k, p = field.order, (field.order + 1) // 2
     orbits = s_orbits(field)
     bucket = [[[[] for _ in range(5)] for _ in range(2)] for _ in range(2)]
     for e in (0, 1):
         for w, v in enumerate(orbits[5 * e]):  # in order, so each is sorted
-            f, r = divmod(v, k + 1)
-            if r:  # beta = r - 1 is finite
-                bucket[0][e][f].append(w)
-            if r != 1:  # beta != 0
-                bucket[1][e][(f - log[r - 1]) % 5 if r else f].append(w)
+            for base in (0, 1):
+                o = orbital_of(field, base, v)
+                if o is not None:
+                    bucket[base][e][o].append(w)
     bucket = [[[tuple(ws) for ws in b5] for b5 in row] for row in bucket]
     volts = tuple(tuple(bucket[a // 5][b // 5][(i - a - b) % 5]
                         for b in range(10)) for a in range(10))
@@ -264,28 +261,39 @@ def _residue(text: str, p: int) -> int:
     raise KeyError(text)
 
 
+def _number(text: str, line: int) -> int:
+    """The int that str() writes as `text`; int() also reads "+1" and "01"."""
+    try:
+        if str(x := int(text)) == text:
+            return x
+    except ValueError:
+        pass
+    raise ValueError(f"line {line}: {text!r} is not a number as str() writes it")
+
+
 def parse_certificate(text: str) -> HamiltonCertificate:
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines:
         raise ValueError("empty certificate")
-    head = lines[0].split()
+    head = lines[0].split(" ")
     if len(head) != 2 or head[0] != CERT_FORMAT:
         raise ValueError("not a certificate file")
-    if int(head[1]) != CERT_VERSION:
+    if _number(head[1], 1) != CERT_VERSION:
         raise ValueError(f"unsupported certificate version {head[1]}")
 
     if len(lines) < 10:
         raise ValueError(f"certificate header has {len(lines)} lines, expected 10")
-    fields: dict[str, str] = {}
+    fields = {}  # the one number of each line, a tuple for cycle and voltages
     for pos, key in enumerate(
             ["s", "m", "k", "p", "orbital", "cycle", "voltages", "total",
              "vertices"], start=1):
         name, _, val = lines[pos].partition(" ")
         if name != key:
             raise ValueError(f"expected {key!r} on line {pos + 1}, got {name!r}")
-        fields[key] = val
+        fields[key] = (tuple(_number(x, pos + 1) for x in val.split(" "))
+                       if key in ("cycle", "voltages") else _number(val, pos + 1))
 
-    s, m, k, p = (int(fields[x]) for x in ("s", "m", "k", "p"))
+    s, m, k, p = (fields[x] for x in ("s", "m", "k", "p"))
     body = lines[10:]
     # GF(k) has 5(k+1) points, so this bounds every table by the input size
     if k > len(body):
@@ -295,7 +303,7 @@ def parse_certificate(text: str) -> HamiltonCertificate:
     if p != (k + 1) // 2 or not admissible(k):
         raise ValueError(f"k = {k}, p = {p} is not an admissible instance")
     field = Field(s, m)
-    n = int(fields["vertices"])
+    n = fields["vertices"]
     if len(body) != n:
         raise ValueError(f"expected {n} vertex lines, found {len(body)}")
     # canonical text only: one lookup of f, and of beta among "inf" and the
@@ -312,10 +320,5 @@ def parse_certificate(text: str) -> HamiltonCertificate:
         except KeyError:
             raise ValueError(f"vertex {idx}: {ln!r} is not a point "
                              f"beta:fiber of {field!r}") from None
-    return HamiltonCertificate(
-        field=field,
-        orbital_index=int(fields["orbital"]),
-        cycle=tuple(int(x) for x in fields["cycle"].split()),
-        chosen_voltages=tuple(int(x) for x in fields["voltages"].split()),
-        total_voltage=int(fields["total"]),
-        vertices=verts)
+    return HamiltonCertificate(field, fields["orbital"], fields["cycle"],
+                               fields["voltages"], fields["total"], verts)

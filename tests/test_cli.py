@@ -253,6 +253,47 @@ def test_cli_verify_reads_only_the_canonical_spelling(k, line, spelling,
         f"beta:fiber of {field}\n")
 
 
+# a header number is read only as str() writes it, and entries split on
+# single spaces.  Each edit of the k = 61 certificate of orbital 0 keeps
+# the numbers int() reads: (line, old, new, the text the message names)
+HEADER_NONCANONICAL = [
+    (0, " 1", " 01", "01"),
+    (1, "61", "+61", "+61"),
+    (2, "1", "0001", "0001"),
+    (3, "61", "6_1", "6_1"),
+    (3, "61", "+61", "+61"),
+    (3, "61", "\u0666\u0661", "\u0666\u0661"),  # Arabic-Indic digits
+    (4, "31", "3_1", "3_1"),
+    (5, "0", "00", "00"),
+    (5, "0", "-0", "-0"),
+    (6, " 9", " \uff19", "\uff19"),  # a fullwidth digit
+    (7, " ", "  ", ""),
+    (7, " 5", " 05", "05"),
+    (8, "14", "+14", "+14"),
+    (9, "310", "3_10", "3_10"),
+]
+
+
+@pytest.mark.parametrize("at,old,new,number", HEADER_NONCANONICAL, ids=[
+    f"{at}-{new.strip() or 'space'}" for at, _, new, _ in HEADER_NONCANONICAL])
+def test_cli_verify_reads_header_numbers_only_as_written(at, old, new, number,
+                                                        tmp_path, capsys):
+    cert = tmp_path / "c.txt"
+    assert run(["hamilton", "--k", "61", "--out", str(cert)]) == 0
+    lines = cert.read_text().splitlines()
+    assert old in lines[at]
+    edited = lines[at].replace(old, new, 1)
+    assert ([int(t) for t in edited.split()[1:]] ==
+            [int(t) for t in lines[at].split()[1:]])
+    lines[at] = edited
+    cert.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["verify", "--cert", str(cert)]) == 2
+    assert capsys.readouterr().err == (
+        f"parameter error: line {at + 1}: {number!r} is not a number as "
+        "str() writes it\n")
+
+
 INSTANCE_COMMANDS = ("build", "quotient", "hamilton", "weil-report", "full-graph")
 
 

@@ -381,3 +381,25 @@ def test_report_counts_each_distinct_equation_once(field61, monkeypatch):
                f"{solution_profile(field61, eq).nonzero_x2} {rep.bound:.4f} "
                f"{rep.holds}")
         assert rows[1 + 125 * (pair_type - 1) + 25 * i + 5 * j + n] == row
+
+
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_report_rows_count_the_quotient_edges(k, cache, fields):
+    # N_nonzero = 10*d of the orbit pair each row counts: (n, j) for type
+    # 1, (5 + n, j) for type 2, and (5 + n, 5 + (j - 1) % 5) for type 3,
+    # whose j is double_edge_equation's, one orbit off the zero-family
+    # orbit 5 + j.  Read as (5 + n, 5 + j), these type-3 rows would be off
+    mults = [cache.quotient(k, i).mult for i in range(5)]
+    pairs = {PAIR_INF_INF: lambda j, n: (n, j),
+             PAIR_INF_ZERO: lambda j, n: (5 + n, j),
+             PAIR_ZERO_ZERO: lambda j, n: (5 + n, 5 + (j - 1) % 5)}
+    bad, literal = [], 0
+    for row in solvability_report(fields[k])[1:]:
+        pair_type, i, j, n, _, nonzero = map(int, row.split()[1:7])
+        a, b = pairs[pair_type](j, n)
+        if nonzero != 10 * mults[i][a][b]:
+            bad.append(row)
+        if pair_type == PAIR_ZERO_ZERO:
+            literal += nonzero != 10 * mults[i][5 + n][5 + j]
+    assert bad == []
+    assert literal == {61: 75, 81: 0, 121: 100}[k]

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from psl2ham import (Field, build_graph, build_quotient, certificate_to_text,
                      lift, lift_cycle, list_instances, neighborhood,
-                     parse_certificate, s_orbits, verify_certificate)
+                     orbital_of, parse_certificate, s_orbits,
+                     verify_certificate)
 from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
 from reference import base_voltages, point_str, unroll_lift
@@ -222,11 +223,21 @@ def _rebased(orbs):
     orbs[5][1] += 1
 
 
-FAKES = {"neighborhood": _tampered, "s_orbits": _walked}
+def _misread(orbits, base, a, w, o):
+    """orbital_of() reading o for code `base` and the point at position w
+    of orbit a, and the true orbital for every other pair."""
+    def fake(field, v, u):
+        return o if (v, u) == (base, orbits[a][w]) else orbital_of(field, v, u)
+    return fake
+
+
+FAKES = {"neighborhood": _tampered, "s_orbits": _walked, "orbital_of": _misread}
 
 # one case per check of build_quotient, each caught at k=61, orbital 0: a
 # tampered matrix form fails the cross-derivation, a tampered walk the
-# pair checks of the voltages read off it
+# pair checks of the voltages read off it, and so does a misread oracle.
+# Orbit 0's base read as adjacent to itself in Y(1) puts position 0 in the
+# cell (0, 4): it is its own negation, so only the cross-derivation sees it
 BROKEN_QUOTIENTS = [
     pytest.param("neighborhood", (lambda a, w: True, None),
                  "vertex inf:0 has 60 neighbors, expected 61$", "orbital",
@@ -242,6 +253,9 @@ BROKEN_QUOTIENTS = [
     pytest.param("neighborhood", (lambda a, w: (a, w) == (0, 1), 1),
                  "neighbors differ across orbit 0: S-invariance broken$",
                  "quotient", id="same-counts"),
+    pytest.param("orbital_of", (0, 0, 0, 1),
+                 "the neighbors of orbit 0's base differ from its voltages$",
+                 "quotient", id="misread"),
     pytest.param("s_orbits", (_off_fiber,),
                  r"multiplicity matrix asymmetric at \(0,7\)$", "quotient",
                  id="asymmetric"),
