@@ -16,9 +16,9 @@ orbit j at position c_j + r*T, with c_j = w_0 + ... + w_(j-1) and T the
 total mod p.  For T != 0 that is one cycle through all 10p vertices, as
 p is prime; T = 0 would give p disjoint 10-cycles.  The certificate holds
 its field, the walk, the chosen voltages and the full vertex cycle, and
-is re-verified from scratch: each cycle edge by that oracle, which needs
-only the field, then the header's walk and voltages by the same closed
-form over verify's own walk of the S-orbits.  `run_pipeline` chains
+is re-verified from scratch: the header's walk and voltages by the same
+closed form over verify's own walk of the S-orbits, then each cycle edge
+by that oracle, which needs only the field.  `run_pipeline` chains
 quotient, lift and verify.
 """
 
@@ -171,17 +171,20 @@ def verify_certificate(cert: HamiltonCertificate) -> str | None:
     """Re-check a certificate from scratch: the text of the first failure,
     or None when the certificate holds.
 
-    Checks the header arithmetic, then tests every cycle edge with the
-    O(1) adjacency rule `orbital_of`, which needs the field alone, and
-    last compares the vertices with the `lift` of the header's cycle and
-    voltages over the S-orbits; never consults a group, a stored graph or
-    a quotient.
+    Checks what the header names (an admissible k) and its arithmetic,
+    then its claim that the vertices are the `lift` of its cycle and
+    voltages over the S-orbits, last every cycle edge by the O(1) rule
+    `orbital_of`.  That lift is every point once: `s_orbits` checks that
+    its ten orbits partition the 10p points, the cycle permutes 0..9 and
+    T != 0 generates Z_p, p prime.  Never reads a group, graph or quotient.
     """
     field, p = cert.field, cert.p
+    if not admissible(field.order):
+        return f"k = {field.order} is not an admissible instance"
     if not 0 <= cert.orbital_index <= 4:
         return f"orbital index {cert.orbital_index} out of range"
     verts, n = cert.vertices, 10 * p
-    if len(verts) != n:
+    if len(verts) != n:  # zip below would accept a prefix
         return f"cycle has {len(verts)} vertices, expected {n}"
     if cert.total_voltage % p == 0:
         return "total voltage vanishes mod p"
@@ -193,14 +196,14 @@ def verify_certificate(cert: HamiltonCertificate) -> str | None:
     if cert.total_voltage != sum(volts) % p:
         return f"total {cert.total_voltage} is not the voltage sum mod p"
 
-    # n = 5(k+1): n distinct codes in 0..n-1 cover every point
-    seen = bytearray(n)
-    for idx, v in enumerate(verts):
-        if not 0 <= v < n:
-            return f"vertex {idx} has code {v}, outside 0..{n - 1}"
-        if seen[v]:
-            return f"vertex {idx} duplicates an earlier cycle vertex"
-        seen[v] = 1
+    # the lift is every point once: the orbits partition, T generates Z_p
+    claimed = lift(s_orbits(field), cert.cycle, volts)
+    for idx, (v, w) in enumerate(zip(verts, claimed)):
+        if v != w:
+            texts = point_texts(field)
+            at = texts[v] if 0 <= v < n else f"code {v}"
+            return (f"vertex {idx} is {at}, but the header's "
+                    f"cycle and voltages put {texts[w]} there")
 
     i = cert.orbital_index
     for idx in range(n):
@@ -210,14 +213,6 @@ def verify_certificate(cert: HamiltonCertificate) -> str | None:
             texts = point_texts(field)
             return (f"{where}: {texts[v]} and {texts[w]} "
                     f"are not adjacent in orbital graph {i}")
-
-    # the header's claims: they fix every vertex, so compare each one
-    claimed = lift(s_orbits(field), cert.cycle, volts)
-    for idx, (v, w) in enumerate(zip(verts, claimed)):
-        if v != w:
-            texts = point_texts(field)
-            return (f"vertex {idx} is {texts[v]}, but the header's "
-                    f"cycle and voltages put {texts[w]} there")
     return None
 
 
@@ -292,6 +287,8 @@ def parse_certificate(text: str) -> HamiltonCertificate:
             raise ValueError(f"expected {key!r} on line {pos + 1}, got {name!r}")
         fields[key] = (tuple(_number(x, pos + 1) for x in val.split(" "))
                        if key in ("cycle", "voltages") else _number(val, pos + 1))
+    if not 0 <= fields["orbital"] <= 4:
+        raise ValueError(f"line 6: orbital {fields['orbital']} is not in 0..4")
 
     s, m, k, p = (fields[x] for x in ("s", "m", "k", "p"))
     body = lines[10:]

@@ -11,9 +11,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psl2ham import (ParameterError, certificate_to_text,
+from psl2ham import (ParameterError, certificate_to_text, lift,
                      list_instances, orbital_of, parse_certificate,
-                     run_pipeline, verify_certificate)
+                     run_pipeline, s_orbits, verify_certificate)
 from psl2ham.cli import (DESK_SCALE_MAX_K, INSTANCES_MAX_K, _resolve_params,
                          make_parser, run)
 from psl2ham.gf import admissible, factor_prime_power, prime_factors
@@ -272,26 +272,33 @@ HEADER_NONCANONICAL = [
     (8, "14", "+14", "+14"),
     (9, "310", "3_10", "3_10"),
 ]
+# a header orbital outside 0..4 is as malformed: (line, old, new, message)
+HEADER_MALFORMED = [
+    (at, old, new, f"{number!r} is not a number as str() writes it")
+    for at, old, new, number in HEADER_NONCANONICAL] + [
+    (5, "0", "5", "orbital 5 is not in 0..4"),
+    (5, "0", "7", "orbital 7 is not in 0..4"),
+]
 
 
-@pytest.mark.parametrize("at,old,new,number", HEADER_NONCANONICAL, ids=[
-    f"{at}-{new.strip() or 'space'}" for at, _, new, _ in HEADER_NONCANONICAL])
-def test_cli_verify_reads_header_numbers_only_as_written(at, old, new, number,
+@pytest.mark.parametrize("at,old,new,message", HEADER_MALFORMED, ids=[
+    f"{at}-{new.strip() or 'space'}" for at, _, new, _ in HEADER_MALFORMED])
+def test_cli_verify_reads_header_numbers_only_as_written(at, old, new, message,
                                                         tmp_path, capsys):
     cert = tmp_path / "c.txt"
     assert run(["hamilton", "--k", "61", "--out", str(cert)]) == 0
     lines = cert.read_text().splitlines()
     assert old in lines[at]
     edited = lines[at].replace(old, new, 1)
-    assert ([int(t) for t in edited.split()[1:]] ==
-            [int(t) for t in lines[at].split()[1:]])
+    if message.endswith("str() writes it"):  # the numbers int() reads stay
+        assert ([int(t) for t in edited.split()[1:]] ==
+                [int(t) for t in lines[at].split()[1:]])
     lines[at] = edited
     cert.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["verify", "--cert", str(cert)]) == 2
     assert capsys.readouterr().err == (
-        f"parameter error: line {at + 1}: {number!r} is not a number as "
-        "str() writes it\n")
+        f"parameter error: line {at + 1}: {message}\n")
 
 
 INSTANCE_COMMANDS = ("build", "quotient", "hamilton", "weil-report", "full-graph")
@@ -497,6 +504,15 @@ def _forged(blob: bytes, data) -> bytes:
     return b"".join(lines)
 
 
+def _relifted(blob: bytes, data) -> bytes:
+    """`_forged`, with the vertex lines rewritten as the lift of its
+    header: claims that match the vertices, which only the edge check
+    can refuse."""
+    cert = parse_certificate(_forged(blob, data).decode())
+    return certificate_to_text(cert._replace(vertices=lift(
+        s_orbits(cert.field), cert.cycle, cert.chosen_voltages))).encode()
+
+
 def _is_the_lift_of_its_header(cert) -> bool:
     """The vertices are a Hamilton cycle of Y(i) by the reference class
     table, and they are `unroll_lift` of the header over the reference
@@ -535,10 +551,12 @@ def test_cli_verify_is_total_on_mutated_certificates(fuzz_certs, fuzz_file,
                                                      data):
     # verify exits 0, 2 or 4 on any edit of a valid k = 61 or 81 certificate,
     # and exits 0 only on a Hamilton cycle that is the lift of its header;
-    # the unedited certificates are drawn too
+    # the unedited certificates are drawn too, and `_relifted` claims are
+    # the only ones that reach the edge check
     blob = fuzz_certs[data.draw(st.sampled_from(sorted(fuzz_certs)))]
-    if data.draw(st.booleans()):
-        blob = _forged(blob, data)
+    forge = data.draw(st.sampled_from([None, _forged, _relifted]))
+    if forge:
+        blob = forge(blob, data)
     for _ in range(data.draw(st.integers(0, 2))):
         blob = _mutation(blob, data)
     fuzz_file.write_bytes(blob)

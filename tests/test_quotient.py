@@ -296,14 +296,15 @@ def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
 
 
 def test_verify_names_points_by_their_text():
-    # at k = 81 a point's text holds its four coordinates: swapping
-    # vertices 1 and 2 breaks step 0->1 first
+    # at k = 81 a point's text holds its four coordinates: the lift of
+    # voltages all 1 matches its header, but breaks step 0->1 first
     field = Field(3, 4)
     cert = lift_cycle(build_quotient(field, 0))
-    vs = array("l", cert.vertices)
-    vs[1], vs[2] = vs[2], vs[1]
-    assert verify_certificate(cert._replace(vertices=vs)) == (
-        "step 0->1: inf:0 and [1,0,2,1]:1 are not adjacent in orbital "
+    volts = (1,) * 10
+    forged = cert._replace(chosen_voltages=volts, total_voltage=10,
+                           vertices=lift(s_orbits(field), range(10), volts))
+    assert verify_certificate(forged) == (
+        "step 0->1: inf:0 and [1,2,0,1]:1 are not adjacent in orbital "
         "graph 0")
 
 
@@ -439,18 +440,20 @@ def test_verify_rejects_swapped_vertices(cache):
     vs = list(cert.vertices)
     vs[10], vs[200] = vs[200], vs[10]
     bad = cert._replace(vertices=tuple(vs))
-    failure = verify_certificate(bad)
-    assert failure is not None
-    assert "not adjacent" in failure
+    field = cert.field
+    assert verify_certificate(bad) == (
+        f"vertex 10 is {point_str(field, vs[10])}, but the header's cycle "
+        f"and voltages put {point_str(field, vs[200])} there")
 
 
 def test_verify_rejects_duplicate_vertex(cache):
     cert = lift_cycle(cache.quotient(61, 0))
     vs = list(cert.vertices)
     vs[5] = vs[17]
-    failure = verify_certificate(cert._replace(vertices=tuple(vs)))
-    assert failure is not None
-    assert "duplicates" in failure
+    field = cert.field
+    assert verify_certificate(cert._replace(vertices=tuple(vs))) == (
+        f"vertex 5 is {point_str(field, vs[17])}, but the header's cycle "
+        f"and voltages put {point_str(field, cert.vertices[5])} there")
 
 
 def test_verify_rejects_zero_total_voltage(cache):
@@ -495,15 +498,25 @@ def test_verify_rejects_false_header_claims(cache):
 
 
 def test_verify_rejects_out_of_range_codes(cache):
-    # -1 aliases the last code 309 in the seen-set and in orbital_of, and
-    # 310 or more overruns the seen-set: each is a failure at its index
+    # -1 would alias the last code 309 as a text index and in orbital_of,
+    # and 310 or more overrun the texts: each is named by its code
     cert = lift_cycle(cache.quotient(61, 0))
     idx = list(cert.vertices).index(309)
     for bad in (-1, 310, 10**6):
         vs = array("l", cert.vertices)
         vs[idx] = bad
         assert verify_certificate(cert._replace(vertices=vs)) == (
-            f"vertex {idx} has code {bad}, outside 0..309")
+            f"vertex {idx} is code {bad}, but the header's cycle and "
+            "voltages put 60:4 there")
+
+
+def test_verify_holds_the_record_to_an_admissible_field():
+    # GF(41) has p = 21, not prime: the total T = 12 that lift_cycle picks
+    # for Y(1) does not generate Z_21, so its lift repeats itself, 70
+    # points out of 210, though the claims and every edge hold
+    cert = lift_cycle(build_quotient(Field(41, 1), 1))
+    assert cert.total_voltage == 12 and len(set(cert.vertices)) == 70
+    assert verify_certificate(cert) == "k = 41 is not an admissible instance"
 
 
 def test_verify_checks_zero_total_before_other_claims(cache):
@@ -517,7 +530,7 @@ def test_verify_closing_edge(cache):
     vs = list(cert.vertices)
     # rotating by one vertex keeps every adjacency, the closing edge
     # included, but vertex 0 must be the start (inf, 0) of orbit cycle[0]:
-    # only the claim check, which runs after every edge, rejects it
+    # the claim check, which runs before the edges, rejects it
     rotated = cert._replace(vertices=tuple(vs[1:] + vs[:1]))
     field = cert.field
     assert point_str(field, vs[0]) == "inf:0"

@@ -1,7 +1,8 @@
 """The k ladder, on Linux: per k, `python -m psl2ham hamilton` and then
-`verify` of its certificate in child processes (wall time, and peak RSS
-as `ru_maxrss` from `os.wait4`, in MiB), then the stages of the pipeline
-timed in this process (best of 3 below k = 10^5; `build_quotient` and
+`verify` of its certificate in child processes, each run 3 times (the
+median wall time, and the median peak RSS as `ru_maxrss` from
+`os.wait4`, in MiB), then the stages of the pipeline timed in this
+process (best of 5 below k = 10^5; `build_quotient` and
 `verify_certificate` each walk the S-orbits again).  Runs k = 61 ...
 99661, then each K named (990361 takes minutes), and writes
 BENCH_<tag>.json here; PYTHONPATH picks the tree measured:
@@ -10,6 +11,7 @@ BENCH_<tag>.json here; PYTHONPATH picks the tree measured:
 """
 
 import compileall, json, os, platform, subprocess, sys, tempfile, time
+from statistics import median
 
 import psl2ham
 from psl2ham import (Field, build_quotient, certificate_to_text, lift_cycle,
@@ -28,17 +30,22 @@ print(status, time.perf_counter() - t, usage.ru_maxrss)"""
 
 
 def child(*args):
-    """Run `python -m psl2ham args` from a bare `python -S` launcher: a
-    child's ru_maxrss counts the peak RSS of the process that spawned it,
-    which here would be this one's, grown by the stages."""
-    out = subprocess.run([sys.executable, "-S", "-c", LAUNCH, sys.executable,
-                          "-m", "psl2ham", *args], capture_output=True,
-                         text=True, check=True).stdout
-    status, wall, rss = out.split()
-    if int(status):
-        sys.exit(f"psl2ham {' '.join(args)}: exit status {status}")
-    return {"wall_s": round(float(wall), 3),
-            "maxrss_mb": round(int(rss) / 1024, 1)}
+    """Run `python -m psl2ham args` 3 times, for the medians, from a bare
+    `python -S` launcher: a child's ru_maxrss counts the peak RSS of the
+    process that spawned it, which here would be this one's, grown by the
+    stages."""
+    walls, rsss = [], []
+    for _ in range(3):
+        out = subprocess.run([sys.executable, "-S", "-c", LAUNCH,
+                              sys.executable, "-m", "psl2ham", *args],
+                             capture_output=True, text=True, check=True).stdout
+        status, wall, rss = out.split()
+        if int(status):
+            sys.exit(f"psl2ham {' '.join(args)}: exit status {status}")
+        walls.append(float(wall))
+        rsss.append(int(rss))
+    return {"wall_s": round(median(walls), 3),
+            "maxrss_mb": round(median(rsss) / 1024, 1)}
 
 
 def stages(k, runs):
@@ -73,7 +80,7 @@ def main(tag, *extra):
             rungs.append({"k": k, "hamilton": child("hamilton", "--k", str(k),
                                                     "--out", cert),
                           "verify": child("verify", "--cert", cert),
-                          "stages_s": stages(k, 3 if k < 10**5 else 1)})
+                          "stages_s": stages(k, 5 if k < 10**5 else 1)})
             print(json.dumps(rungs[-1]), file=sys.stderr)
     with open("/proc/cpuinfo") as info:
         cpu = next((ln.split(":")[1].strip() for ln in info
