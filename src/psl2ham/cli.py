@@ -1,6 +1,7 @@
-"""Command-line surface: argument parsing, output and exit codes for
-instance discovery, graph construction, certificate emission and
-independent verification.
+"""Command-line surface: output and exit codes for instance discovery,
+graph construction, certificate emission and independent verification.
+argv is read against one flag table, `COMMANDS`, by exact flag names:
+importing and building an argparse parser took about 4 ms of every cold run.
 
 Each command that takes --k checks it, factors it as s^m and builds the
 one `Field` the rest of the run works from.  `full-graph` emits the
@@ -13,8 +14,8 @@ names the stage that raised it), 4 verification failure.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .diag import solvability_report
 from .errors import InvariantViolation, ParameterError
@@ -31,10 +32,21 @@ MAX_K = 2**32
 # about 0.7 s at 10^6 and 15 s at 10^7
 INSTANCES_MAX_K = 10**6
 
-
-def _add_instance_args(sp):
-    sp.add_argument("--k", type=int, required=True, help="field order s^m")
-    sp.add_argument("--out", default=None)
+REQUIRED = object()  # the default of a flag that must be given
+_K = {"--k": (int, REQUIRED, "field order s^m"), "--out": (str, None)}
+_ORBITAL = {**_K, "--orbital": (int, 0)}
+COMMANDS = {  # command: (help, {flag: (int, str or choices, default[, help])})
+    "instances": ("list admissible parameters", {"--max-k": (int, 130)}),
+    "build": ("build one orbital graph and export it", {**_ORBITAL, "--format": (
+        ("edgelist", "dot"), "edgelist", "edgelist or dot")}),
+    "quotient": ("print the quotient multigraph", _ORBITAL),
+    "hamilton": ("emit a verified Hamilton certificate", _ORBITAL),
+    "verify": ("re-verify a certificate file", {"--cert": (str, REQUIRED)}),
+    "weil-report": ("solvability table for one field", _K),
+    "full-graph": ("certificate for a union of orbital graphs", {
+        **_K, "--orbitals": (str, "0,1,2,3,4", "comma-separated orbital indices")}),
+}
+USAGE = f"usage: psl2ham [-h] {{{','.join(COMMANDS)}}} [--flag value ...]"
 
 
 def _resolve_params(args) -> tuple[int, int]:
@@ -70,41 +82,63 @@ def _parse_subset(text: str) -> list[int]:
     return subset
 
 
-def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="psl2ham",
-        description="Hamilton cycle certificates for orbital graphs of "
-                    "PSL(2,k) on 5(k+1) points")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _fail(prog: str, message: str):
+    sys.stderr.write(f"{USAGE}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
 
-    sp = sub.add_parser("instances", help="list admissible parameters")
-    sp.add_argument("--max-k", type=int, default=130)
 
-    sp = sub.add_parser("build", help="build one orbital graph and export it")
-    _add_instance_args(sp)
-    sp.add_argument("--orbital", type=int, default=0)
-    sp.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
+def _help():
+    lines = [USAGE, "", "Hamilton cycle certificates for orbital graphs of "
+                        "PSL(2,k) on 5(k+1) points"]
+    for command, (text, flags) in COMMANDS.items():
+        lines += ["", f"{command:12} {text}"]
+        lines += (f"  {flag:11} " + " ".join([*h, "(required)" if d is REQUIRED
+                                              else f"(default {d})"])
+                  for flag, (_, d, *h) in flags.items())
+    print("\n".join(lines))
+    raise SystemExit(0)
 
-    sp = sub.add_parser("quotient", help="print the quotient multigraph")
-    _add_instance_args(sp)
-    sp.add_argument("--orbital", type=int, default=0)
 
-    sp = sub.add_parser("hamilton", help="emit a verified Hamilton certificate")
-    _add_instance_args(sp)
-    sp.add_argument("--orbital", type=int, default=0)
+def _read(prog: str, name: str, kind, text: str):
+    """text read by kind: int, str, or a tuple of the choices, whose
+    index() raises ValueError on any other text."""
+    try:
+        return kind(text) if callable(kind) else kind[kind.index(text)]
+    except ValueError:
+        _fail(prog, f"argument {name}: " + (
+            f"invalid {kind.__name__} value: {text!r}" if callable(kind) else
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})"))
 
-    sp = sub.add_parser("verify", help="re-verify a certificate file")
-    sp.add_argument("--cert", required=True)
 
-    sp = sub.add_parser("weil-report", help="solvability table for one field")
-    _add_instance_args(sp)
-
-    sp = sub.add_parser("full-graph",
-                        help="certificate for a union of orbital graphs")
-    _add_instance_args(sp)
-    sp.add_argument("--orbitals", default="0,1,2,3,4",
-                    help="comma-separated orbital indices")
-    return ap
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and flag values of argv, read against COMMANDS, with
+    argparse's messages; -h or --help prints the table and exits 0."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _help()
+    if not argv:
+        _fail("psl2ham", "the following arguments are required: command")
+    command = _read("psl2ham", "command", tuple(COMMANDS), argv[0])
+    prog, flags = f"psl2ham {command}", COMMANDS[command][1]
+    rest, got, extra = argv[1:], {}, []
+    while rest:
+        flag, eq, text = (token := rest.pop(0)).partition("=")
+        if token in ("-h", "--help"):
+            _help()
+        if flag not in flags:
+            extra.append(token)
+        # a value may be "-" or a negative number, but no other "-" word
+        elif eq or rest and (rest[0][:1] != "-" or rest[0] == "-"
+                             or rest[0][1:2].isdigit()):
+            got[flag] = _read(prog, flag, flags[flag][0], text if eq else rest.pop(0))
+        else:
+            _fail(prog, f"argument {flag}: expected one argument")
+    args = {flag: got.get(flag, default) for flag, (_, default, *_) in flags.items()}
+    if missing := [flag for flag, value in args.items() if value is REQUIRED]:
+        _fail(prog, f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        _fail("psl2ham", f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): value for flag, value in args.items()})
 
 
 def _quotient_text(q: QuotientMultigraph) -> str:
@@ -117,7 +151,7 @@ def _quotient_text(q: QuotientMultigraph) -> str:
 
 
 def run(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = parse_args(list(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "instances":
             if args.max_k > INSTANCES_MAX_K:

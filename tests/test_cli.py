@@ -15,7 +15,7 @@ from psl2ham import (ParameterError, certificate_to_text, lift,
                      list_instances, orbital_of, parse_certificate,
                      run_pipeline, s_orbits, verify_certificate)
 from psl2ham.cli import (DESK_SCALE_MAX_K, INSTANCES_MAX_K, _resolve_params,
-                         make_parser, run)
+                         parse_args, run)
 from psl2ham.gf import admissible, factor_prime_power, prime_factors
 import reference
 from util import code, fresh_process_env, points
@@ -84,7 +84,7 @@ def test_one_admissibility_rule_for_params_and_listing(capsys):
     assert listed[0] == (61, 1)
     for k, sm in prime_powers.items():
         if admissible(k):
-            args = make_parser().parse_args(["quotient", "--k", str(k)])
+            args = parse_args(["quotient", "--k", str(k)])
             assert _resolve_params(args) == sm
         else:
             assert run(["quotient", "--k", str(k)]) == 2
@@ -336,6 +336,78 @@ def test_cli_takes_no_s_or_m(argv, message, capsys):
         run(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+# the last stderr line of each usage error, as argparse printed it
+USAGE_ERRORS = [
+    ([], "psl2ham: error: the following arguments are required: command"),
+    (["bogus"], "psl2ham: error: argument command: invalid choice: 'bogus' "
+                "(choose from 'instances', 'build', 'quotient', 'hamilton', "
+                "'verify', 'weil-report', 'full-graph')"),
+    (["hamilton"], "psl2ham hamilton: error: the following arguments are "
+                   "required: --k"),
+    (["hamilton", "--k"],
+     "psl2ham hamilton: error: argument --k: expected one argument"),
+    (["hamilton", "--k", "--out", "x"],
+     "psl2ham hamilton: error: argument --k: expected one argument"),
+    (["hamilton", "--k", "x"],
+     "psl2ham hamilton: error: argument --k: invalid int value: 'x'"),
+    (["hamilton", "--k", "61", "--orbital"],
+     "psl2ham hamilton: error: argument --orbital: expected one argument"),
+    (["build", "--k", "61", "--format", "svg"],
+     "psl2ham build: error: argument --format: invalid choice: 'svg' "
+     "(choose from 'edgelist', 'dot')"),
+    (["verify"],
+     "psl2ham verify: error: the following arguments are required: --cert"),
+    (["instances", "--max-k", "ten"],
+     "psl2ham instances: error: argument --max-k: invalid int value: 'ten'"),
+    (["hamilton", "--k", "61", "--allow-large"],
+     "psl2ham: error: unrecognized arguments: --allow-large"),
+    # argparse read a prefix of a flag as the flag: --orb ran as --orbital
+    (["hamilton", "--k", "61", "--orb", "1"],
+     "psl2ham: error: unrecognized arguments: --orb 1"),
+]
+
+
+@pytest.mark.parametrize("argv,last", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "none" for argv, _ in USAGE_ERRORS])
+def test_cli_usage_errors_exit_2_with_argparse_messages(argv, last, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: psl2ham")
+    assert err.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["hamilton", "--help"],
+                                  ["verify", "--cert", "c.txt", "-h"]])
+def test_cli_help_names_every_command(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("instances", "build", "quotient", "hamilton", "verify",
+                    "weil-report", "full-graph"):
+        assert f"\n{command} " in out
+    # each flag with its help text and default, read off the table
+    assert re.search(r"\n  --orbitals +comma-separated orbital indices "
+                     r"\(default 0,1,2,3,4\)\n", out)
+    assert re.search(r"\n  --k +field order s\^m \(required\)\n", out)
+
+
+def test_cli_reads_flag_equals_value_dash_and_negative_values(tmp_path, capsys):
+    spaced, joined = tmp_path / "spaced.txt", tmp_path / "joined.txt"
+    assert run(["hamilton", "--k", "61", "--out", str(spaced)]) == 0
+    assert run(["hamilton", "--k=61", f"--out={joined}"]) == 0
+    assert joined.read_bytes() == spaced.read_bytes()
+    capsys.readouterr()
+    assert run(["hamilton", "--k", "61", "--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == spaced.read_bytes()
+    # a negative value reaches the pipeline's range check
+    assert run(["hamilton", "--k", "61", "--orbital", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "parameter error: orbital index -1 out of range 0..4\n")
 
 
 HOSTILE_HEADERS = [

@@ -2,7 +2,9 @@
 defined in src/psl2ham has a caller in src/psl2ham, and every field of
 its records is read there.  Helpers that only tests call belong in
 tests/reference.py or tests/util.py.  Importing the package loads none
-of `dataclasses`, `inspect` and `argparse`."""
+of `dataclasses`, `inspect` and `argparse`, and the command line, which
+reads argv against its own flag table, loads none of `argparse`,
+`gettext` and `locale` either."""
 
 import ast
 import subprocess
@@ -17,15 +19,20 @@ SRC = Path(psl2ham.__file__).resolve().parent
 
 def test_import_loads_no_dataclasses_inspect_or_argparse():
     # the records are NamedTuples and the package does not import its
-    # command line; the child reports only what importing psl2ham adds to
-    # the modules of a bare interpreter, so a site hook that preloads one
-    # of them does not count
+    # command line; the command line parses without argparse, whose gettext
+    # loads locale at its first message.  The child reports only what
+    # importing psl2ham, then psl2ham.cli and parsing one command line,
+    # adds to the modules of a bare interpreter, so a site hook that
+    # preloads one of them does not count
     probe = ("import sys; bare = set(sys.modules); import psl2ham; "
              "print(sorted({'dataclasses', 'inspect', 'argparse'} "
-             "& (set(sys.modules) - bare)))")
+             "& (set(sys.modules) - bare))); import psl2ham.cli; "
+             "psl2ham.cli.parse_args(['hamilton', '--k', '61']); "
+             "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', "
+             "'locale'} & (set(sys.modules) - bare)))")
     out = subprocess.run([sys.executable, "-c", probe], env=fresh_process_env(),
                          capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "[]\n[]\n"
 
 
 def src_trees():
