@@ -10,8 +10,9 @@ sigma and shifted across the fibers -> the quotient multigraph of an
 orbital graph, read off those two orbits by the adjacency oracle
 `orbital_of` and cross-derived by 4 matrix-form neighborhoods -> voltage
 selection and a closed-form lift over the quotient cycle 0..9 -> a
-certificate that carries its field, re-verified by that oracle and lift.
-Every point is one int code; the table `point_texts` alone writes it.
+certificate that carries its field, re-verified by that oracle and lift;
+`verify_text` holds certificate text to the writer's, `certificate_chunks`,
+of the header's lift.  Every point is one int code, spelled `point_texts`.
 Records are NamedTuples.  The command line, `psl2ham.cli`, only parses
 arguments and is not imported here.
 """
@@ -24,8 +25,8 @@ from .errors import InvariantViolation, ParameterError
 from .gf import Field, is_prime, list_instances
 from .orbital import build_graph, neighborhood, orbital_of
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
-                       build_quotient, certificate_to_text, lift, lift_cycle,
-                       parse_certificate, run_pipeline, verify_certificate)
+                       build_quotient, certificate_chunks, lift, lift_cycle,
+                       run_pipeline, verify_certificate, verify_text)
 
 __all__ = [
     "point_texts", "rep", "s_orbits", "sigma",
@@ -35,8 +36,8 @@ __all__ = [
     "Field", "is_prime", "list_instances",
     "build_graph", "neighborhood", "orbital_of",
     "HamiltonCertificate", "QuotientMultigraph", "build_quotient",
-    "certificate_to_text", "lift", "lift_cycle", "parse_certificate",
-    "run_pipeline", "verify_certificate",
+    "certificate_chunks", "lift", "lift_cycle", "run_pipeline",
+    "verify_certificate", "verify_text",
 ]
 
 __version__ = "0.1.0"

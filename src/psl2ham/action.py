@@ -11,8 +11,8 @@ Points of the coset space Omega are labeled (beta, fiber):
 
 A point is one int, its code f*(k+1) + (0 if beta is inf else beta + 1),
 in 0..5(k+1)-1, so a table over the points, its texts `point_texts`
-included, is a flat array indexed by code.  That table is the one writer
-of point text: a message that names a point builds it when it raises.
+included, is a flat array indexed by code.  It spells a point as the
+certificate writer does; a message that names a point builds it to raise.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1; g and -g are the same element, and nothing here depends

@@ -21,8 +21,8 @@ from .diag import solvability_report
 from .errors import InvariantViolation, ParameterError
 from .gf import Field, admissible, factor_prime_power, list_instances
 from .orbital import build_graph, export_chunks
-from .quotient import (QuotientMultigraph, build_quotient, certificate_to_text,
-                       parse_certificate, run_pipeline, verify_certificate)
+from .quotient import (QuotientMultigraph, build_quotient, certificate_chunks,
+                       run_pipeline, verify_text)
 
 DESK_SCALE_MAX_K = 5000
 # trial division up to sqrt(k) is then at most 2^16 steps, and no larger
@@ -186,7 +186,7 @@ def run(argv=None) -> int:
             subset = _parse_subset(args.orbitals) if union else [args.orbital]
             # the pipeline verifies every cycle edge in Y(min S), inside the union
             cert = run_pipeline(field, subset[0])
-            _write_out([certificate_to_text(cert)], args.out)
+            _write_out(certificate_chunks(cert), args.out)
             if args.out not in (None, "-"):
                 where = (f"inside the union of orbitals {subset}" if union else
                          f"(orbital {subset[0]}, total voltage "
@@ -196,15 +196,12 @@ def run(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            with open(args.cert) as fh:
-                cert = parse_certificate(fh.read())
-            failure = verify_certificate(cert)
-            if failure is None:
-                print(f"certificate OK: {len(cert.vertices)} vertices, "
-                      f"orbital {cert.orbital_index}, k={cert.field.order}")
-                return 0
-            print(f"certificate INVALID: {failure}")
-            return 4
+            with open(args.cert, newline="") as fh:  # "\r\n" is read as is
+                cert, failure = verify_text(fh.read())
+            print(f"certificate INVALID: {failure}" if failure else
+                  f"certificate OK: {len(cert.vertices)} vertices, "
+                  f"orbital {cert.orbital_index}, k={cert.field.order}")
+            return 4 if failure else 0
 
         if args.command == "weil-report":
             field = Field(*_resolve_params(args))

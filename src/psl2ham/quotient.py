@@ -15,17 +15,21 @@ Voltages w_0..w_9 on it lift in closed form (`lift`): vertex 10r + j is
 orbit j at position c_j + r*T, with c_j = w_0 + ... + w_(j-1) and T the
 total mod p.  For T != 0 that is one cycle through all 10p vertices, as
 p is prime; T = 0 would give p disjoint 10-cycles.  The certificate holds
-its field, the walk, the chosen voltages and the full vertex cycle, and
-is re-verified from scratch: the header's walk and voltages by the same
-closed form over verify's own walk of the S-orbits, then each cycle edge
-by that oracle, which needs only the field.  `run_pipeline` chains
-quotient, lift and verify.
+its field, the walk, the chosen voltages and the full vertex cycle.
+Verifying it builds no group, graph or quotient: the header's claims (an
+admissible k first), then that the vertices are the lift of its walk and
+voltages over verify's own S-orbits, which is every point once (the
+orbits partition the points, the walk permutes 0..9, T != 0 generates
+Z_p), last each cycle edge by that oracle.  `certificate_chunks` writes
+the text; `verify_text` reads its header alone, since a valid body is
+the writer's text of the header's lift.  `run_pipeline` chains quotient,
+lift and verify.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .action import point_texts, s_orbits
@@ -35,6 +39,7 @@ from .orbital import neighborhood, orbital_of
 
 CERT_FORMAT = "psl2ham-certificate"
 CERT_VERSION = 1
+MISPLACED = "vertex {} is {}, but the header's cycle and voltages put {} there"
 
 
 class QuotientMultigraph(NamedTuple):
@@ -167,25 +172,15 @@ def lift_cycle(q: QuotientMultigraph) -> HamiltonCertificate:
 
 # --- independent verification ---
 
-def verify_certificate(cert: HamiltonCertificate) -> str | None:
-    """Re-check a certificate from scratch: the text of the first failure,
-    or None when the certificate holds.
-
-    Checks what the header names (an admissible k) and its arithmetic,
-    then its claim that the vertices are the `lift` of its cycle and
-    voltages over the S-orbits, last every cycle edge by the O(1) rule
-    `orbital_of`.  That lift is every point once: `s_orbits` checks that
-    its ten orbits partition the 10p points, the cycle permutes 0..9 and
-    T != 0 generates Z_p, p prime.  Never reads a group, graph or quotient.
-    """
+def _false_claim(cert: HamiltonCertificate, count: int) -> str | None:
+    """The first false claim of a header that claims `count` vertices."""
     field, p = cert.field, cert.p
     if not admissible(field.order):
         return f"k = {field.order} is not an admissible instance"
     if not 0 <= cert.orbital_index <= 4:
         return f"orbital index {cert.orbital_index} out of range"
-    verts, n = cert.vertices, 10 * p
-    if len(verts) != n:  # zip below would accept a prefix
-        return f"cycle has {len(verts)} vertices, expected {n}"
+    if count != 10 * p:
+        return f"cycle has {count} vertices, expected {10 * p}"
     if cert.total_voltage % p == 0:
         return "total voltage vanishes mod p"
     if sorted(cert.cycle) != list(range(10)):
@@ -196,64 +191,59 @@ def verify_certificate(cert: HamiltonCertificate) -> str | None:
     if cert.total_voltage != sum(volts) % p:
         return f"total {cert.total_voltage} is not the voltage sum mod p"
 
-    # the lift is every point once: the orbits partition, T generates Z_p
-    claimed = lift(s_orbits(field), cert.cycle, volts)
-    for idx, (v, w) in enumerate(zip(verts, claimed)):
-        if v != w:
-            texts = point_texts(field)
-            at = texts[v] if 0 <= v < n else f"code {v}"
-            return (f"vertex {idx} is {at}, but the header's "
-                    f"cycle and voltages put {texts[w]} there")
 
-    i = cert.orbital_index
-    for idx in range(n):
-        v, w = verts[idx], verts[(idx + 1) % n]
+def _broken_edge(cert: HamiltonCertificate) -> str | None:
+    """The first step of the cycle `cert.vertices` that is not in Y(i)."""
+    field, i, verts = cert.field, cert.orbital_index, cert.vertices
+    for idx, v in enumerate(verts):
+        w = verts[idx + 1 - len(verts)]  # the closing step wraps to vertex 0
         if orbital_of(field, v, w) != i:
-            where = "closing edge" if idx == n - 1 else f"step {idx}->{idx + 1}"
             texts = point_texts(field)
-            return (f"{where}: {texts[v]} and {texts[w]} "
+            return (f"step {idx}->{idx + 1}: {texts[v]} and {texts[w]} "
                     f"are not adjacent in orbital graph {i}")
-    return None
+
+
+def verify_certificate(cert: HamiltonCertificate) -> str | None:
+    """Re-check a certificate record from scratch, as the module docstring
+    says: the text of the first failure, or None when it holds."""
+    if failure := _false_claim(cert, len(cert.vertices)):  # zip reads a prefix
+        return failure
+    claimed = lift(s_orbits(cert.field), cert.cycle, cert.chosen_voltages)
+    for idx, (v, w) in enumerate(zip(cert.vertices, claimed)):
+        if v != w:
+            texts = point_texts(cert.field)
+            at = texts[v] if 0 <= v < len(texts) else f"code {v}"
+            return MISPLACED.format(idx, at, texts[w])
+    return _broken_edge(cert)
 
 
 def run_pipeline(field: Field, i: int) -> HamiltonCertificate:
     """quotient -> lift -> verify."""
     cert = lift_cycle(build_quotient(field, i))
-    failure = verify_certificate(cert)
-    if failure:
+    if failure := verify_certificate(cert):
         raise InvariantViolation(
             f"emitted certificate failed verification: {failure}",
             stage="verify")
     return cert
 
 
-# --- serialization ---
+# --- certificate text ---
 
-def certificate_to_text(cert: HamiltonCertificate) -> str:
-    field = cert.field
-    lines = [
-        f"{CERT_FORMAT} {CERT_VERSION}",
-        f"s {field.s}",
-        f"m {field.m}",
-        f"k {field.order}",
-        f"p {cert.p}",
-        f"orbital {cert.orbital_index}",
-        "cycle " + " ".join(str(a) for a in cert.cycle),
-        "voltages " + " ".join(str(w) for w in cert.chosen_voltages),
-        f"total {cert.total_voltage}",
-        f"vertices {len(cert.vertices)}",
-    ]
-    lines += map(point_texts(field).__getitem__, cert.vertices)
-    return "\n".join(lines) + "\n"
-
-
-def _residue(text: str, p: int) -> int:
-    """x + 1 for the text str() writes of a residue x < p: as fast as a dict
-    of the p texts, without its 136 MB at p = 990361."""
-    x = int(text) if text.isdecimal() and len(text) < 20 else -1
-    if 0 <= x < p and str(x) == text:
-        return x + 1
-    raise KeyError(text)
+def certificate_chunks(cert: HamiltonCertificate):
+    """The text of `cert`: the ten header lines, then 4096 vertex lines a
+    chunk, code f*(k+1) + r as betas[r] + ":f", its `point_texts` entry,
+    with betas "inf" and the k element texts."""
+    field, verts = cert.field, cert.vertices
+    yield (f"{CERT_FORMAT} {CERT_VERSION}\ns {field.s}\nm {field.m}\n"
+           f"k {field.order}\np {cert.p}\norbital {cert.orbital_index}\n"
+           f"cycle {' '.join(map(str, cert.cycle))}\n"
+           f"voltages {' '.join(map(str, cert.chosen_voltages))}\n"
+           f"total {cert.total_voltage}\nvertices {len(verts)}\n")
+    betas, k1 = ["inf", *field.element_texts()], field.order + 1
+    ends = [f":{f}\n" for f in range(5)]
+    for at in range(0, len(verts), 4096):
+        yield "".join([betas[v % k1] + ends[v // k1]
+                       for v in verts[at:at + 4096]])
 
 
 def _number(text: str, line: int) -> int:
@@ -266,22 +256,24 @@ def _number(text: str, line: int) -> int:
     raise ValueError(f"line {line}: {text!r} is not a number as str() writes it")
 
 
-def parse_certificate(text: str) -> HamiltonCertificate:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines:
-        raise ValueError("empty certificate")
+def verify_text(text: str) -> tuple[HamiltonCertificate, str | None]:
+    """`verify_certificate` of certificate text: the record its header
+    names, with its lift as the vertices once the claims hold, and the
+    first failure or None; ValueError where the text is no certificate.
+    A valid body is the text `certificate_chunks` writes of that lift, so
+    no vertex line is parsed: the first line that differs decides."""
+    lines = text.split("\n", 10)
     head = lines[0].split(" ")
     if len(head) != 2 or head[0] != CERT_FORMAT:
         raise ValueError("not a certificate file")
     if _number(head[1], 1) != CERT_VERSION:
         raise ValueError(f"unsupported certificate version {head[1]}")
-
-    if len(lines) < 10:
-        raise ValueError(f"certificate header has {len(lines)} lines, expected 10")
+    if len(lines) < 11:
+        raise ValueError(
+            f"certificate header has {len(lines) - 1} lines, expected 10")
     fields = {}  # the one number of each line, a tuple for cycle and voltages
     for pos, key in enumerate(
-            ["s", "m", "k", "p", "orbital", "cycle", "voltages", "total",
-             "vertices"], start=1):
+            "s m k p orbital cycle voltages total vertices".split(), start=1):
         name, _, val = lines[pos].partition(" ")
         if name != key:
             raise ValueError(f"expected {key!r} on line {pos + 1}, got {name!r}")
@@ -289,33 +281,42 @@ def parse_certificate(text: str) -> HamiltonCertificate:
                        if key in ("cycle", "voltages") else _number(val, pos + 1))
     if not 0 <= fields["orbital"] <= 4:
         raise ValueError(f"line 6: orbital {fields['orbital']} is not in 0..4")
-
     s, m, k, p = (fields[x] for x in ("s", "m", "k", "p"))
-    body = lines[10:]
-    # GF(k) has 5(k+1) points, so this bounds every table by the input size
-    if k > len(body):
-        raise ValueError(f"header k = {k} does not fit {len(body)} vertex lines")
+    body = len(lines.pop())
+    # 5(k+1) lines of 4 characters or more: no table outgrows the input
+    if 20 * (k + 1) > body:
+        raise ValueError(f"header k = {k} does not fit a body of {body} characters")
     if factor_prime_power(k) != (s, m):
         raise ValueError(f"s = {s}, m = {m} do not factor k = {k}")
     if p != (k + 1) // 2 or not admissible(k):
         raise ValueError(f"k = {k}, p = {p} is not an admissible instance")
-    field = Field(s, m)
-    n = fields["vertices"]
-    if len(body) != n:
-        raise ValueError(f"expected {n} vertex lines, found {len(body)}")
-    # canonical text only: one lookup of f, and of beta among "inf" and the
-    # k element texts (m > 1) or by `_residue` (m = 1)
-    betas = dict(zip(["inf", *field.element_texts()] if m > 1 else ["inf"],
-                     range(k + 1)))
-    fibers = {str(f): f * (k + 1) for f in range(5)}
-    verts = array("l")
-    for idx, ln in enumerate(body):
-        beta, _, f = ln.rpartition(":")
-        try:
-            r = betas[beta] if m > 1 or beta == "inf" else _residue(beta, k)
-            verts.append(r + fibers[f])
-        except KeyError:
-            raise ValueError(f"vertex {idx}: {ln!r} is not a point "
-                             f"beta:fiber of {field!r}") from None
-    return HamiltonCertificate(field, fields["orbital"], fields["cycle"],
-                               fields["voltages"], fields["total"], verts)
+    cert = HamiltonCertificate(Field(s, m), fields["orbital"], fields["cycle"],
+                               fields["voltages"], fields["total"], array("l"))
+    if failure := _false_claim(cert, n := fields["vertices"]):
+        return cert, failure
+    cert = cert._replace(vertices=lift(s_orbits(cert.field), cert.cycle,
+                                       cert.chosen_voltages))
+    # the header's 10 line ends, and a last line may lack its own
+    if (found := text.count("\n") - 10 + (text[-1] != "\n")) != n:
+        raise ValueError(f"expected {n} vertex lines, found {found}")
+    pos = 0  # the header chunk is the header read above
+    for chunk in certificate_chunks(cert):
+        if text.startswith(chunk, pos):
+            pos += len(chunk)
+            continue
+        idx = text.count("\n", 0, pos) - 10
+        for want in chunk.splitlines(keepends=True):
+            got = text[pos:text.find("\n", pos) + 1 or len(text)]
+            if got != want:
+                break
+            pos, idx = pos + len(got), idx + 1
+        if got[-1] != "\n":
+            raise ValueError(f"vertex {idx}: {got!r} has no line end")
+        # the lift is every point once, so a line is a point iff the
+        # writer writes it in some chunk of the body
+        chunks = islice(certificate_chunks(cert), 1, None)
+        if any(f"\n{got}" in f"\n{c}" for c in chunks):
+            return cert, MISPLACED.format(idx, got[:-1], want[:-1])
+        raise ValueError(f"vertex {idx}: {got[:-1]!r} is not a point "
+                         f"beta:fiber of {cert.field!r}")
+    return cert, _broken_edge(cert)

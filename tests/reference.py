@@ -17,7 +17,9 @@ the helpers that only tests call: `coeffs`, `from_coeffs`, `point_of`,
 `equation_for_orbit_pair`, `brute_count`, `class_table` and `edges`,
 and the single-element and single-point text writers `element_str` and
 `point_str`, built from `coeffs`, against which the package's text
-tables are checked.
+tables are checked, and `read_certificate`, a line-by-line reader of
+certificate text by `point_str`, for oracles that must not read a
+certificate with the package.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1, stored in canonical sign form: of the two matrices g, -g
@@ -39,8 +41,8 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from psl2ham import (Field, InvariantViolation, QuotientMultigraph,
-                     neighborhood)
+from psl2ham import (Field, HamiltonCertificate, InvariantViolation,
+                     QuotientMultigraph, neighborhood)
 from psl2ham.action import Mat, rep, sigma
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           DiagonalEquation, double_edge_equation)
@@ -76,6 +78,22 @@ def point_str(field: Field, v: int) -> str:
     p = point(field, v)
     beta = "inf" if p.beta is None else element_str(field, p.beta)
     return f"{beta}:{p.fiber}"
+
+
+def read_certificate(text: str) -> HamiltonCertificate:
+    """The record of well-formed certificate text: the header numbers by
+    int(), each vertex line looked up among the `point_str` texts of the
+    5(k+1) points."""
+    lines = text.splitlines()
+    head = {ln.split(" ")[0]: ln.split(" ")[1:] for ln in lines[1:10]}
+    (s,), (m,), (k,), (i,), (total,) = (
+        map(int, head[key]) for key in ("s", "m", "k", "orbital", "total"))
+    field = Field(s, m)
+    codes = {point_str(field, v): v for v in range(5 * (k + 1))}
+    return HamiltonCertificate(
+        field, i, tuple(map(int, head["cycle"])),
+        tuple(map(int, head["voltages"])), total,
+        array("l", (codes[ln] for ln in lines[10:])))
 
 
 def point_of(field: Field, g: Mat) -> OmegaPoint:

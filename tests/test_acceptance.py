@@ -24,7 +24,7 @@ import time
 import pytest
 
 from psl2ham import (DiagonalEquation, Field, build_quotient,
-                     certificate_to_text, double_edge_equation, lift_cycle,
+                     certificate_chunks, double_edge_equation, lift_cycle,
                      s_orbits, solution_profile, verify_certificate,
                      weil_check)
 from psl2ham.diag import le_times_sqrt
@@ -281,7 +281,7 @@ def test_criterion_7_cross_module_consistency(k, cache, fields):
 def test_criterion_8_fresh_process_verification(k, i, cache, tmp_path):
     cert = lift_cycle(cache.quotient(k, i))
     path = tmp_path / f"cert_{k}_{i}.txt"
-    path.write_text(certificate_to_text(cert))
+    path.write_text("".join(certificate_chunks(cert)))
     proc = subprocess.run(
         [sys.executable, "-m", "psl2ham", "verify", "--cert", str(path)],
         capture_output=True, text=True, env=fresh_process_env())

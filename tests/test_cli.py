@@ -11,9 +11,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psl2ham import (ParameterError, certificate_to_text, lift,
-                     list_instances, orbital_of, parse_certificate,
-                     run_pipeline, s_orbits, verify_certificate)
+from psl2ham import (ParameterError, certificate_chunks, lift,
+                     list_instances, orbital_of, run_pipeline, s_orbits,
+                     verify_certificate, verify_text)
 from psl2ham.cli import (DESK_SCALE_MAX_K, INSTANCES_MAX_K, _resolve_params,
                          parse_args, run)
 from psl2ham.gf import admissible, factor_prime_power, prime_factors
@@ -115,8 +115,8 @@ def test_full_graph_mode_subsets(tmp_path, capsys):
     union, direct = tmp_path / "u.txt", tmp_path / "h.txt"
     assert run(["full-graph", "--k", "61", "--orbitals", "1,0",
                 "--out", str(union)]) == 0
-    cert01 = parse_certificate(union.read_text())
-    assert len(cert01.vertices) == 310
+    cert01, failure = verify_text(union.read_text())
+    assert failure is None and len(cert01.vertices) == 310
     assert cert01.orbital_index == 0
     assert run(["full-graph", "--k", "61", "--orbitals", "3",
                 "--out", str(union)]) == 0
@@ -251,6 +251,64 @@ def test_cli_verify_reads_only_the_canonical_spelling(k, line, spelling,
     assert capsys.readouterr().err == (
         f"parameter error: vertex {idx}: {spelling!r} is not a point "
         f"beta:fiber of {field}\n")
+
+
+# edits of the k = 61 certificate of orbital 0.  Earlier versions read all
+# but the extra line, as they stripped each line and read "\r\n" as "\n";
+# a valid body is the writer's text of the header's lift, so each is a
+# parameter error that names the line, or counts the lines.
+# (name, edit, message)
+STRICT_EDITS = [
+    ("trailing-space", lambda t: t.replace("\n57:0\n", "\n57:0 \n"),
+     "vertex 1: '57:0 ' is not a point beta:fiber of GF(61)"),
+    ("leading-space", lambda t: t.replace("\n57:0\n", "\n 57:0\n"),
+     "vertex 1: ' 57:0' is not a point beta:fiber of GF(61)"),
+    ("crlf", lambda t: t.replace("\n", "\r\n"),
+     "line 1: '1\\r' is not a number as str() writes it"),
+    ("blank-line-after", lambda t: t + "\n",
+     "expected 310 vertex lines, found 311"),
+    ("no-final-newline", lambda t: t[:-1], "vertex 309: '22:0' has no line end"),
+    ("extra-line", lambda t: t + "inf:0\n", "expected 310 vertex lines, found 311"),
+]
+
+
+@pytest.mark.parametrize("edit,message", [e[1:] for e in STRICT_EDITS],
+                         ids=[e[0] for e in STRICT_EDITS])
+def test_cli_verify_reads_the_text_exactly(edit, message, tmp_path, capsys):
+    cert = tmp_path / "c.txt"
+    assert run(["hamilton", "--k", "61", "--out", str(cert)]) == 0
+    text = cert.read_text()
+    assert edit(text) != text
+    cert.write_bytes(edit(text).encode())
+    capsys.readouterr()
+    assert run(["verify", "--cert", str(cert)]) == 2
+    assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
+def test_cli_verify_checks_the_claims_before_the_body(tmp_path, capsys):
+    # the header's claims are checked before any vertex line is read: a
+    # zero total decides (exit 4) over a line that is no point (exit 2)
+    cert = tmp_path / "c.txt"
+    assert run(["hamilton", "--k", "61", "--out", str(cert)]) == 0
+    text = cert.read_text()
+    assert "\ntotal 14\n" in text and "\n57:0\n" in text
+    cert.write_text(text.replace("\ntotal 14\n", "\ntotal 0\n")
+                    .replace("\n57:0\n", "\n57:7\n"))
+    capsys.readouterr()
+    assert run(["verify", "--cert", str(cert)]) == 4
+    assert capsys.readouterr().out == (
+        "certificate INVALID: total voltage vanishes mod p\n")
+
+
+def test_cli_verify_reads_a_pipe(tmp_path):
+    # verify reads the file whole, so /dev/stdin works from a pipe
+    cert = tmp_path / "c.txt"
+    assert run(["hamilton", "--k", "81", "--out", str(cert)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "psl2ham", "verify", "--cert", "/dev/stdin"],
+        input=cert.read_bytes(), capture_output=True, env=fresh_process_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"certificate OK: 410 vertices, orbital 0, k=81\n"
 
 
 # a header number is read only as str() writes it, and entries split on
@@ -580,9 +638,9 @@ def _relifted(blob: bytes, data) -> bytes:
     """`_forged`, with the vertex lines rewritten as the lift of its
     header: claims that match the vertices, which only the edge check
     can refuse."""
-    cert = parse_certificate(_forged(blob, data).decode())
-    return certificate_to_text(cert._replace(vertices=lift(
-        s_orbits(cert.field), cert.cycle, cert.chosen_voltages))).encode()
+    cert = reference.read_certificate(_forged(blob, data).decode())
+    return "".join(certificate_chunks(cert._replace(vertices=lift(
+        s_orbits(cert.field), cert.cycle, cert.chosen_voltages)))).encode()
 
 
 def _is_the_lift_of_its_header(cert) -> bool:
@@ -608,8 +666,8 @@ def _is_the_lift_of_its_header(cert) -> bool:
 
 @pytest.fixture(scope="module")
 def fuzz_certs(fields):
-    return {(k, i): certificate_to_text(run_pipeline(fields[k], i)).encode()
-            for k in (61, 81) for i in range(5)}
+    return {(k, i): "".join(certificate_chunks(run_pipeline(fields[k], i)))
+            .encode() for k in (61, 81) for i in range(5)}
 
 
 @pytest.fixture(scope="module")
@@ -624,7 +682,8 @@ def test_cli_verify_is_total_on_mutated_certificates(fuzz_certs, fuzz_file,
     # verify exits 0, 2 or 4 on any edit of a valid k = 61 or 81 certificate,
     # and exits 0 only on a Hamilton cycle that is the lift of its header;
     # the unedited certificates are drawn too, and `_relifted` claims are
-    # the only ones that reach the edge check
+    # the only ones that reach the edge check.  The oracle reads the
+    # certificate with the reference reader, not the package
     blob = fuzz_certs[data.draw(st.sampled_from(sorted(fuzz_certs)))]
     forge = data.draw(st.sampled_from([None, _forged, _relifted]))
     if forge:
@@ -638,7 +697,7 @@ def test_cli_verify_is_total_on_mutated_certificates(fuzz_certs, fuzz_file,
     assert status in (0, 2, 4)
     if status == 0:
         assert _is_the_lift_of_its_header(
-            parse_certificate(blob.decode()))
+            reference.read_certificate(blob.decode()))
 
 
 def test_cli_full_graph(tmp_path):

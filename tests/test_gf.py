@@ -237,8 +237,7 @@ def test_add_exhaustive(s, m):
 
 
 def test_serialization_round_trip():
-    # element_texts is read back by a dict in parse_certificate: one text
-    # per handle, in handle order
+    # element_texts gives one text per handle, in handle order
     Fp = Field(61, 1)
     assert element_str(Fp, 17) == "17"
     assert Fp.element_texts()[17] == "17"
@@ -249,6 +248,14 @@ def test_serialization_round_trip():
     assert texts[x] == "[2,0,1,1]"
     assert {t: h for h, t in enumerate(texts)}["[2,0,1,1]"] == x
     assert len(set(texts)) == 81
+
+
+@pytest.mark.parametrize("s,m", [(61, 1), (19, 2), (3, 4)])
+def test_element_texts_are_distinct(s, m):
+    # verify compares a body with the writer's text of the lift, which
+    # cannot show two codes written as one text: each text names one element
+    F = Field(s, m)
+    assert len(set(F.element_texts())) == F.order
 
 
 @pytest.mark.parametrize("s,m", [pytest.param(s, m, id=f"{s}-{m}") for s, m in

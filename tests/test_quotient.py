@@ -8,10 +8,10 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from psl2ham import (Field, build_graph, build_quotient, certificate_to_text,
+from psl2ham import (Field, build_graph, build_quotient, certificate_chunks,
                      lift, lift_cycle, list_instances, neighborhood,
-                     orbital_of, parse_certificate, s_orbits,
-                     verify_certificate)
+                     orbital_of, point_texts, s_orbits, verify_certificate,
+                     verify_text)
 from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
 from reference import base_voltages, point_str, unroll_lift
@@ -280,9 +280,11 @@ def test_build_quotient_checks_fire(name, args, message, stage, field61,
 
 def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
     # the 4 neighborhoods are checked on codes; text is for the messages.
-    # So are the checks of s_orbits, build_graph and verify: each message
-    # that names a point builds the text table as it fails
+    # So are the checks of s_orbits, build_graph and verify, on a record
+    # or on text: each message that names a point builds the text table as
+    # it fails
     cert = lift_cycle(build_quotient(field61, 0))
+    text = "".join(certificate_chunks(cert))
 
     def refuse(*args):
         raise AssertionError("point text formatted on the passing path")
@@ -293,6 +295,7 @@ def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
     assert len(s_orbits(field61)) == 10
     assert len(build_graph(field61, 2)) == 61 * 61
     assert verify_certificate(cert) is None
+    assert verify_text(text)[1] is None
 
 
 def test_verify_names_points_by_their_text():
@@ -563,18 +566,21 @@ def test_verify_holds_the_header_claims_to_the_vertices(cert61, data):
 
 
 def test_certificate_text_round_trip(cache):
+    # verify_text gives back the record, with the lift of its header
     cert = lift_cycle(cache.quotient(61, 1))
-    text = certificate_to_text(cert)
-    cert2 = parse_certificate(text)
+    text = "".join(certificate_chunks(cert))
+    cert2, failure = verify_text(text)
+    assert failure is None
     assert (cert2.field.s, cert2.field.m, cert2.p) == (61, 1, 31)
     assert cert2._replace(field=cert.field) == cert
-    assert certificate_to_text(cert2) == text
+    assert "".join(certificate_chunks(cert2)) == text
 
 
 def test_certificate_round_trip_extension_field(cache):
     cert = lift_cycle(cache.quotient(81, 0))
-    text = certificate_to_text(cert)
-    cert2 = parse_certificate(text)
+    text = "".join(certificate_chunks(cert))
+    cert2, failure = verify_text(text)
+    assert failure is None
     assert (cert2.field.s, cert2.field.m, cert2.p) == (3, 4, 41)
     assert cert2._replace(field=cert.field) == cert
     assert verify_certificate(cert2) is None
@@ -582,9 +588,20 @@ def test_certificate_round_trip_extension_field(cache):
 
 def test_parse_rejects_malformed():
     with pytest.raises(ValueError):
-        parse_certificate("")
+        verify_text("")
     with pytest.raises(ValueError):
-        parse_certificate("something-else 1\ns 61\n")
+        verify_text("something-else 1\ns 61\n")
+
+
+@pytest.mark.parametrize("s,m", [(61, 1), (3, 4)])
+def test_certificate_writes_each_point_as_point_texts(s, m, cache):
+    # the writer's line of every code is its point_texts entry: one spelling
+    field = Field(s, m)
+    n = 5 * (field.order + 1)
+    cert = lift_cycle(cache.quotient(field.order, 0))
+    lines = "".join(certificate_chunks(cert._replace(
+        vertices=array("l", range(n))))).splitlines(keepends=True)
+    assert lines[10:] == [text + "\n" for text in point_texts(field)]
 
 
 def test_corrupt_quotient_raises(cache):

@@ -1,19 +1,22 @@
 """The k ladder, on Linux: per k, `python -m psl2ham hamilton` and then
 `verify` of its certificate in child processes, each run 3 times (the
-median wall time, and the median peak RSS as `ru_maxrss` from
-`os.wait4`, in MiB), then the stages of the pipeline timed in a child
-process (best of 5 below k = 10^5; `build_quotient` and
-`verify_certificate` each walk the S-orbits again).  Runs k = 61 ...
+medians of the wall time, of the CPU time `ru_utime + ru_stime` and of
+the peak RSS `ru_maxrss` from `os.wait4`, in MiB; host load moves CPU
+time less than wall time), then the stages of the pipeline timed in a
+child process (best of 5 below k = 10^5; `build_quotient`,
+`verify_certificate` and `verify_text` each walk the S-orbits again, and
+`verify_text` builds its own field).  Runs k = 61 ...
 99661, then each K named (990361 takes minutes), and writes
 BENCH_<tag>.json here; PYTHONPATH picks the tree measured:
 
     PYTHONPATH=src python tools/ladder.py TAG [K ...] [--parent SRC]
 
 With --parent, the src/ of a second tree, every child also runs on that
-tree, and each rung records its figures under "parent".  The two trees
-alternate rung by rung, A B B A A B for the child runs and A B for the
-stages, B first on every other rung, so drift in host load lands on
-both sides.
+tree, and each rung records its figures under "parent"; each tree's
+stages are timed by that tree's own tools/ladder.py, as the stage list
+follows that tree's API.  The two trees alternate rung by rung, A B B A
+A B for the child runs and A B for the stages, B first on every other
+rung, so drift in host load lands on both sides.
 """
 
 import argparse, compileall, json, os, platform, subprocess, sys, tempfile, time
@@ -21,13 +24,15 @@ from statistics import median
 
 LADDER = [61, 81, 121, 361, 841, 2401, 4621, 17161, 28561, 99661]
 
-# spawns argv[1:] with stdout to /dev/null: "status wall_s ru_maxrss_kib"
+# spawns argv[1:] with stdout to /dev/null:
+# "status wall_s ru_maxrss_kib cpu_s"
 LAUNCH = """import os, sys, time
 t = time.perf_counter()
 pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=[
     (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
 _, status, usage = os.wait4(pid, 0)
-print(status, time.perf_counter() - t, usage.ru_maxrss)"""
+print(status, time.perf_counter() - t, usage.ru_maxrss,
+      usage.ru_utime + usage.ru_stime)"""
 
 
 def children(envs, sides, args_of):
@@ -40,20 +45,21 @@ def children(envs, sides, args_of):
         out = subprocess.run([sys.executable, "-S", "-c", LAUNCH, sys.executable,
                               "-m", "psl2ham", *args_of(side)], env=envs[side],
                              capture_output=True, text=True, check=True).stdout
-        status, wall, rss = out.split()
+        status, wall, rss, cpu = out.split()
         if int(status):
             sys.exit(f"{side}: psl2ham {' '.join(args_of(side))}: "
                      f"exit status {status}")
-        runs[side].append((float(wall), int(rss)))
-    return {side: {"wall_s": round(median(w for w, _ in r), 3),
-                   "maxrss_mb": round(median(m for _, m in r) / 1024, 1)}
+        runs[side].append((float(wall), int(rss), float(cpu)))
+    return {side: {"wall_s": round(median(w for w, _, _ in r), 3),
+                   "cpu_s": round(median(c for _, _, c in r), 3),
+                   "maxrss_mb": round(median(m for _, m, _ in r) / 1024, 1)}
             for side, r in runs.items()}
 
 
 def stages(k, runs):
-    from psl2ham import (Field, build_quotient, certificate_to_text,
-                         lift_cycle, parse_certificate, s_orbits,
-                         verify_certificate)
+    from psl2ham import (Field, build_quotient, certificate_chunks,
+                         lift_cycle, s_orbits, verify_certificate,
+                         verify_text)
     from psl2ham.gf import factor_prime_power
 
     best = {}
@@ -71,10 +77,10 @@ def stages(k, runs):
         q = lap("build_quotient", build_quotient(field, 0))
         cert = lap("lift_cycle", lift_cycle(q))
         failure = lap("verify_certificate", verify_certificate(cert))
-        text = lap("certificate_to_text", certificate_to_text(cert))
-        lap("parse_certificate", parse_certificate(text))
-        if failure:
-            sys.exit(f"k = {k}: {failure}")
+        text = lap("certificate_chunks", "".join(certificate_chunks(cert)))
+        _, reread = lap("verify_text", verify_text(text))
+        if failure or reread:
+            sys.exit(f"k = {k}: {failure or reread}")
     return {name: round(s, 4) for name, s in best.items()}
 
 
@@ -103,8 +109,10 @@ def main(argv):
             ver = children(envs, sides, lambda s: ["verify", "--cert", cert[s]])
             figures = {}
             for side in sides:
+                ladder = os.path.join(os.path.dirname(trees[side]), "tools",
+                                      "ladder.py")
                 out = subprocess.run(
-                    [sys.executable, __file__, "--stages", str(k),
+                    [sys.executable, ladder, "--stages", str(k),
                      str(5 if k < 10**5 else 1)], env=envs[side],
                     capture_output=True, text=True, check=True).stdout
                 figures[side] = {"hamilton": ham[side], "verify": ver[side],
