@@ -45,6 +45,12 @@ single edge (tests/test_quotient.py pins them).
 Every pair has d >= 2 from k = 121 on: here (d1, d2, M) = (2, 10, 1), so
 |N - k| <= 8*sqrt(k) + 1, and a1*x1^2 = b has at most two roots, so
 10*d >= k - 8*sqrt(k) - 3 > 10 iff not le_times_sqrt(k - 13, 8, k).
+
+The counts are one per (family, e mod 5), in any GF(q): over y != 0,
+c*y^10 runs g = gcd(10, q-1) times over the coset c*<theta^g>, fixed by
+log c mod g, which as g | 10 is fixed by e mod 5 (log c = 2e - 1 or 2e,
+plus log(-1)).  a1, b, d1 = gcd(2, q-1) and d2 = g do not involve e, so
+N, N(x2 != 0), the bound and its verdict agree across the class.
 """
 
 from __future__ import annotations
@@ -135,9 +141,10 @@ def le_times_sqrt(lhs: int, a: int, q: int) -> bool:
 
 def weil_check(field: Field, eq: DiagonalEquation) -> WeilReport:
     """Exact-arithmetic check of the solution-count bound; needs b != 0."""
-    profile = solution_profile(field, eq)  # validates eq
+    eq.validate(field)
     if eq.b == 0:
         raise ValueError("the bound requires b != 0")
+    profile = solution_profile(field, eq)
     q = field.order
     d1, d2 = math.gcd(eq.k1, q - 1), math.gcd(eq.k2, q - 1)
     M = m_pairs(d1, d2)
@@ -154,13 +161,11 @@ def double_edge_equation(field: Field, pair_type: int, i: int, j: int,
                          n: int) -> DiagonalEquation:
     """Equation counting the edges between orbits n and j of orbital
     graph i: d = N(x2 != 0)/10 by the module docstring, so d >= 2 iff
-    `solution_profile(...).nonzero_x2 >= 20`.
-
-    pair_type selects the orbit families of the two sides: PAIR_INF_INF,
-    PAIR_INF_ZERO or PAIR_ZERO_ZERO (bases over beta = inf resp. 0); for
-    zero-zero, orbit 5 + j takes j + 1 here, so (PAIR_ZERO_ZERO, i, j, n)
-    counts the edges between orbits 5 + n and 5 + (j - 1) % 5.
-    """
+    `solution_profile(...).nonzero_x2 >= 20`.  pair_type selects the
+    orbit families of the two sides, PAIR_INF_INF, PAIR_INF_ZERO or
+    PAIR_ZERO_ZERO (bases over beta = inf resp. 0); for zero-zero, orbit
+    5 + j takes j + 1 here, so (PAIR_ZERO_ZERO, i, j, n) counts the edges
+    between orbits 5 + n and 5 + (j - 1) % 5."""
     for v in (i, j, n):
         if not 0 <= v <= 4:
             raise ValueError(f"index {v} out of range 0..4")
@@ -176,22 +181,17 @@ def double_edge_equation(field: Field, pair_type: int, i: int, j: int,
 
 
 def solvability_report(field: Field) -> list[str]:
-    """One row per (k, pair_type, i, j, n): exact counts and the bound.
-
-    Columns: k type i j n N_total N_nonzero bound holds.  The 375 rows
-    hold 26 distinct equations (e = n+j-i takes 13 values and the two
-    same-family types agree), so each is counted once.  N_nonzero/10 is
-    d(n, j), d(5 + n, j) and, as called, d(5 + n, 5 + (j - 1) % 5) for
-    types 1, 2 and 3.
-    """
-    rows = ["k type i j n N_total N_nonzero bound holds"]
-    counted: dict[DiagonalEquation, WeilReport] = {}
-    for pair_type, i, j, n in product(
-            (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO), *[range(5)] * 3):
-        eq = double_edge_equation(field, pair_type, i, j, n)
-        if eq not in counted:
-            counted[eq] = weil_check(field, eq)
-        rep = counted[eq]
-        rows.append(f"{field.order} {pair_type} {i} {j} {n} {rep.N} "
-                    f"{rep.profile.nonzero_x2} {rep.bound:.4f} {rep.holds}")
-    return rows
+    """One row per (k, pair_type, i, j, n), columns k type i j n N_total
+    N_nonzero bound holds: 10 counts, one per (family, e mod 5) by the
+    module docstring, each counted and its row tail written once.
+    N_nonzero/10 is d(n, j), d(5 + n, j) and, as called, d(5 + n, 5 +
+    (j - 1) % 5) for types 1, 2 and 3."""
+    tails, k = {}, field.order
+    for t, e in product((PAIR_INF_INF, PAIR_INF_ZERO), range(5)):
+        rep = weil_check(field, double_edge_equation(field, t, 0, 0, e))
+        tails[t == PAIR_INF_ZERO, e] = (
+            f"{rep.N} {rep.profile.nonzero_x2} {rep.bound:.4f} {rep.holds}")
+    return ["k type i j n N_total N_nonzero bound holds"] + [
+        f"{k} {t} {i} {j} {n} " + tails[t == PAIR_INF_ZERO, (n + j - i) % 5]
+        for t, i, j, n in product((PAIR_INF_INF, PAIR_INF_ZERO,
+                                   PAIR_ZERO_ZERO), *[range(5)] * 3)]

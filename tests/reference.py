@@ -14,8 +14,10 @@ checked, and the quotient's voltages read off the matrix-form
 neighborhoods of the ten orbit bases (`base_voltages`), against which
 the label-rule reading of `build_quotient` is checked.  It also keeps
 the helpers that only tests call: `coeffs`, `from_coeffs`, `point_of`,
-`equation_for_orbit_pair`, `brute_count`, `class_table` and `edges`,
-and the single-element and single-point text writers `element_str` and
+`equation_for_orbit_pair`, `brute_count`, `class_table`, `edges` and
+`per_row_report`, the weil-report checking each row's own equation,
+against which `diag.solvability_report` is checked, and the
+single-element and single-point text writers `element_str` and
 `point_str`, built from `coeffs`, against which the package's text
 tables are checked, and `read_certificate`, a line-by-line reader of
 certificate text by `point_str`, for oracles that must not read a
@@ -37,6 +39,7 @@ Distinguished elements and subgroups (all for 10 | k-1 where noted):
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +48,7 @@ from psl2ham import (Field, HamiltonCertificate, InvariantViolation,
                      QuotientMultigraph, neighborhood)
 from psl2ham.action import Mat, rep, sigma
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
-                          DiagonalEquation, double_edge_equation)
+                          DiagonalEquation, double_edge_equation, weil_check)
 from util import ALPHA, OmegaPoint, code, point, points
 
 
@@ -184,6 +187,19 @@ def brute_count(field: Field, eq: DiagonalEquation, require_nonzero_x2=False,
             if field.add(t1, field.mul(eq.a2, field.pow(x2, eq.k2))) == eq.b:
                 n += 1
     return n
+
+
+def per_row_report(field: Field) -> list[str]:
+    """The rows of `solvability_report` with no shared count: each row's
+    own equation, built and checked, whatever class it falls in."""
+    rows = ["k type i j n N_total N_nonzero bound holds"]
+    for pair_type, i, j, n in itertools.product(
+            (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO), *[range(5)] * 3):
+        eq = double_edge_equation(field, pair_type, i, j, n)
+        w = weil_check(field, eq)
+        rows.append(f"{field.order} {pair_type} {i} {j} {n} {w.N} "
+                    f"{w.profile.nonzero_x2} {w.bound:.4f} {w.holds}")
+    return rows
 
 
 def unroll_lift(q: QuotientMultigraph, choices) -> list[array]:

@@ -13,7 +13,7 @@ from psl2ham import (DiagonalEquation, Field, build_quotient,
                      solution_profile, weil_check)
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           le_times_sqrt, solvability_report)
-from reference import brute_count, equation_for_orbit_pair
+from reference import brute_count, equation_for_orbit_pair, per_row_report
 
 PRIME_POWERS_TO_121 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
@@ -94,6 +94,19 @@ def test_validation():
         solution_profile(F, DiagonalEquation(a1=1, k1=0, a2=1, k2=2, b=1))
     with pytest.raises(ValueError):
         weil_check(F, DiagonalEquation(a1=1, k1=2, a2=1, k2=2, b=0))
+
+
+def test_weil_check_refuses_b_zero_before_it_counts(monkeypatch):
+    def count(field, eq):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr("psl2ham.diag.solution_profile", count)
+    F = Field(61, 1)
+    with pytest.raises(ValueError, match="requires b != 0"):
+        weil_check(F, DiagonalEquation(a1=1, k1=2, a2=1, k2=10, b=0))
+    # validation comes first: a bad equation is refused as such
+    with pytest.raises(ValueError, match="must be nonzero"):
+        weil_check(F, DiagonalEquation(a1=0, k1=2, a2=1, k2=10, b=0))
 
 
 def test_m_pairs_values():
@@ -327,13 +340,15 @@ def test_the_bound_forces_a_double_edge_from_k_121_on(s, m):
     # forcing d >= 2, exactly from k = 121 on
     F = Field(s, m)
     k = F.order
-    eqs = {double_edge_equation(F, pair_type, i, j, n) for pair_type, i, j, n
+    # the family and e mod 5 of each equation, e = n + j - i
+    eqs = {double_edge_equation(F, pair_type, i, j, n):
+           (pair_type, (n + j - i) % 5) for pair_type, i, j, n
            in product((PAIR_INF_INF, PAIR_INF_ZERO), *[range(5)] * 3)}
     assert len(eqs) == 26
     assert m_pairs(2, 10) == 1
     forced = not le_times_sqrt(k - 13, 8, k)
     assert forced == (k >= 121)
-    nonzero = []
+    nonzero, profiles = [], {}
     for eq in eqs:
         rep = weil_check(F, eq)
         d1, d2 = math.gcd(eq.k1, k - 1), math.gcd(eq.k2, k - 1)
@@ -343,6 +358,10 @@ def test_the_bound_forces_a_double_edge_from_k_121_on(s, m):
         assert prof.nonzero_x2 % 10 == 0
         assert le_times_sqrt(k - 3 - prof.nonzero_x2, 8, k)
         nonzero.append(prof.nonzero_x2)
+        profiles.setdefault(eqs[eq], set()).add(prof)
+    # 26 equations, at most 10 profiles: one per (family, e mod 5)
+    assert len(profiles) == 10
+    assert all(len(p) == 1 for p in profiles.values())
     if forced:
         assert min(nonzero) >= 20
     elif k == 61:
@@ -369,18 +388,34 @@ def test_report_counts_each_distinct_equation_once(field61, monkeypatch):
 
     monkeypatch.setattr("psl2ham.diag.solution_profile", count)
     rows = solvability_report(field61)
-    # e = n+j-i takes 13 values, two pair families: 26 equations, not 375
-    assert len(counted) == len(set(counted)) == 26
-    # rows whose equation an earlier row already counted
-    for pair_type, i, j, n in ((PAIR_INF_ZERO, 1, 3, 2),
-                               (PAIR_ZERO_ZERO, 0, 0, 0),
-                               (PAIR_ZERO_ZERO, 4, 2, 3)):
+    # one equation per (family, e mod 5), e = n+j-i: 10 counts, not 26
+    assert len(counted) == len(set(counted)) == 10
+    # rows whose own e (8, -4, 7, -2) differs from that of the counted
+    # equation of their class, which has e in 0..4: their equation was
+    # never counted, and the row is still its own
+    for pair_type, i, j, n in ((PAIR_INF_ZERO, 0, 4, 4),
+                               (PAIR_ZERO_ZERO, 4, 0, 0),
+                               (PAIR_INF_INF, 0, 3, 4),
+                               (PAIR_INF_ZERO, 4, 1, 1)):
         eq = double_edge_equation(field61, pair_type, i, j, n)
+        assert eq not in counted
         rep = weil_check(field61, eq)
         row = (f"61 {pair_type} {i} {j} {n} {rep.N} "
                f"{solution_profile(field61, eq).nonzero_x2} {rep.bound:.4f} "
                f"{rep.holds}")
         assert rows[1 + 125 * (pair_type - 1) + 25 * i + 5 * j + n] == row
+
+
+@pytest.mark.parametrize("s,m", [
+    pytest.param(s, m, id=str(s**m)) for s, m in
+    # admissible fields, then fields with 10 not dividing q - 1
+    [(61, 1), (3, 4), (11, 2), (19, 2), (2, 1), (7, 1), (2, 4), (3, 3),
+     (5, 2)]])
+def test_report_matches_the_per_row_report(s, m):
+    # one count per (family, e mod 5) is exact in every field, whatever
+    # gcd(10, q - 1) is: line for line the report that checks each row
+    F = Field(s, m)
+    assert solvability_report(F) == per_row_report(F)
 
 
 @pytest.mark.parametrize("k", [61, 81, 121])

@@ -57,14 +57,19 @@ BUILD_SHA256 = {
 }
 
 # m = 1; the former add table (81, 121, 841); the former tuple add (2401,
-# 3481); all of them through the per-equation dedup of solvability_report
+# 3481); all of them through the per-equation dedup of solvability_report;
+# 421, 4621 and 17161 hashed on the per-equation report before it counted
+# one equation per (family, e mod 5)
 WEIL_SHA256 = {
     61: "61d08158f0bc5f428301e8b4c2f20464eac66456aac839d432afb9a1f5afbb39",
     81: "163352d63083c9db6f8e5c0f6a0ce47713bd100c2387a701baad0bdd3b6ebe0c",
     121: "80c2a1526125fa243631d0e8a35b3ec0c3bf3f4a0c8ecbb3269df663b64199ef",
+    421: "d77c2e5de88daba0aae02f92190c8b998fb5efaf464d199bfa08b7ccd6a70022",
     841: "864fa6c7bdfa08476010ee5397ca7b7e7cd473f90aa3664d1aabfb9b7d63fd3c",
     2401: "08ae990fe4d1b5ee076f0f405144c9a37a37bbfba8a8d053800853f83cdf67df",
     3481: "d881ba0d2663b4ea7883a32a122da9b742e36efb9000d156b0a2581d03b13c0a",
+    4621: "3bdf2ae25cbc505883ead1bcdedf42a4a37fe7b82561a5d78c76138affd84a97",
+    17161: "4415b07df4e8e3e6e24922b46daf8b694bde1e3829e9689cb3e43baeb22b6d77",
 }
 
 

@@ -5,7 +5,8 @@ the peak RSS `ru_maxrss` from `os.wait4`, in MiB; host load moves CPU
 time less than wall time), then the stages of the pipeline timed in a
 child process (best of 5 below k = 10^5; `build_quotient`,
 `verify_certificate` and `verify_text` each walk the S-orbits again, and
-`verify_text` builds its own field).  Runs k = 61 ...
+`verify_text` builds its own field; `weil_report` is the 375 rows of
+`weil-report` on the field built first).  Runs k = 61 ...
 99661, then each K named (990361 takes minutes), and writes
 BENCH_<tag>.json here; PYTHONPATH picks the tree measured:
 
@@ -60,6 +61,7 @@ def stages(k, runs):
     from psl2ham import (Field, build_quotient, certificate_chunks,
                          lift_cycle, s_orbits, verify_certificate,
                          verify_text)
+    from psl2ham.diag import solvability_report
     from psl2ham.gf import factor_prime_power
 
     best = {}
@@ -79,6 +81,7 @@ def stages(k, runs):
         failure = lap("verify_certificate", verify_certificate(cert))
         text = lap("certificate_chunks", "".join(certificate_chunks(cert)))
         _, reread = lap("verify_text", verify_text(text))
+        lap("weil_report", solvability_report(field))
         if failure or reread:
             sys.exit(f"k = {k}: {failure or reread}")
     return {name: round(s, 4) for name, s in best.items()}
