@@ -10,10 +10,10 @@ sigma and shifted across the fibers -> the quotient multigraph of an
 orbital graph, read off those two orbits by the adjacency oracle
 `orbital_of` and cross-derived by 4 matrix-form neighborhoods -> voltage
 selection and a closed-form lift over the quotient cycle 0..9 -> a
-certificate that carries its field, re-verified by that oracle and lift;
-`verify_text` holds certificate text to the writer's, `certificate_chunks`,
-of the header's lift.  Every point is one int code, spelled `point_texts`.
-Records are NamedTuples.  The command line, `psl2ham.cli`, only parses
+certificate that carries its field, its claims and cycle edges checked by
+that oracle.  `verify_text`, the one verifier, holds certificate text to
+the writer's, `certificate_chunks`, of the header's lift.  Every point is
+one int code, spelled `point_texts`.  Records are NamedTuples.  The command line, `psl2ham.cli`, only parses
 arguments and is not imported here.
 """
 
@@ -26,7 +26,7 @@ from .gf import Field, is_prime, list_instances
 from .orbital import build_graph, neighborhood, orbital_of
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        build_quotient, certificate_chunks, lift, lift_cycle,
-                       run_pipeline, verify_certificate, verify_text)
+                       run_pipeline, verify_text)
 
 __all__ = [
     "point_texts", "rep", "s_orbits", "sigma",
@@ -36,8 +36,7 @@ __all__ = [
     "Field", "is_prime", "list_instances",
     "build_graph", "neighborhood", "orbital_of",
     "HamiltonCertificate", "QuotientMultigraph", "build_quotient",
-    "certificate_chunks", "lift", "lift_cycle", "run_pipeline",
-    "verify_certificate", "verify_text",
+    "certificate_chunks", "lift", "lift_cycle", "run_pipeline", "verify_text",
 ]
 
 __version__ = "0.1.0"

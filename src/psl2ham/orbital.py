@@ -17,7 +17,7 @@ t^-f has c = theta^-(f+f') (beta' - beta), or +-theta^-(f+f') when one
 beta is inf, so it lies in long suborbit i, the finite points of fiber i.
 
 Every function here takes the field.  `orbital_of`, the rule in O(1), is
-the one adjacency oracle of `build_quotient` and `verify_certificate`;
+the one adjacency oracle of `build_quotient` and the certificate checks;
 `neighborhood` keeps the matrix form to cross-check the quotient.
 `build_graph` fills the k^2 classes chi(x - beta) by rotating the chi
 row, with no field arithmetic, and checks Y(i) on them; `export_chunks`

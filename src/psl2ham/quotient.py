@@ -21,9 +21,10 @@ admissible k first), then that the vertices are the lift of its walk and
 voltages over verify's own S-orbits, which is every point once (the
 orbits partition the points, the walk permutes 0..9, T != 0 generates
 Z_p), last each cycle edge by that oracle.  `certificate_chunks` writes
-the text; `verify_text` reads its header alone, since a valid body is
-the writer's text of the header's lift.  `run_pipeline` chains quotient,
-lift and verify.
+the text; `verify_text`, the one verifier, reads its header alone, since
+a valid body is the writer's text of the header's lift.  `run_pipeline`
+chains quotient and lift, then checks the claims and the cycle edges of
+its record, whose vertices are that lift by construction.
 """
 
 from __future__ import annotations
@@ -177,8 +178,6 @@ def _false_claim(cert: HamiltonCertificate, count: int) -> str | None:
     field, p = cert.field, cert.p
     if not admissible(field.order):
         return f"k = {field.order} is not an admissible instance"
-    if not 0 <= cert.orbital_index <= 4:
-        return f"orbital index {cert.orbital_index} out of range"
     if count != 10 * p:
         return f"cycle has {count} vertices, expected {10 * p}"
     if cert.total_voltage % p == 0:
@@ -203,24 +202,10 @@ def _broken_edge(cert: HamiltonCertificate) -> str | None:
                     f"are not adjacent in orbital graph {i}")
 
 
-def verify_certificate(cert: HamiltonCertificate) -> str | None:
-    """Re-check a certificate record from scratch, as the module docstring
-    says: the text of the first failure, or None when it holds."""
-    if failure := _false_claim(cert, len(cert.vertices)):  # zip reads a prefix
-        return failure
-    claimed = lift(s_orbits(cert.field), cert.cycle, cert.chosen_voltages)
-    for idx, (v, w) in enumerate(zip(cert.vertices, claimed)):
-        if v != w:
-            texts = point_texts(cert.field)
-            at = texts[v] if 0 <= v < len(texts) else f"code {v}"
-            return MISPLACED.format(idx, at, texts[w])
-    return _broken_edge(cert)
-
-
 def run_pipeline(field: Field, i: int) -> HamiltonCertificate:
-    """quotient -> lift -> verify."""
+    """quotient -> lift -> the claims and edges of the record."""
     cert = lift_cycle(build_quotient(field, i))
-    if failure := verify_certificate(cert):
+    if failure := _false_claim(cert, len(cert.vertices)) or _broken_edge(cert):
         raise InvariantViolation(
             f"emitted certificate failed verification: {failure}",
             stage="verify")
@@ -257,11 +242,13 @@ def _number(text: str, line: int) -> int:
 
 
 def verify_text(text: str) -> tuple[HamiltonCertificate, str | None]:
-    """`verify_certificate` of certificate text: the record its header
-    names, with its lift as the vertices once the claims hold, and the
-    first failure or None; ValueError where the text is no certificate.
-    A valid body is the text `certificate_chunks` writes of that lift, so
-    no vertex line is parsed: the first line that differs decides."""
+    """Re-check certificate text from scratch, as the module docstring
+    says: the record its header names, with its lift as the vertices once
+    the claims hold, and the first failure or None; ValueError where the
+    text is no certificate.  A valid body is the text `certificate_chunks`
+    writes of that lift, so no vertex line is parsed: the first line that
+    differs decides.  A record `cert` is verified as
+    `verify_text("".join(certificate_chunks(cert)))`."""
     lines = text.split("\n", 10)
     head = lines[0].split(" ")
     if len(head) != 2 or head[0] != CERT_FORMAT:

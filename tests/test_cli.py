@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from psl2ham import (ParameterError, certificate_chunks, lift,
                      list_instances, orbital_of, run_pipeline, s_orbits,
-                     verify_certificate, verify_text)
+                     verify_text)
 from psl2ham.cli import (DESK_SCALE_MAX_K, INSTANCES_MAX_K, _resolve_params,
                          parse_args, run)
 from psl2ham.gf import admissible, factor_prime_power, prime_factors
 import reference
-from util import code, fresh_process_env, points
+from util import code, fresh_process_env, points, text_verdict
 
 
 def test_list_instances():
@@ -103,7 +103,7 @@ def test_factor_prime_power():
 def test_run_pipeline_produces_verified_cert(field61):
     cert = run_pipeline(field61, 0)
     assert len(cert.vertices) == 310
-    assert verify_certificate(cert) is None
+    assert text_verdict(cert) is None
 
 
 def test_run_pipeline_rejects_bad_orbital(field61):

@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from psl2ham import (Field, build_graph, build_quotient, certificate_chunks,
                      lift, lift_cycle, list_instances, neighborhood,
-                     orbital_of, point_texts, s_orbits, verify_certificate,
+                     orbital_of, point_texts, run_pipeline, s_orbits,
                      verify_text)
 from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
 from reference import base_voltages, point_str, unroll_lift
-from util import code, point, vertex_index
+from util import code, point, text_verdict, vertex_index
 
 
 def test_underlying_quotient_is_complete_k10(cache):
@@ -280,9 +280,8 @@ def test_build_quotient_checks_fire(name, args, message, stage, field61,
 
 def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
     # the 4 neighborhoods are checked on codes; text is for the messages.
-    # So are the checks of s_orbits, build_graph and verify, on a record
-    # or on text: each message that names a point builds the text table as
-    # it fails
+    # So are the checks of s_orbits, build_graph, the pipeline and verify:
+    # each message that names a point builds the text table as it fails
     cert = lift_cycle(build_quotient(field61, 0))
     text = "".join(certificate_chunks(cert))
 
@@ -294,7 +293,7 @@ def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
     assert sum(build_quotient(field61, 0).mult[0]) == 61
     assert len(s_orbits(field61)) == 10
     assert len(build_graph(field61, 2)) == 61 * 61
-    assert verify_certificate(cert) is None
+    assert run_pipeline(field61, 0) == cert
     assert verify_text(text)[1] is None
 
 
@@ -306,7 +305,7 @@ def test_verify_names_points_by_their_text():
     volts = (1,) * 10
     forged = cert._replace(chosen_voltages=volts, total_voltage=10,
                            vertices=lift(s_orbits(field), range(10), volts))
-    assert verify_certificate(forged) == (
+    assert text_verdict(forged) == (
         "step 0->1: inf:0 and [1,2,0,1]:1 are not adjacent in orbital "
         "graph 0")
 
@@ -318,6 +317,40 @@ def test_cli_names_the_stage_of_a_broken_quotient(field61, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "invariant violation [stage: quotient]: neighbors differ across "
         "orbit 0: S-invariance broken\n")
+
+
+@pytest.mark.parametrize("forge,ending", [
+    # voltages all 1 lift to a cycle that the claims fit but Y(0) breaks
+    (lambda q, cert: cert._replace(
+        chosen_voltages=(1,) * 10, total_voltage=10,
+        vertices=lift(q.orbits, range(10), (1,) * 10)),
+     "step 1->2: 57:0 and 17:2 are not adjacent in orbital graph 0"),
+    (lambda q, cert: cert._replace(total_voltage=0),
+     "total voltage vanishes mod p"),
+], ids=["edge", "zero-total"])
+def test_cli_names_a_forged_pipeline_record(forge, ending, monkeypatch, capsys):
+    # hamilton checks the claims and edges of the record it emits
+    real = lift_cycle
+    monkeypatch.setattr("psl2ham.quotient.lift_cycle",
+                        lambda q: forge(q, real(q)))
+    assert run(["hamilton", "--k", "61"]) == 3
+    assert capsys.readouterr().err == (
+        "invariant violation [stage: verify]: emitted certificate failed "
+        f"verification: {ending}\n")
+
+
+def test_pipeline_walks_the_s_orbits_once(field61, monkeypatch):
+    # the lift is the cycle by construction: the pipeline checks its claims
+    # and edges, and walks no second set of orbits to compare it with
+    calls = []
+
+    def counted(field):
+        calls.append(field)
+        return s_orbits(field)
+
+    monkeypatch.setattr("psl2ham.quotient.s_orbits", counted)
+    run_pipeline(field61, 0)
+    assert calls == [field61]
 
 
 def test_invariant_violation_requires_a_stage():
@@ -425,7 +458,7 @@ def test_lift_cycle_switches_away_from_zero_total(cache):
 
 def test_verify_accepts_emitted(cache):
     cert = lift_cycle(cache.quotient(61, 4))
-    assert verify_certificate(cert) is None
+    assert text_verdict(cert) is None
 
 
 def test_lift_survives_k81_degeneracy(cache):
@@ -435,7 +468,7 @@ def test_lift_survives_k81_degeneracy(cache):
         cert = lift_cycle(cache.quotient(81, i))
         assert cert.total_voltage % 41 != 0
         assert len(set(cert.vertices)) == 410
-        assert verify_certificate(cert) is None
+        assert text_verdict(cert) is None
 
 
 def test_verify_rejects_swapped_vertices(cache):
@@ -444,7 +477,7 @@ def test_verify_rejects_swapped_vertices(cache):
     vs[10], vs[200] = vs[200], vs[10]
     bad = cert._replace(vertices=tuple(vs))
     field = cert.field
-    assert verify_certificate(bad) == (
+    assert text_verdict(bad) == (
         f"vertex 10 is {point_str(field, vs[10])}, but the header's cycle "
         f"and voltages put {point_str(field, vs[200])} there")
 
@@ -454,14 +487,14 @@ def test_verify_rejects_duplicate_vertex(cache):
     vs = list(cert.vertices)
     vs[5] = vs[17]
     field = cert.field
-    assert verify_certificate(cert._replace(vertices=tuple(vs))) == (
+    assert text_verdict(cert._replace(vertices=tuple(vs))) == (
         f"vertex 5 is {point_str(field, vs[17])}, but the header's cycle "
         f"and voltages put {point_str(field, cert.vertices[5])} there")
 
 
 def test_verify_rejects_zero_total_voltage(cache):
     cert = lift_cycle(cache.quotient(61, 0))
-    failure = verify_certificate(cert._replace(total_voltage=0))
+    failure = text_verdict(cert._replace(total_voltage=0))
     assert failure is not None and "total voltage" in failure
 
 
@@ -487,7 +520,7 @@ def test_verify_rejects_false_header_claims(cache):
     }
     failures = {}
     for name, claims in forged.items():
-        failure = verify_certificate(cert._replace(**claims))
+        failure = text_verdict(cert._replace(**claims))
         assert failure is not None, name
         failures[name] = failure
     assert failures["repeated orbit"] == failures["short cycle, one voltage"] == (
@@ -501,31 +534,44 @@ def test_verify_rejects_false_header_claims(cache):
 
 
 def test_verify_rejects_out_of_range_codes(cache):
-    # -1 would alias the last code 309 as a text index and in orbital_of,
-    # and 310 or more overrun the texts: each is named by its code
+    # text carries no code: a beta past the field, a fiber past 4 or below
+    # 0, a beta of -1 (code -1 would alias the last code 309, 60:4) and
+    # inf off its fibers are no point, where the line of 309 stands
     cert = lift_cycle(cache.quotient(61, 0))
     idx = list(cert.vertices).index(309)
-    for bad in (-1, 310, 10**6):
-        vs = array("l", cert.vertices)
-        vs[idx] = bad
-        assert verify_certificate(cert._replace(vertices=vs)) == (
-            f"vertex {idx} is code {bad}, but the header's cycle and "
-            "voltages put 60:4 there")
+    assert idx == 49
+    lines = "".join(certificate_chunks(cert)).splitlines(keepends=True)
+    assert lines[10 + idx] == "60:4\n"
+    for bad in ("61:0", "0:5", "-1:0", "inf:5", "60:-1"):
+        text = "".join(lines[:10 + idx] + [bad + "\n"] + lines[11 + idx:])
+        with pytest.raises(ValueError) as exc:
+            verify_text(text)
+        assert str(exc.value) == (
+            f"vertex 49: {bad!r} is not a point beta:fiber of GF(61)")
 
 
 def test_verify_holds_the_record_to_an_admissible_field():
     # GF(41) has p = 21, not prime: the total T = 12 that lift_cycle picks
     # for Y(1) does not generate Z_21, so its lift repeats itself, 70
     # points out of 210, though the claims and every edge hold
-    cert = lift_cycle(build_quotient(Field(41, 1), 1))
+    # the pipeline's check refuses the record; the text's header, as no
+    # instance
+    field = Field(41, 1)
+    cert = lift_cycle(build_quotient(field, 1))
     assert cert.total_voltage == 12 and len(set(cert.vertices)) == 70
-    assert verify_certificate(cert) == "k = 41 is not an admissible instance"
+    with pytest.raises(InvariantViolation) as exc:
+        run_pipeline(field, 1)
+    assert exc.value.stage == "verify"
+    assert str(exc.value).endswith("k = 41 is not an admissible instance")
+    with pytest.raises(ValueError) as exc:
+        verify_text("".join(certificate_chunks(cert)))
+    assert str(exc.value) == "k = 41, p = 21 is not an admissible instance"
 
 
 def test_verify_checks_zero_total_before_other_claims(cache):
     cert = lift_cycle(cache.quotient(61, 0))
     bad = cert._replace(cycle=(0,) * 9, total_voltage=0)
-    assert verify_certificate(bad) == "total voltage vanishes mod p"
+    assert text_verdict(bad) == "total voltage vanishes mod p"
 
 
 def test_verify_closing_edge(cache):
@@ -537,7 +583,7 @@ def test_verify_closing_edge(cache):
     rotated = cert._replace(vertices=tuple(vs[1:] + vs[:1]))
     field = cert.field
     assert point_str(field, vs[0]) == "inf:0"
-    assert verify_certificate(rotated) == (
+    assert text_verdict(rotated) == (
         f"vertex 0 is {point_str(field, vs[1])}, but the header's cycle and "
         "voltages put inf:0 there")
 
@@ -560,7 +606,7 @@ def test_verify_holds_the_header_claims_to_the_vertices(cert61, data):
     assume(sum(volts) % p)
     forged = cert61._replace(cycle=cycle, chosen_voltages=volts,
                              total_voltage=sum(volts) % p)
-    failure = verify_certificate(forged)
+    failure = text_verdict(forged)
     assert (failure is None) == ((cycle, volts) == (cert61.cycle, emitted))
     assert failure is None or failure.startswith("vertex ")
 
@@ -583,7 +629,7 @@ def test_certificate_round_trip_extension_field(cache):
     assert failure is None
     assert (cert2.field.s, cert2.field.m, cert2.p) == (3, 4, 41)
     assert cert2._replace(field=cert.field) == cert
-    assert verify_certificate(cert2) is None
+    assert text_verdict(cert2) is None
 
 
 def test_parse_rejects_malformed():
@@ -615,14 +661,13 @@ def test_corrupt_quotient_raises(cache):
 
 
 def test_hamilton_path_memory_is_linear_in_codes():
-    # orbits, the lift and verify's seen-mask are flat arrays of codes,
-    # and the voltages 20 tuples of positions: at k=4621 (23,110 points)
-    # the path peaks below 3.5 MB
+    # orbits and the lift are flat arrays of codes, and the voltages 20
+    # tuples of positions: at k=4621 (23,110 points) the pipeline and the
+    # verify of its text peak below 3.5 MB
     field = Field(4621, 1)
     tracemalloc.start()
     try:
-        cert = lift_cycle(build_quotient(field, 0))
-        assert verify_certificate(cert) is None
+        assert text_verdict(run_pipeline(field, 0)) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import psl2ham
-from psl2ham import build_graph
+from psl2ham import build_graph, certificate_chunks, verify_text
 
 
 class OmegaPoint(NamedTuple):
@@ -87,3 +87,9 @@ def fresh_process_env():
     package as this process, not whatever else is on its path."""
     src = str(Path(psl2ham.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=src)
+
+
+def text_verdict(cert):
+    """What `verify_text` says of the writer's text of the record `cert`:
+    its first failure, or None."""
+    return verify_text("".join(certificate_chunks(cert)))[1]
