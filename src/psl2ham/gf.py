@@ -10,12 +10,16 @@ Construction is deterministic: the reducing polynomial is the
 lexicographically smallest monic irreducible of its degree (coefficients
 compared constant term first), and the distinguished generator ``theta``
 is the smallest generator of the multiplicative group in the same
-coordinate order.  Every table is built by integer steps on handles: exp
-by repeated multiplication by theta (x*theta mod s when m = 1, else a
-table step on the two halves of x's base-s digits, from tables of each
-half's products with theta reduced by the modulus), log by inverting it,
-negation as -x = theta^((k-1)/2)*x, and the coordinate order by reversing
-base-s digits.  Addition for m > 1 goes through the Zech logarithm
+coordinate order.  Construction forms no schoolbook product; it multiplies
+packed ints: the m base-s digits of a handle sit b bits apart in one int, and
+2^b > m^2*s^3 keeps every digit of one int product free of carries while
+the m-1 digits above x^(m-1) fold back through the packed residues of
+x^m ... x^(2m-2) mod the modulus; then each digit is reduced mod s.  The
+generator search powers candidates so, and exp steps x -> x*theta (x*theta
+mod s when m = 1, else a table step on the two halves of x's base-s
+digits, from tables of each half's packed products with theta); log
+inverts exp, negation is -x = theta^((k-1)/2)*x, and the coordinate order
+reverses base-s digits.  Addition for m > 1 goes through the Zech logarithm
 zech[n] = log(1 + theta^n): x + y = x*(1 + y/x), so every table is O(k).
 Coordinates exist only as text: `element_texts` writes all k elements by
 one product over the digit strings, the one writer of element text.
@@ -23,7 +27,7 @@ one product over the digit strings, the one writer of element text.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 
 from .errors import ParameterError
 
@@ -94,25 +98,15 @@ def _poly_mod(a, mod, s):
     return a[:dm]
 
 
-def _is_irreducible(f, s) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    deg = len(f) - 1
-    if deg == 1:
-        return True
-    if f[0] == 0:
-        return False  # divisible by x
-    for d in range(1, deg // 2 + 1):
-        for coeffs in product(range(s), repeat=d):
-            if not any(_poly_mod(f, coeffs + (1,), s)):
-                return False
-    return True
-
-
 def smallest_irreducible(s: int, m: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree m over GF(s)."""
-    for coeffs in product(range(s), repeat=m):
+    """Lexicographically smallest monic irreducible of degree m over GF(s):
+    x when m = 1, else the first with no monic divisor of degree <= m/2."""
+    divisors = [cs + (1,) for d in range(1, m // 2 + 1)
+                for cs in product(range(s), repeat=d)]
+    # for m > 1, x divides the candidates with a zero constant term, the first
+    for coeffs in product(range(1 if m > 1 else 0, s), *[range(s)] * (m - 1)):
         f = coeffs + (1,)
-        if _is_irreducible(f, s):
+        if all(any(_poly_mod(f, g, s)) for g in divisors):
             return f
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
@@ -139,41 +133,46 @@ class Field:
             place *= s
         self.elements_lex = lex
 
+        # _mul_packed's digit width; x^m ... x^(2m-2) mod the modulus, packed
+        self._b = b = (m * m * s**3).bit_length()
+        self._fold = [sum(c << b * i for i, c in enumerate(_poly_mod(
+            [0] * j + [1], self.modulus, s))) for j in range(m, 2 * m - 1)]
         self.theta = self._find_generator()
         self._build_log_tables()
 
     # --- construction internals ---
 
-    def _mul_poly(self, x: int, y: int) -> int:
-        s, m = self.s, self.m
-        if m == 1:
-            return x * y % s
-        # schoolbook product of the base-s digits, reduced by the modulus
-        prod_ = [0] * (2 * m - 1)
-        for i in range(m):
-            x, a = divmod(x, s)
-            if a:
-                v = y
-                for j in range(i, i + m):
-                    v, b = divmod(v, s)
-                    prod_[j] += a * b
-        red = _poly_mod(prod_, self.modulus, s)
-        return sum(c * s**i for i, c in enumerate(red))
+    def _pack(self, h: int) -> int:
+        """The handle h with its base-s digit i at bit b*i."""
+        return sum(h // self.s**i % self.s << self._b * i for i in range(self.m))
 
-    def _pow_poly(self, x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_poly(r, x)
-            x = self._mul_poly(x, x)
-            e >>= 1
-        return r
+    def _mul_packed(self, x: int, y: int) -> int:
+        """x*y for packed x and y, packed (see the module docstring)."""
+        s, b, top = self.s, self._b, self._b * self.m
+        mask, z = (1 << b) - 1, x * y
+        hi, z = z >> top, z & ((1 << top) - 1)
+        for r in self._fold:
+            z += (hi & mask) * r
+            hi >>= b
+        out = 0
+        for i in range(0, top, b):
+            out |= (z >> i & mask) % s << i
+        return out
 
     def _find_generator(self) -> int:
-        km1 = self.order - 1
+        km1, s = self.order - 1, self.s
+        # for m = 1 a packed handle is the handle, and x*y mod s the product
+        mul = self._mul_packed if self.m > 1 else lambda x, y: x * y % s
         qs = prime_factors(km1)  # none for GF(2), whose generator is 1
-        for h in self.elements_lex:
-            if h and all(self._pow_poly(h, km1 // q) != 1 for q in qs):
+        for h in islice(self.elements_lex, 1, None):  # skip 0
+            ph = self._pack(h)
+            for q in qs:  # r = h^((k-1)/q), bits left to right; packed 1 is 1
+                r = ph
+                for bit in bin(km1 // q)[3:]:
+                    r = mul(r, r) if bit == "0" else mul(mul(r, r), ph)
+                if r == 1:
+                    break
+            else:
                 return h
         raise AssertionError("no generator found")  # cannot happen in a field
 
@@ -190,15 +189,15 @@ class Field:
             # the low m//2 digits.  lo*theta and (cut*hi)*theta are held in
             # base 2s, so their sum has no carry, and red takes each half of
             # that sum back to base s, every digit mod s
-            low, w = m // 2, 2 * s
-            cut, wcut = s**low, w**low
+            low, w, b = m // 2, 2 * s, self._b
+            cut, wcut, ptheta = s**low, w**low, self._pack(theta)
 
-            def wide(y):
-                return sum(y // s**i % s * w**i for i in range(m))
+            def wide(y):  # y*theta in base w
+                y = self._mul_packed(self._pack(y), ptheta)
+                return sum((y >> b * i) % (1 << b) * w**i for i in range(m))
 
-            lo_t = [wide(self._mul_poly(lo, theta)) for lo in range(cut)]
-            hi_t = [wide(self._mul_poly(cut * hi, theta))
-                    for hi in range(s ** (m - low))]
+            lo_t = [wide(lo) for lo in range(cut)]
+            hi_t = [wide(cut * hi) for hi in range(s ** (m - low))]
             red = [0]
             for i in range(m - low):
                 red = [r + d % s * s**i for d in range(w) for r in red]

@@ -5,6 +5,7 @@ arithmetic below, plus exhaustive searches) and frozen.
 """
 
 import hashlib
+import itertools
 import random
 from functools import cache
 
@@ -18,12 +19,9 @@ from reference import coeffs, element_str, from_coeffs
 
 # --- naive polynomial oracle, independent of the Field internals ---
 
-def poly_mulmod(a, b, mod, s):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % s
-    # reduce by the monic modulus
+def poly_rem(a, mod, s):
+    """a mod the monic mod, as m = deg(mod) coefficients."""
+    out = [c % s for c in a]
     dm = len(mod) - 1
     for i in range(len(out) - 1, dm - 1, -1):
         c = out[i]
@@ -35,14 +33,48 @@ def poly_mulmod(a, b, mod, s):
     return tuple(out + [0] * (dm - len(out)))
 
 
-def naive_order(cs, mod, s):
-    one = tuple([1] + [0] * (len(mod) - 2))
-    acc, n = cs, 1
-    while acc != one:
-        acc = poly_mulmod(acc, cs, mod, s)
-        n += 1
-        assert n <= s ** (len(mod) - 1)
-    return n
+def poly_mulmod(a, b, mod, s):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % s
+    return poly_rem(out, mod, s)
+
+
+def poly_powmod(a, e, mod, s):
+    acc = poly_rem((1,), mod, s)
+    for bit in bin(e)[2:]:  # left to right
+        acc = poly_mulmod(acc, acc, mod, s)
+        if bit == "1":
+            acc = poly_mulmod(acc, a, mod, s)
+    return acc
+
+
+@cache
+def primes_dividing(n):
+    return [q for q in range(2, n + 1)
+            if n % q == 0 and all(q % d for d in range(2, q))]
+
+
+def is_generator(cs, mod, s):
+    """cs generates GF(k)* iff cs^((k-1)/q) != 1 for every prime q | k-1."""
+    k = s ** (len(mod) - 1)
+    one = poly_rem((1,), mod, s)
+    return all(poly_powmod(cs, (k - 1) // q, mod, s) != one
+               for q in primes_dividing(k - 1))
+
+
+# every extension field up to k = 3481: odd m and s = 2 give the split-half
+# exp walk unequal halves (m//2 < m - m//2) and its smallest digit base
+EXTENSION_FIELDS = [(s, m) for s in range(2, 60) if is_prime(s)
+                    for m in range(2, 12) if s**m <= 3481]
+# the m > 1 rungs of the CI ladder, k = 17161 = 131^2 and 28561 = 13^4; with
+# k = 61, the fields whose modulus and theta are checked exactly
+SEARCH_FIELDS = [(61, 1)] + EXTENSION_FIELDS + [(131, 2), (13, 4)]
+
+
+def ids(fields):
+    return [f"{s}-{m}" for s, m in fields]
 
 
 def test_is_prime_small():
@@ -94,31 +126,34 @@ def test_gf2_trivial():
     assert F.mul(1, 1) == 1
 
 
-@pytest.mark.parametrize("s,m", [(61, 1), (3, 4), (11, 2)])
+@pytest.mark.parametrize("s,m", SEARCH_FIELDS, ids=ids(SEARCH_FIELDS))
 def test_modulus_matches_independent_search(s, m):
-    # re-run the search with the naive oracle: no monic divisor of degree <= m//2
+    # the modulus is irreducible: no monic divisor of degree <= m/2; and it
+    # is the lex-smallest (constant term first): every monic polynomial of
+    # degree m before it has one
+    def has_divisor(f):
+        return any(not any(poly_rem(f, g + (1,), s))
+                   for d in range(1, m // 2 + 1)
+                   for g in itertools.product(range(s), repeat=d))
+
     mod = smallest_irreducible(s, m)
     assert len(mod) == m + 1 and mod[-1] == 1
-    if m > 1:
-        # no roots (degree-1 divisors)
-        for r in range(s):
-            val = sum(c * pow(r, i, s) for i, c in enumerate(mod)) % s
-            assert val != 0
+    assert not has_divisor(mod)
+    smaller = itertools.takewhile(lambda f: f != mod, (
+        cs + (1,) for cs in itertools.product(range(s), repeat=m)))
+    assert all(has_divisor(f) for f in smaller)
 
 
-@pytest.mark.parametrize("s,m", [(61, 1), (3, 4), (11, 2)])
+@pytest.mark.parametrize("s,m", SEARCH_FIELDS, ids=ids(SEARCH_FIELDS))
 def test_theta_is_smallest_generator(s, m):
+    # everything lex-before theta is a non-generator, by independent
+    # polynomial powers
     F = Field(s, m)
-    k = F.order
-    # naive order via independent polynomial arithmetic
-    for h in F.elements_lex:
-        if h == 0:
-            continue
-        o = naive_order(coeffs(F, h), F.modulus, s)
+    for h in F.elements_lex[1:]:
         if h == F.theta:
-            assert o == k - 1
             break
-        assert o < k - 1  # everything lex-before theta is a non-generator
+        assert not is_generator(coeffs(F, h), F.modulus, s)
+    assert is_generator(coeffs(F, F.theta), F.modulus, s)
 
 
 @pytest.mark.parametrize("s,m", [(61, 1), (3, 4)])
@@ -178,14 +213,34 @@ def test_mul_against_poly_oracle(s, m):
         assert coeffs(F, F.mul(x, y)) == expect
 
 
-# every extension field up to k = 3481: odd m and s = 2 give the split-half
-# exp walk unequal halves (m//2 < m - m//2) and its smallest digit base
-EXTENSION_FIELDS = [(s, m) for s in range(2, 60) if is_prime(s)
-                    for m in range(2, 12) if s**m <= 3481]
+# the smallest base; six folded digits; m = 2 at s = 59 and at the largest
+# s; m = 4 at the largest s
+PACKED_FIELDS = [(2, 4), (3, 7), (59, 2), (131, 2), (13, 4)]
 
 
-@pytest.mark.parametrize("s,m", EXTENSION_FIELDS,
-                         ids=[f"{s}-{m}" for s, m in EXTENSION_FIELDS])
+@pytest.mark.parametrize("s,m", PACKED_FIELDS, ids=ids(PACKED_FIELDS))
+def test_packed_product_against_poly_oracle(s, m):
+    # construction's product: packed handles, b bits a digit
+    F = Field(s, m)
+    k, mask = F.order, (1 << F._b) - 1
+
+    def unpack(z):
+        return tuple(z >> F._b * i & mask for i in range(m))
+
+    rng = random.Random(20261020)
+    # x = y = k-1 has every digit s-1, so the largest digit sums
+    pairs = [(k - 1, k - 1)] + [(rng.randrange(k), rng.randrange(k))
+                                for _ in range(300)]
+    for x, y in pairs:
+        px, py = F._pack(x), F._pack(y)
+        assert unpack(px) == coeffs(F, x) and unpack(py) == coeffs(F, y)
+        z = F._mul_packed(px, py)
+        assert z >> F._b * m == 0  # m digits, each reduced below s
+        assert unpack(z) == poly_mulmod(coeffs(F, x), coeffs(F, y),
+                                        F.modulus, s)
+
+
+@pytest.mark.parametrize("s,m", EXTENSION_FIELDS, ids=ids(EXTENSION_FIELDS))
 def test_exp_matches_naive_theta_walk(s, m):
     F = Field(s, m)
     theta = coeffs(F, F.theta)
