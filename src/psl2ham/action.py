@@ -25,12 +25,15 @@ The representative of (beta, f) is rep = t^f * T_beta with T_inf the
 identity and T_beta = [[0,1],[-1,beta]], in closed form
 [[0, theta^f], [-theta^-f, theta^-f * beta]].  Every function here takes
 the field alone, and no group is built: the ten S-orbits come from one
-power walk of a generator sigma of S.  Its powers are
-sigma^w = [[x, y], [y*theta, x]] with x^2 - theta*y^2 = 1, and with
-chi(x) = log(x) mod 5 each gives two labels in closed form:
+power walk of a generator sigma of S, for an admissible k alone.  Its
+powers are sigma^w = [[x, y], [y*theta, x]] with x^2 - theta*y^2 = 1.
+The power w = 0 is the identity, labels (inf, 0) and (0, 0).  Every
+later power w < p has y != 0, as sigma has prime order p, and x != 0:
+x = 0 needs theta*y^2 = -1, but -1 is a square as 4 | k-1 and theta is
+not.  So with chi(x) = log(x) mod 5 each gives two labels in closed form:
 
-    H*sigma^w:   (inf, chi(x)) if y = 0, else (-x/(y*theta), -chi(y*theta))
-    H*l*sigma^w: (inf, chi(y*theta)) if x = 0, else (-y/x, -chi(x))
+    H*sigma^w:   (-x/(y*theta), -chi(y*theta))
+    H*l*sigma^w: (-y/x, -chi(x))
 
 with l = [[0,-1],[1,0]] and l*sigma^w = -[[y*theta, x], [-x, -y]].  In
 the first, a*beta + b = (theta*y^2 - x^2)/(y*theta) = -1/(y*theta); in
@@ -43,7 +46,7 @@ from __future__ import annotations
 from array import array
 
 from .errors import InvariantViolation
-from .gf import Field
+from .gf import Field, admissible
 
 Mat = tuple[int, int, int, int]
 
@@ -89,34 +92,32 @@ def s_orbits(field: Field) -> tuple[array, ...]:
 
     Orbits 0 and 5 are read off one walk of the powers of
     sigma = [[a, b], [b*theta, a]], (x, y) <- (a*x + b*theta*y, a*y + b*x),
-    by the labels of the module docstring.  The fiber shift (beta, f) ->
-    (beta, f+1 mod 5), code v -> v + (k+1) mod 5(k+1), commutes with the
-    right action: rep(beta, f+1) = t * rep(beta, f), and t normalizes H,
-    so H*rep(beta, f+1)*g = t*(H*rep(beta, f)*g); for f = 4 the product
-    t^5 lies in H.  So orbit i (resp. 5+i) is orbit 0 (resp. 5) with every
+    by the labels of the module docstring, for an admissible k alone (else
+    ValueError): codes 0 and 1 at w = 0, then one formula each.  A walk
+    that meets y = 0 before w = p stops, and the partition check names a
+    point it missed.  The fiber shift (beta, f) -> (beta, f+1 mod 5),
+    code v -> v + (k+1) mod 5(k+1), commutes with the right action:
+    rep(beta, f+1) = t * rep(beta, f), and t normalizes H, so
+    H*rep(beta, f+1)*g = t*(H*rep(beta, f)*g); for f = 4 the product t^5
+    lies in H.  So orbit i (resp. 5+i) is orbit 0 (resp. 5) with every
     code shifted i times, at the same positions.
     """
     k = field.order
-    if (k - 1) % 10:
-        raise ValueError("coset space requires 10 | k-1")
+    if not admissible(k):
+        raise ValueError(f"k = {k} is not an admissible instance")
     p, k1, n = (k + 1) // 2, k + 1, 5 * (k + 1)
     F, exp, log, half = field, field._exp, field._log, (k - 1) // 2
     a, b, bt, _ = sigma(field)
-    orb0, orb5 = array("l"), array("l")
-    x, y = 1, 0
-    for _ in range(p):
+    orb0, orb5 = array("l", [0]), array("l", [1])  # w = 0: (inf, 0), (0, 0)
+    x, y = a, b
+    for _ in range(p - 1):
+        if y == 0:  # sigma^w = +-1 with 0 < w < p: sigma is not of order p
+            break
         # the labels of H*sigma^w and H*l*sigma^w by the module docstring,
         # with theta = exp[1]
         lx, ly = log[x], log[y]
-        if y == 0:
-            orb0.append(lx % 5 * k1)
-            orb5.append(-lx % 5 * k1 + 1)
-        elif x == 0:
-            orb0.append(-(ly + 1) % 5 * k1 + 1)
-            orb5.append((ly + 1) % 5 * k1)
-        else:
-            orb0.append(-(ly + 1) % 5 * k1 + exp[lx - ly - 1 + half] + 1)
-            orb5.append(-lx % 5 * k1 + exp[ly - lx + half] + 1)
+        orb0.append(-(ly + 1) % 5 * k1 + exp[lx - ly - 1 + half] + 1)
+        orb5.append(-lx % 5 * k1 + exp[ly - lx + half] + 1)
         x, y = (F.add(F.mul(a, x), F.mul(bt, y)),
                 F.add(F.mul(a, y), F.mul(b, x)))
     orbits = [array("l", [(v + i * k1) % n for v in orb])

@@ -209,7 +209,7 @@ def run(argv=None) -> int:
             return 0
 
         raise AssertionError(f"unhandled command {args.command}")
-    except (ParameterError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

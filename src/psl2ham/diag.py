@@ -31,8 +31,7 @@ j, sigma^w = +-[[x, y], [y*theta, x]], x^2 - theta*y^2 = 1.  Mod 5:
   (x = 1, y = 0) passes iff e = 0.  With x = theta^e*u^5:
   theta*y^2 - theta^(2e)*u^10 = -1, the second form in (x1, x2) = (y, u),
   whose x1 = 0 solutions are the position w = 0.
-* zero-zero, base (0, n), orbit 5 + j: y != 0 and chi(y) = e (at x = 0
-  the label (inf, chi(y*theta)) gives the same, as chi(y) = 2).  With
+* zero-zero, base (0, n), orbit 5 + j: y != 0 and chi(y) = e.  With
   y = theta^e*u^5: x^2 - theta^(2e+1)*u^10 = 1, the first form with j + 1.
 
 The torus x^2 - theta*y^2 = 1 modulo +-1 is S = <sigma>, each test holds

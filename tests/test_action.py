@@ -13,12 +13,21 @@ from reference import PSL2, from_coeffs, point_of, point_str
 from util import ALPHA, OmegaPoint, code, point, points, random_words
 
 
-def test_requires_divisibility():
+def test_requires_divisibility(monkeypatch):
     F = Field(13, 1)
     with pytest.raises(ValueError):
-        s_orbits(F)
-    with pytest.raises(ValueError):
         build_graph(F, 0)
+    # s_orbits takes an admissible field alone and refuses any other before
+    # it walks: 13 misses 10 | k-1, and 11, 31 and 101 have p = 6, 16 and
+    # 51, not prime
+    def walk(field):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr("psl2ham.action.sigma", walk)
+    for s in (13, 11, 31, 101):
+        with pytest.raises(ValueError) as exc:
+            s_orbits(Field(s, 1))
+        assert str(exc.value) == f"k = {s} is not an admissible instance"
 
 
 def test_point_count(cache):

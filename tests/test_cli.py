@@ -128,6 +128,9 @@ def test_full_graph_mode_subsets(tmp_path, capsys):
     assert "orbital subset must be nonempty" in capsys.readouterr().err
     assert run(["full-graph", "--k", "61", "--orbitals", "0,9"]) == 2
     assert "orbital indices must lie in 0..4" in capsys.readouterr().err
+    assert run(["full-graph", "--k", "61", "--orbitals", "0,x"]) == 2
+    assert capsys.readouterr().err == (
+        "parameter error: malformed orbital subset '0,x'\n")
 
 
 def test_full_graph_union_is_5k_regular(field61):
@@ -253,10 +256,10 @@ def test_cli_verify_reads_only_the_canonical_spelling(k, line, spelling,
         f"beta:fiber of {field}\n")
 
 
-# edits of the k = 61 certificate of orbital 0.  Earlier versions read all
-# but the extra line, as they stripped each line and read "\r\n" as "\n";
-# a valid body is the writer's text of the header's lift, so each is a
-# parameter error that names the line, or counts the lines.
+# edits of the k = 61 certificate of orbital 0.  A valid body is the
+# writer's text of the header's lift, so each edit of the body is a
+# parameter error that names the line, or counts the lines; so is a
+# version other than 1.
 # (name, edit, message)
 STRICT_EDITS = [
     ("trailing-space", lambda t: t.replace("\n57:0\n", "\n57:0 \n"),
@@ -269,6 +272,9 @@ STRICT_EDITS = [
      "expected 310 vertex lines, found 311"),
     ("no-final-newline", lambda t: t[:-1], "vertex 309: '22:0' has no line end"),
     ("extra-line", lambda t: t + "inf:0\n", "expected 310 vertex lines, found 311"),
+    ("version-2", lambda t: t.replace("psl2ham-certificate 1\n",
+                                      "psl2ham-certificate 2\n", 1),
+     "unsupported certificate version 2"),
 ]
 
 

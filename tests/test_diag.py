@@ -94,6 +94,9 @@ def test_validation():
         solution_profile(F, DiagonalEquation(a1=1, k1=0, a2=1, k2=2, b=1))
     with pytest.raises(ValueError):
         weil_check(F, DiagonalEquation(a1=1, k1=2, a2=1, k2=2, b=0))
+    with pytest.raises(ValueError) as exc:
+        weil_check(Field(61, 1), DiagonalEquation(1, 2, 1, 10, 61))
+    assert str(exc.value) == "61 is not an element handle of GF(61)"
 
 
 def test_weil_check_refuses_b_zero_before_it_counts(monkeypatch):

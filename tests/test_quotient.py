@@ -550,21 +550,21 @@ def test_verify_rejects_out_of_range_codes(cache):
             f"vertex 49: {bad!r} is not a point beta:fiber of GF(61)")
 
 
-def test_verify_holds_the_record_to_an_admissible_field():
-    # GF(41) has p = 21, not prime: the total T = 12 that lift_cycle picks
-    # for Y(1) does not generate Z_21, so its lift repeats itself, 70
-    # points out of 210, though the claims and every edge hold
-    # the pipeline's check refuses the record; the text's header, as no
-    # instance
+def test_verify_holds_the_record_to_an_admissible_field(cache):
+    # GF(41) has p = 21, not prime, so no record of it can be built: the
+    # S-orbits, and with them the quotient and the pipeline, refuse the
+    # field before any walk.  A text's header naming it is no instance.
     field = Field(41, 1)
-    cert = lift_cycle(build_quotient(field, 1))
-    assert cert.total_voltage == 12 and len(set(cert.vertices)) == 70
-    with pytest.raises(InvariantViolation) as exc:
-        run_pipeline(field, 1)
-    assert exc.value.stage == "verify"
-    assert str(exc.value).endswith("k = 41 is not an admissible instance")
+    for build in (build_quotient, run_pipeline):
+        with pytest.raises(ValueError) as exc:
+            build(field, 1)
+        assert str(exc.value).endswith("k = 41 is not an admissible instance")
+    text = "".join(certificate_chunks(lift_cycle(cache.quotient(61, 1))))
+    head = "psl2ham-certificate 1\ns 61\nm 1\nk 61\np 31\n"
+    assert text.startswith(head)
     with pytest.raises(ValueError) as exc:
-        verify_text("".join(certificate_chunks(cert)))
+        verify_text(text.replace(
+            head, "psl2ham-certificate 1\ns 41\nm 1\nk 41\np 21\n", 1))
     assert str(exc.value) == "k = 41, p = 21 is not an admissible instance"
 
 
