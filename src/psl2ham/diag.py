@@ -1,8 +1,8 @@
 """Diagonal equations a1*x1^k1 + a2*x2^k2 = b over GF(q).
 
-Solution counts are exact and computed in O(q/d1 + q/d2): as x runs over
-GF(q)*, a*x^e takes each of its values exactly d = gcd(e, q-1) times.
-The classical bound (Lidl and Niederreiter, Finite Fields, ch. 6)
+Solution counts are exact, each read off one index class of 1 - t by
+`solution_profile`.  The classical bound (Lidl and Niederreiter, Finite
+Fields, ch. 6)
 
     |N - q| <= [(d1-1)(d2-1) - (1 - q^{-1/2}) M(d1,d2)] * sqrt(q),
 
@@ -49,7 +49,9 @@ The counts are one per (family, e mod 5), in any GF(q): over y != 0,
 c*y^10 runs g = gcd(10, q-1) times over the coset c*<theta^g>, fixed by
 log c mod g, which as g | 10 is fixed by e mod 5 (log c = 2e - 1 or 2e,
 plus log(-1)).  a1, b, d1 = gcd(2, q-1) and d2 = g do not involve e, so
-N, N(x2 != 0), the bound and its verdict agree across the class.
+N, N(x2 != 0), the bound and its verdict agree across the class.  For
+admissible k the ten J = log(a2/b) mod 10 of `solution_profile` are 2e - 1
+and 2e, as 20 | k-1: a report reads 1 - t once for each t != 0, 1.
 """
 
 from __future__ import annotations
@@ -82,31 +84,31 @@ class DiagonalEquation(NamedTuple):
                 raise ValueError(f"{v} is not an element handle of {field!r}")
 
 
-def _term_values(field: Field, a: int, e: int) -> dict[int, int]:
-    """The values of a*x^e over x in GF(q)*, each with its count
-    d = gcd(e, q-1): theta^(log a + d*t) for t < (q-1)/d."""
-    la, km1 = field._log[a], field.order - 1
-    d = math.gcd(e, km1)
-    return dict.fromkeys(field._exp[la:la + km1:d], d)
-
-
 class SolutionProfile(NamedTuple):
     total: int  # N
     nonzero_x2: int  # solutions with x2 != 0
 
 
 def solution_profile(field: Field, eq: DiagonalEquation) -> SolutionProfile:
-    """The solution counts of the equation from the value counts of its
-    two terms; O(q/d1 + q/d2).  A term is 0 at x = 0 alone, so x2 = 0
-    solves with the x1 of term b, and x1 = 0 with the x2 != 0 of term b."""
+    """The solution counts of the equation from one index class; O(q/d2).
+    a*x^e = v != 0 has d = gcd(e, q-1) roots x if d | log(v/a), else none.
+    b != 0: each t = theta^n, n = log(a2/b) mod d2, is a2*x2^k2/b for d2
+    x2, and b*(1 - t) = a1*x1^k1 for x1 = 0 alone if t = 1, else for d1 x1
+    iff log(1 - t) = log(a1/b) mod d1; x2 = 0 adds a1*x1^k1 = b.  b = 0:
+    a1*x1^k1 = -a2*x2^k2 has (q-1)*g solutions x2 != 0 if g = gcd(d1, d2)
+    divides log(-a2/a1), else none, as lcm(d1, d2) | q-1; and x1 = x2 = 0."""
     eq.validate(field)
-    c1 = _term_values(field, eq.a1, eq.k1)
-    c2 = _term_values(field, eq.a2, eq.k2)
-    sub, b = field.sub, eq.b
-    nonzero_x2 = sum(n * (c1.get(sub(b, v), 0) + (v == b))
-                     for v, n in c2.items())
-    return SolutionProfile(total=nonzero_x2 + c1.get(b, 0) + (b == 0),
-                           nonzero_x2=nonzero_x2)
+    km1, log = field.order - 1, field._log
+    d1, d2 = math.gcd(eq.k1, km1), math.gcd(eq.k2, km1)
+    l1, l2, lb = log[eq.a1], log[eq.a2], log[eq.b]
+    if eq.b == 0:
+        g = math.gcd(d1, d2)
+        nz = km1 * g * ((l2 + log[field.neg(1)] - l1) % g == 0)
+        return SolutionProfile(total=nz + 1, nonzero_x2=nz)
+    J, r, sub = (l2 - lb) % d2, (l1 - lb) % d1, field.sub
+    logs = [log[sub(1, t)] % d1 for t in field._exp[J or d2:km1:d2]]
+    nz = d2 * ((J == 0) + d1 * logs.count(r))
+    return SolutionProfile(total=nz + d1 * (r == 0), nonzero_x2=nz)
 
 
 def m_pairs(d1: int, d2: int) -> int:
@@ -185,12 +187,15 @@ def solvability_report(field: Field) -> list[str]:
     module docstring, each counted and its row tail written once.
     N_nonzero/10 is d(n, j), d(5 + n, j) and, as called, d(5 + n, 5 +
     (j - 1) % 5) for types 1, 2 and 3."""
-    tails, k = {}, field.order
-    for t, e in product((PAIR_INF_INF, PAIR_INF_ZERO), range(5)):
-        rep = weil_check(field, double_edge_equation(field, t, 0, 0, e))
-        tails[t == PAIR_INF_ZERO, e] = (
-            f"{rep.N} {rep.profile.nonzero_x2} {rep.bound:.4f} {rep.holds}")
-    return ["k type i j n N_total N_nonzero bound holds"] + [
-        f"{k} {t} {i} {j} {n} " + tails[t == PAIR_INF_ZERO, (n + j - i) % 5]
-        for t, i, j, n in product((PAIR_INF_INF, PAIR_INF_ZERO,
-                                   PAIR_ZERO_ZERO), *[range(5)] * 3)]
+    k = field.order
+    fams = [[weil_check(field, double_edge_equation(field, t, 0, 0, e))
+             for e in range(5)] for t in (PAIR_INF_INF, PAIR_INF_ZERO)]
+    tails = [[[f"{n} {w.N} {w.profile.nonzero_x2} {w.bound:.4f} {w.holds}"
+               for n, w in enumerate(fam[r:] + fam[:r])] for r in range(5)]
+             for fam in fams]
+    rows = ["k type i j n N_total N_nonzero bound holds"]
+    for t, i, j in product((PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO),
+                           range(5), range(5)):
+        rows += map(f"{k} {t} {i} {j} ".__add__,
+                    tails[t == PAIR_INF_ZERO][(j - i) % 5])
+    return rows

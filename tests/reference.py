@@ -14,9 +14,11 @@ checked, and the quotient's voltages read off the matrix-form
 neighborhoods of the ten orbit bases (`base_voltages`), against which
 the label-rule reading of `build_quotient` is checked.  It also keeps
 the helpers that only tests call: `coeffs`, `from_coeffs`, `point_of`,
-`equation_for_orbit_pair`, `brute_count`, `class_table`, `edges` and
+`equation_for_orbit_pair`, `brute_count`, `class_table`, `edges`,
 `per_row_report`, the weil-report checking each row's own equation,
-against which `diag.solvability_report` is checked, and the
+against which `diag.solvability_report` is checked, and
+`value_count_profile`, the solution counts from the value counts of the
+two terms, against which `diag.solution_profile` is checked, and the
 single-element and single-point text writers `element_str` and
 `point_str`, built from `coeffs`, against which the package's text
 tables are checked, and `read_certificate`, a line-by-line reader of
@@ -40,6 +42,7 @@ Distinguished elements and subgroups (all for 10 | k-1 where noted):
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,7 +51,8 @@ from psl2ham import (Field, HamiltonCertificate, InvariantViolation,
                      QuotientMultigraph, neighborhood)
 from psl2ham.action import Mat, rep, sigma
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
-                          DiagonalEquation, double_edge_equation, weil_check)
+                          DiagonalEquation, SolutionProfile,
+                          double_edge_equation, weil_check)
 from util import ALPHA, OmegaPoint, code, point, points
 
 
@@ -187,6 +191,28 @@ def brute_count(field: Field, eq: DiagonalEquation, require_nonzero_x2=False,
             if field.add(t1, field.mul(eq.a2, field.pow(x2, eq.k2))) == eq.b:
                 n += 1
     return n
+
+
+def term_values(field: Field, a: int, e: int) -> dict[int, int]:
+    """The values of a*x^e over x in GF(q)*, each with its count
+    d = gcd(e, q-1): theta^(log a + d*t) for t < (q-1)/d."""
+    la, km1 = field._log[a], field.order - 1
+    d = math.gcd(e, km1)
+    return dict.fromkeys(field._exp[la:la + km1:d], d)
+
+
+def value_count_profile(field: Field, eq: DiagonalEquation) -> SolutionProfile:
+    """The solution counts of the equation from the value counts of its
+    two terms; O(q/d1 + q/d2).  A term is 0 at x = 0 alone, so x2 = 0
+    solves with the x1 of term b, and x1 = 0 with the x2 != 0 of term b."""
+    eq.validate(field)
+    c1 = term_values(field, eq.a1, eq.k1)
+    c2 = term_values(field, eq.a2, eq.k2)
+    sub, b = field.sub, eq.b
+    nonzero_x2 = sum(n * (c1.get(sub(b, v), 0) + (v == b))
+                     for v, n in c2.items())
+    return SolutionProfile(total=nonzero_x2 + c1.get(b, 0) + (b == 0),
+                           nonzero_x2=nonzero_x2)
 
 
 def per_row_report(field: Field) -> list[str]:

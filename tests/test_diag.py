@@ -13,7 +13,8 @@ from psl2ham import (DiagonalEquation, Field, build_quotient,
                      solution_profile, weil_check)
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           le_times_sqrt, solvability_report)
-from reference import brute_count, equation_for_orbit_pair, per_row_report
+from reference import (brute_count, equation_for_orbit_pair, per_row_report,
+                       value_count_profile)
 
 PRIME_POWERS_TO_121 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
@@ -70,6 +71,31 @@ def test_count_matches_brute_force_at_the_edges(s, m):
                                   a2=rng.randrange(1, q), k2=k2, b=b)
             assert solution_profile(F, eq) == (
                 brute_count(F, eq), brute_count(F, eq, True))
+
+
+@pytest.mark.parametrize("s,m", [
+    pytest.param(s, m, id=str(s**m))
+    for s, m in list_instances(5000) + [(131, 2), (13, 4)]])
+def test_report_equations_match_the_value_counts(s, m):
+    # each count reads one index class of 1 - t; the value counts of the
+    # two terms are the oracle, on the ten equations a report counts
+    F = Field(s, m)
+    for t, e in product((PAIR_INF_INF, PAIR_INF_ZERO), range(5)):
+        eq = double_edge_equation(F, t, 0, 0, e)
+        assert solution_profile(F, eq) == value_count_profile(F, eq)
+
+
+@pytest.mark.parametrize("s,m", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)],
+                         ids=["2", "3", "4", "8", "9"])
+def test_count_matches_the_value_counts_everywhere(s, m):
+    # every equation with k1, k2 in 1..q: characteristic 2 (log(-1) = 0),
+    # q = 2 (the class of t != 1 is empty), b = 0 and d = q - 1
+    F = Field(s, m)
+    q = F.order
+    for a1, a2, b, k1, k2 in product(range(1, q), range(1, q), range(q),
+                                     *[range(1, q + 1)] * 2):
+        eq = DiagonalEquation(a1=a1, k1=k1, a2=a2, k2=k2, b=b)
+        assert solution_profile(F, eq) == value_count_profile(F, eq)
 
 
 def test_double_edge_solution_on_orbit_pair_equations():
@@ -407,6 +433,23 @@ def test_report_counts_each_distinct_equation_once(field61, monkeypatch):
                f"{solution_profile(field61, eq).nonzero_x2} {rep.bound:.4f} "
                f"{rep.holds}")
         assert rows[1 + 125 * (pair_type - 1) + 25 * i + 5 * j + n] == row
+
+
+@pytest.mark.parametrize("k", [61, 81])
+def test_report_subtracts_once_per_element(k, fields, monkeypatch):
+    # the ten counts read disjoint index classes of 1 - t, which cover
+    # every t != 0, 1 once: q - 2 subtractions in one report
+    calls = []
+    sub = Field.sub
+
+    def counted(field, x, y):
+        calls.append(y)
+        return sub(field, x, y)
+
+    monkeypatch.setattr(Field, "sub", counted)
+    solvability_report(fields[k])
+    assert len(calls) == k - 2
+    assert sorted(calls) == list(range(2, k))
 
 
 @pytest.mark.parametrize("s,m", [
