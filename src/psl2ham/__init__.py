@@ -5,9 +5,9 @@ prime power with 10 | k-1 and p = (k+1)/2 prime.
 The pipeline needs field arithmetic only, and builds no group: every
 stage is a function of the field.  Exact GF(s^m) arithmetic -> coset
 labels (beta, fiber), with closed-form representatives -> the ten orbits
-of the cyclic subgroup S of order p, two read off one power walk of
-sigma and shifted across the fibers -> the quotient multigraph of an
-orbital graph, read off those two orbits by the adjacency oracle
+of the cyclic subgroup S of order p, held as two walks off one power
+walk of sigma, the other eight read by the fiber shift -> the quotient
+multigraph of an orbital graph, read off the two walks by the oracle
 `orbital_of` and cross-derived by 4 matrix-form neighborhoods -> voltage
 selection and a closed-form lift over the quotient cycle 0..9 -> a
 certificate that carries its field, its claims and cycle edges checked by

@@ -1,5 +1,5 @@
 """The coset space of G = PSL(2,k) on the 5(k+1) cosets of H, and the
-ten orbits of its cyclic subgroup S, from the field alone.
+ten orbits of its cyclic subgroup S, as two walks, from the field alone.
 
 Points of the coset space Omega are labeled (beta, fiber):
 
@@ -24,13 +24,13 @@ independent of the sign representative because 10 | k-1.
 The representative of (beta, f) is rep = t^f * T_beta with T_inf the
 identity and T_beta = [[0,1],[-1,beta]], in closed form
 [[0, theta^f], [-theta^-f, theta^-f * beta]].  Every function here takes
-the field alone, and no group is built: the ten S-orbits come from one
-power walk of a generator sigma of S, for an admissible k alone.  Its
-powers are sigma^w = [[x, y], [y*theta, x]] with x^2 - theta*y^2 = 1.
-The power w = 0 is the identity, labels (inf, 0) and (0, 0).  Every
-later power w < p has y != 0, as sigma has prime order p, and x != 0:
-x = 0 needs theta*y^2 = -1, but -1 is a square as 4 | k-1 and theta is
-not.  So with chi(x) = log(x) mod 5 each gives two labels in closed form:
+the field alone, and no group is built: the ten S-orbits are the fiber
+shifts of two walks off one power walk of a generator sigma of S, for an
+admissible k alone.  Its powers are sigma^w = [[x, y], [y*theta, x]],
+x^2 - theta*y^2 = 1, and w = 0, the identity, labels (inf, 0), (0, 0).
+Every later power w < p has y != 0, as sigma has prime order p, and
+x != 0: x = 0 needs theta*y^2 = -1, but -1 is a square as 4 | k-1 and
+theta is not.  So with chi(x) = log(x) mod 5 each gives two labels:
 
     H*sigma^w:   (-x/(y*theta), -chi(y*theta))
     H*l*sigma^w: (-y/x, -chi(x))
@@ -81,9 +81,10 @@ def sigma(field: Field) -> Mat:
     raise AssertionError("S has no element besides the identity")
 
 
-def s_orbits(field: Field) -> tuple[array, ...]:
-    """The ten orbits of the cyclic subgroup S of order p = (k+1)/2, as
-    arrays of codes, each ordered by the Z_p coordinate.
+def s_orbits(field: Field) -> tuple[array, array]:
+    """The ten orbits of the cyclic subgroup S of order p = (k+1)/2 as two
+    walks, orbits 0 and 5, arrays of p codes ordered by the Z_p coordinate:
+    orbit 5e + j is walk e with every code raised j fibers.
 
     Orbit i (0..4) starts at (inf, i); orbit 5+i starts at (0, i), the
     label of t^i * l with l = [[0,-1],[1,0]].  Position w within an
@@ -99,13 +100,13 @@ def s_orbits(field: Field) -> tuple[array, ...]:
     code v -> v + (k+1) mod 5(k+1), commutes with the right action:
     rep(beta, f+1) = t * rep(beta, f), and t normalizes H, so
     H*rep(beta, f+1)*g = t*(H*rep(beta, f)*g); for f = 4 the product t^5
-    lies in H.  So orbit i (resp. 5+i) is orbit 0 (resp. 5) with every
-    code shifted i times, at the same positions.
+    lies in H.  So the ten orbits partition the points iff the 2p = k+1
+    walked codes meet each of the k+1 betas once.
     """
     k = field.order
     if not admissible(k):
         raise ValueError(f"k = {k} is not an admissible instance")
-    p, k1, n = (k + 1) // 2, k + 1, 5 * (k + 1)
+    p, k1 = (k + 1) // 2, k + 1
     F, exp, log, half = field, field._exp, field._log, (k - 1) // 2
     a, b, bt, _ = sigma(field)
     orb0, orb5 = array("l", [0]), array("l", [1])  # w = 0: (inf, 0), (0, 0)
@@ -120,16 +121,14 @@ def s_orbits(field: Field) -> tuple[array, ...]:
         orb5.append(-lx % 5 * k1 + exp[ly - lx + half] + 1)
         x, y = (F.add(F.mul(a, x), F.mul(bt, y)),
                 F.add(F.mul(a, y), F.mul(b, x)))
-    orbits = [array("l", [(v + i * k1) % n for v in orb])
-              for orb in (orb0, orb5) for i in range(5)]
-    # 10p = n codes mod n: all n are seen iff none repeats in or across orbits
-    seen = bytearray(n)
-    for orb in orbits:
+    # at most k+1 codes: all k+1 betas are met iff each is met once
+    seen = bytearray(k1)
+    for orb in (orb0, orb5):
         for v in orb:
-            seen[v] = 1
-    if 0 in seen:
+            seen[v % k1] = 1
+    if 0 in seen:  # the first point missed: the first beta missed, fiber 0
         raise InvariantViolation(
             "S-orbits do not partition the point set: "
             f"{point_texts(field)[seen.index(0)]} lies in no orbit",
             stage="action")
-    return tuple(orbits)
+    return orb0, orb5

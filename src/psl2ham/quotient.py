@@ -6,9 +6,9 @@ neighbor of A's base vertex inside B.  Each such edge carries a voltage
 w in Z_p, the position of that neighbor in B's cyclic order, so that
 v_A(c) ~ v_B(c + w) for every offset c.  Since S acts by automorphisms,
 the adjacency oracle `orbital.orbital_of` at the bases (inf, 0) and
-(0, 0), over orbits 0 and 5 from one power walk of sigma, gives every
-voltage, and four matrix-form neighborhoods cross-derive them
-(`build_quotient`); the full orbital graph is never built.
+(0, 0), over the two walks of sigma `s_orbits` returns, orbits 0 and 5,
+gives every voltage, and four matrix-form neighborhoods cross-derive
+them (`build_quotient`); the full orbital graph is never built.
 
 The quotient cycle is the walk 0, 1, ..., 9 through the ten orbits.
 Voltages w_0..w_9 on it lift in closed form (`lift`): vertex 10r + j is
@@ -18,7 +18,7 @@ p is prime; T = 0 would give p disjoint 10-cycles.  The certificate holds
 its field, the walk, the chosen voltages and the full vertex cycle.
 Verifying it builds no group, graph or quotient: the header's claims (an
 admissible k first), then that the vertices are the lift of its walk and
-voltages over verify's own S-orbits, which is every point once (the
+voltages over verify's own two walks, which is every point once (the
 orbits partition the points, the walk permutes 0..9, T != 0 generates
 Z_p), last each cycle edge by that oracle.  `certificate_chunks` writes
 the text; `verify_text`, the one verifier, reads its header alone, since
@@ -46,7 +46,7 @@ MISPLACED = "vertex {} is {}, but the header's cycle and voltages put {} there"
 class QuotientMultigraph(NamedTuple):
     field: Field
     orbital_index: int
-    orbits: tuple[array, ...]  # ten arrays of codes
+    orbits: tuple[array, array]  # the two walks of codes, orbits 0 and 5
     voltages: tuple[tuple[tuple[int, ...], ...], ...]  # 10x10, sorted Z_p offsets
 
     @property
@@ -61,13 +61,13 @@ class QuotientMultigraph(NamedTuple):
 
 def build_quotient(field: Field, i: int) -> QuotientMultigraph:
     """Collapse Y(i) along the ten S-orbits, recording voltages.  Position
-    w of orbit 5e goes in bucket[c][e][o] when `orbital_of` puts it in
-    Y(o) with code c, the base (inf, 0) or (0, 0).  Orbit 5e + j is orbit
-    5e with every fiber raised by j, which raises the orbital of each pair
-    by j, so voltages[a][b] = bucket[a // 5][b // 5][(i - a - b) % 5]:
+    w of walk e, orbit 5e, goes in bucket[c][e][o] when `orbital_of` puts
+    it in Y(o) with code c, the base (inf, 0) or (0, 0).  Orbit 5e + j is
+    walk e with every fiber raised by j, which raises the orbital of each
+    pair by j, so voltages[a][b] = bucket[a // 5][b // 5][(i - a - b) % 5]:
     100 cells, 20 sorted tuples.  Rows 0 and 5 hold all 20, and
-    `neighborhood` at positions 0 and 1 of orbits 0 and 5 cross-derives
-    them, at 1 an exact S-invariance check.
+    `neighborhood` at positions 0 and 1 of the two walks cross-derives
+    them over the ten orbits so read, at 1 an exact S-invariance check.
     """
     if not 0 <= i <= 4:
         raise ValueError(f"orbital index {i} out of range 0..4")
@@ -75,7 +75,7 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
     orbits = s_orbits(field)
     bucket = [[[[] for _ in range(5)] for _ in range(2)] for _ in range(2)]
     for e in (0, 1):
-        for w, v in enumerate(orbits[5 * e]):  # in order, so each is sorted
+        for w, v in enumerate(orbits[e]):  # in order, so each is sorted
             for base in (0, 1):
                 o = orbital_of(field, base, v)
                 if o is not None:
@@ -96,14 +96,14 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
                     f"voltage sets at ({a},{b}) are not negations",
                     stage="quotient")
     for a in (0, 5):
-        for c, v in enumerate(orbits[a][:2]):  # v ~ orbits[b][w + c], w in row a
+        for c, v in enumerate(orbits[a // 5][:2]):  # v ~ orbit b at w + c
             nb = neighborhood(field, i, v)
             if len(nb) != k or v in nb:  # formats the point only to raise
                 at = point_texts(field)[v]
                 raise InvariantViolation(
                     f"vertex {at} has {len(nb)} neighbors, expected {k}"
                     if len(nb) != k else f"loop at vertex {at}", stage="orbital")
-            if nb != {orbits[b][(w + c) % p]
+            if nb != {(orbits[b // 5][(w + c) % p] + b % 5 * 2 * p) % (10 * p)
                       for b in range(10) for w in volts[a][b]}:
                 raise InvariantViolation(
                     f"neighbors differ across orbit {a}: S-invariance broken"
@@ -128,14 +128,15 @@ class HamiltonCertificate(NamedTuple):
 
 def lift(orbits, cycle, voltages) -> array:
     """The lift of the quotient cycle `cycle` under `voltages`: vertex
-    10r + j is orbit cycle[j] at position c_j + r*T (mod p), where c_j is
-    the sum of the first j voltages and T the sum of all ten.  With
-    T != 0 and p prime, T generates Z_p, so this is one 10p-cycle.
+    10r + j is orbit a = cycle[j], walk a // 5 raised a % 5 fibers, at
+    c_j + r*T (mod p), c_j the sum of the first j voltages and T of all
+    ten.  With T != 0 and p prime, T generates Z_p: one 10p-cycle.
     """
     p = len(orbits[0])
     *starts, total = accumulate(voltages, initial=0)
-    return array("l", (orbits[a][(c + r * total) % p]
-                       for r in range(p) for a, c in zip(cycle, starts)))
+    steps = [(orbits[a // 5], a % 5 * 2 * p, c) for a, c in zip(cycle, starts)]
+    return array("l", ((walk[(c + r * total) % p] + up) % (10 * p)
+                       for r in range(p) for walk, up, c in steps))
 
 
 def lift_cycle(q: QuotientMultigraph) -> HamiltonCertificate:

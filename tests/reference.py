@@ -7,12 +7,13 @@ module keeps the exhaustive derivations those shortcuts are checked
 against: PSL(2,k) with canonical signs and its enumerated subgroups S
 and H, the right action `act` as the label of a 2x2 product, the ten
 S-orbits walked point by point with it (`walked_orbits`), against which
-`s_orbits` is checked, the ten H-orbits (suborbits) on the coset space,
-and the voltage lift as an explicit walk over its components
-(`unroll_lift`), against which the closed form `quotient.lift` is
-checked, and the quotient's voltages read off the matrix-form
-neighborhoods of the ten orbit bases (`base_voltages`), against which
-the label-rule reading of `build_quotient` is checked.  It also keeps
+the two walks of `s_orbits`, shifted across the fibers, are checked,
+the ten H-orbits (suborbits) on the coset space, and the voltage lift
+as an explicit walk over its components (`unroll_lift`), against which
+the closed form `quotient.lift` is checked, and the quotient's voltages
+read off the matrix-form neighborhoods of the ten orbit bases
+(`base_voltages`), against which the label-rule reading of
+`build_quotient` is checked.  It also keeps
 the helpers that only tests call: `coeffs`, `from_coeffs`, `point_of`,
 `equation_for_orbit_pair`, `brute_count`, `class_table`, `edges`,
 `per_row_report`, the weil-report checking each row's own equation,
@@ -53,7 +54,7 @@ from psl2ham.action import Mat, rep, sigma
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           DiagonalEquation, SolutionProfile,
                           double_edge_equation, weil_check)
-from util import ALPHA, OmegaPoint, code, point, points
+from util import ALPHA, OmegaPoint, code, point, points, ten_orbits
 
 
 def coeffs(field: Field, x: int) -> tuple[int, ...]:
@@ -232,9 +233,10 @@ def unroll_lift(q: QuotientMultigraph, choices) -> list[array]:
     """Explicitly unroll a voltage assignment over the quotient cycle 0..9.
 
     Returns the cycles of the lift: one 10p-cycle when the voltages sum
-    to a nonzero residue mod p, else p disjoint 10-cycles.
+    to a nonzero residue mod p, else p disjoint 10-cycles.  The ten orbits
+    are `ten_orbits` of the two walks `q.orbits`.
     """
-    p, orbits = q.p, q.orbits
+    p, orbits = q.p, ten_orbits(q.orbits)
     out = []
     visited = bytearray(10 * p)  # orbit j, position c at j*p + c
     for start in range(p):

@@ -30,7 +30,7 @@ from psl2ham.diag import le_times_sqrt
 from psl2ham.gf import is_prime
 from reference import (PSL2, brute_count, equation_for_orbit_pair, mulclose,
                        suborbits, unroll_lift)
-from util import fresh_process_env, held_graph, text_verdict
+from util import fresh_process_env, held_graph, ten_orbits, text_verdict
 
 PRIME_POWERS_TO_121 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
@@ -86,8 +86,8 @@ def structural_checks(k: int) -> tuple[list, float, Field]:
     if sizes != [1] * 5 + [k] * 5:
         failures.append(f"suborbit profile {sizes}")
 
-    orbits = s_orbits(field)
-    if len(orbits) != 10 or any(len(o) != p for o in orbits):
+    orbits = ten_orbits(s_orbits(field))
+    if len({v for o in orbits for v in o}) != 10 * p:
         failures.append("S-orbits are not ten of size (k+1)/2")
 
     for i in range(5):

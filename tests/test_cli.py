@@ -663,9 +663,9 @@ def _is_the_lift_of_its_header(cert) -> bool:
         chi = table[lex[r - 1] * k + lex[q - 1]] if r and q else 0
         if r == q or (f + g - i - chi) % 5:
             return False
-    orbits = reference.walked_orbits(field)
+    walked = reference.walked_orbits(field)
     comps = reference.unroll_lift(SimpleNamespace(p=(k + 1) // 2,
-                                                  orbits=orbits),
+                                                  orbits=walked[::5]),
                                   cert.chosen_voltages)
     return cert.cycle == tuple(range(10)) and [verts] == [list(c) for c in comps]
 

@@ -16,7 +16,7 @@ import reference
 from reference import (edges, point_of, point_str, suborbits,
                        suborbits_by_h_orbits)
 from util import (ALPHA, OmegaPoint, code, point, points, random_words,
-                  vertex_index)
+                  ten_orbits, vertex_index)
 
 
 def test_suborbit_profile(field61):
@@ -327,7 +327,7 @@ def test_neighborhood_is_image_of_long_suborbit(k, fields):
                                   F.pow(F.theta, -i), x)))
              for x in range(k)] for i in range(5)]
     betas = set()  # beta = inf takes c = 0 and beta = 0 takes d = 0
-    for orb in s_orbits(F):
+    for orb in ten_orbits(s_orbits(F)):
         for v in orb[:2]:
             g = rep(F, v)
             for i in range(5):

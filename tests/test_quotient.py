@@ -14,8 +14,9 @@ from psl2ham import (Field, build_graph, build_quotient, certificate_chunks,
                      verify_text)
 from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
+import reference
 from reference import base_voltages, point_str, unroll_lift
-from util import code, point, text_verdict, vertex_index
+from util import code, point, ten_orbits, text_verdict, vertex_index
 
 
 def test_underlying_quotient_is_complete_k10(cache):
@@ -45,7 +46,7 @@ def test_multiplicities_symmetric_voltages_negated(cache):
 def test_voltages_realize_adjacency(cache, field61):
     # w in voltages[a][b] iff base(a) ~ sigma^w(base(b))
     q = cache.quotient(61, 0)
-    orbits = s_orbits(field61)
+    orbits = ten_orbits(s_orbits(field61))
     nb = neighborhood(field61, 0, orbits[3][0])
     for b in range(10):
         hits = {w for w in range(q.p) if orbits[b][w] in nb}
@@ -77,7 +78,7 @@ def collapse(graph, orbits):
 def test_quotient_equals_collapse_of_full_graph(k, cache, fields):
     for i in range(5):
         q = cache.quotient(k, i)
-        volts = collapse(cache.graph(k, i), s_orbits(fields[k]))
+        volts = collapse(cache.graph(k, i), ten_orbits(s_orbits(fields[k])))
         assert q.voltages == volts
         assert q.mult == tuple(tuple(len(vs) for vs in row) for row in volts)
         assert q.orbital_index == i
@@ -88,7 +89,7 @@ def test_quotient_equals_the_reading_of_the_ten_bases(s, m):
     # the label rule along two walks against the matrix form at ten bases:
     # 14 fields, m = 1, 2 and 4, k = 61 to 2401
     field = Field(s, m)
-    orbits = s_orbits(field)
+    orbits = ten_orbits(s_orbits(field))
     for i in range(5):
         assert build_quotient(field, i).voltages == base_voltages(field, i,
                                                                  orbits)
@@ -104,7 +105,7 @@ def test_build_quotient_reads_four_neighborhoods(field61, monkeypatch):
         return neighborhood(field, i, v)
 
     monkeypatch.setattr("psl2ham.quotient.neighborhood", counted)
-    orbits = s_orbits(field61)
+    orbits = ten_orbits(s_orbits(field61))
     for i in range(5):
         calls.clear()
         q = build_quotient(field61, i)
@@ -177,10 +178,12 @@ def test_k81_multiplicities_from_h_membership(cache, groups):
     assert [q.mult[a][b] for a, b in pairs] == [1, 1, 10, 8]
 
 
-def _tampered(orbits, touched, new):
-    """neighborhood() with one edit: at each vertex orbits[a][w] with
-    touched(a, w), its first neighbor in orbit 1 gives way to a non-neighbor
-    in orbit `new`, to the vertex itself ("self"), or to nothing (None)."""
+def _tampered(walks, touched, new):
+    """neighborhood() with one edit: at each vertex orbits[a][w] of the
+    ten orbits of `walks` with touched(a, w), its first neighbor in orbit 1
+    gives way to a non-neighbor in orbit `new`, to the vertex itself
+    ("self"), or to nothing (None)."""
+    orbits = ten_orbits(walks)
     pos = {pt: (a, w) for a, orb in enumerate(orbits) for w, pt in enumerate(orb)}
 
     def fake(field, i, v):
@@ -196,31 +199,31 @@ def _tampered(orbits, touched, new):
     return fake
 
 
-def _walked(orbits, edit):
-    """s_orbits() returning copies of `orbits` that edit(orbs) changed."""
-    orbs = [array("l", orb) for orb in orbits]
+def _walked(walks, edit):
+    """s_orbits() returning copies of the two `walks` that edit(orbs)
+    changed."""
+    orbs = [array("l", orb) for orb in walks]
     edit(orbs)
     return lambda field: tuple(orbs)
 
 
 def _off_fiber(orbs):
-    """Positions 1 and 30 = -1 of orbit 0 moved to the next fiber (of 62
-    codes each): its own voltages stay closed under negation, but its row
-    of the multiplicity matrix is no longer its column."""
+    """Positions 1 and 30 = -1 of walk 0 moved to the next fiber (of 62
+    codes each): orbit 0's own voltages stay closed under negation, but its
+    row of the multiplicity matrix is no longer its column."""
     for w in (1, 30):
         orbs[0][w] = (orbs[0][w] + 62) % 310
 
 
 def _swapped(orbs):
-    """Positions 1 and 2 of orbits 5-9 exchanged."""
-    for orb in orbs[5:]:
-        orb[1], orb[2] = orb[2], orb[1]
+    """Positions 1 and 2 of walk 5, and so of orbits 5-9, exchanged."""
+    orbs[1][1], orbs[1][2] = orbs[1][2], orbs[1][1]
 
 
 def _rebased(orbs):
-    """Position 1 of orbit 5, the point 38:2, moved to 39:2: its fiber
+    """Position 1 of walk 5, the point 38:2, moved to 39:2: its fiber
     stays, so only the voltages among the zero family change."""
-    orbs[5][1] += 1
+    orbs[1][1] += 1
 
 
 def _misread(orbits, base, a, w, o):
@@ -291,7 +294,7 @@ def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
     for module in ("quotient", "orbital", "action"):
         monkeypatch.setattr(f"psl2ham.{module}.point_texts", refuse)
     assert sum(build_quotient(field61, 0).mult[0]) == 61
-    assert len(s_orbits(field61)) == 10
+    assert len(s_orbits(field61)) == 2
     assert len(build_graph(field61, 2)) == 61 * 61
     assert run_pipeline(field61, 0) == cert
     assert verify_text(text)[1] is None
@@ -439,6 +442,24 @@ def test_lift_equals_the_walk(cache):
                     assert lift(q.orbits, range(10), choices) == walk
 
 
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_lift_in_any_orbit_order_reads_the_walked_orbits(k, fields):
+    # orbit a of the cycle is walk a // 5 raised a % 5 fibers: over random
+    # orders of 0..9 and random voltages, against the ten walks of plain
+    # products of tests/reference.py
+    field, p = fields[k], (k + 1) // 2
+    walks, walked = s_orbits(field), reference.walked_orbits(field)
+    rng = random.Random(k + 9)
+    for _ in range(10):
+        cycle = rng.sample(range(10), 10)
+        volts = [rng.randrange(p) for _ in range(10)]
+        starts = [sum(volts[:j]) for j in range(10)]
+        total = sum(volts)
+        assert list(lift(walks, cycle, volts)) == [
+            walked[a][(c + r * total) % p]
+            for r in range(p) for a, c in zip(cycle, starts)]
+
+
 def test_lift_cycle_switches_away_from_zero_total(cache):
     # at k=121, orbital 3, the smallest voltages of the cycle 0..9 sum to
     # 0 mod p, so the lift needs the switch: the first edge with two
@@ -459,6 +480,25 @@ def test_lift_cycle_switches_away_from_zero_total(cache):
 def test_verify_accepts_emitted(cache):
     cert = lift_cycle(cache.quotient(61, 4))
     assert text_verdict(cert) is None
+
+
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_verify_accepts_every_certificate_written_backwards(k, cache):
+    # the quotient cycle 9..0 with voltages (-w8, ..., -w0, -w9) and total
+    # -T lifts to the emitted vertex cycle reversed, from orbit 9's base
+    # 0:4 on: a valid certificate whose lift reads all ten orbits in an
+    # order other than 0..9
+    for i in range(5):
+        cert = lift_cycle(cache.quotient(k, i))
+        p, w = cert.p, cert.chosen_voltages
+        verts = cert.vertices[::-1]
+        at = verts.index(4 * (k + 1) + 1)
+        back = cert._replace(
+            cycle=tuple(range(9, -1, -1)),
+            chosen_voltages=tuple(-x % p for x in (*w[8::-1], w[9])),
+            total_voltage=-cert.total_voltage % p,
+            vertices=verts[at:] + verts[:at])
+        assert text_verdict(back) is None
 
 
 def test_lift_survives_k81_degeneracy(cache):

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import os
+from array import array
 from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
@@ -75,6 +76,15 @@ def held_graph(field, i):
                               compress(fiber, row.translate(masks[(f + g - i) % 5]))])
     return HeldGraph(i, field, tuple(code(field, p) for p in points(field)),
                      tuple(neighbors))
+
+
+def ten_orbits(walks):
+    """The ten S-orbits of the two walks that `s_orbits` returns: orbit
+    5e + j is walk e with every code raised j fibers, of k + 1 = 2p codes
+    each, mod 5(k + 1)."""
+    k1 = 2 * len(walks[0])
+    return [array("l", [(v + j * k1) % (5 * k1) for v in walk])
+            for walk in walks for j in range(5)]
 
 
 def vertex_index(field):
