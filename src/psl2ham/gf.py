@@ -242,7 +242,7 @@ class Field:
         return self._neg[x]
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self._neg[y])
+        return (x - y) % self.s if self.m == 1 else self.add(x, self._neg[y])
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:

@@ -21,12 +21,16 @@ the one adjacency oracle of `build_quotient` and the certificate checks;
 `neighborhood` keeps the matrix form to cross-check the quotient.
 `build_graph` fills the k^2 classes chi(x - beta) by rotating the chi
 row, with no field arithmetic, and checks Y(i) on them; `export_chunks`
-streams the edge text off that table.
+streams the edge text off that table, a mask per class over each row; at
+m = 1, lex is the handle and x - beta is (x - beta) mod s, so row j is row
+0 turned by j: its class-c betas are j plus row 0's (mod k), picked.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import compress
+from operator import itemgetter
 
 from .action import point_texts, rep
 from .errors import InvariantViolation
@@ -144,29 +148,40 @@ def build_graph(field: Field, i: int) -> bytearray:
 # --- exports ---
 
 def export_chunks(field: Field, i: int, cls, fmt: str):
-    """The edge list of Y(i) read off its class table from `build_graph`,
-    or with fmt "dot" the DOT text, one chunk per vertex with later
-    neighbors: each undirected edge once, (u, v) with u < v, u-major in
-    vertex order, which is fiber-major, infinity first, then lex."""
+    """The edge list of Y(i) read off its class table from `build_graph`, or
+    with fmt "dot" the DOT text, one chunk per vertex with later neighbors:
+    each undirected edge once, (u, v) with u < v, u-major in vertex order,
+    fiber-major, infinity first, then lex.  Fiber g holds row beta's class
+    f + g - i: masked out, or at m = 1 picked as beta + Y_c, Y_c row 0's."""
     F, k, texts = field, field.order, point_texts(field)
     rs = (0, *(beta + 1 for beta in F.elements_lex))  # inf, then lex
     labels = [[texts[f * (k + 1) + r] for r in rs] for f in range(5)]
     masks = [bytes(b == c for b in range(256)) for c in range(5)]
+    Y = [[y for y in range(k) if cls[y] == c] for c in range(5)]  # on row 0
+    picks, twice = [itemgetter(*y) for y in Y], F.element_texts() * 2
+    head, end = ('  "{}" -- "', '";\n') if fmt == "dot" else ("{} ", "\n")
+    tails = [f":{g}{end}" for g in range(5)]  # a label is beta:g
     if fmt == "dot":
         yield f'graph "Y{i}_k{F.order}" {{\n'
-        head, end = '  "{}" -- "', '";\n'
-    else:
-        head, end = "{} ", "\n"
     for f in range(5):
         for r in range(k + 1):
-            # chi read as 0 for inf, and class 5 (no edge) from inf to inf
-            row = b"\0" + cls[(r - 1) * k:r * k] if r else b"\5" + bytes(k)
-            later = list(compress(labels[f][r + 1:],
-                                  row[r + 1:].translate(masks[(2 * f - i) % 5])))
-            for g in range(f + 1, 5):
-                later += compress(labels[g], row.translate(masks[(f + g - i) % 5]))
-            if later:  # each line is head(u) + label(v) + end
-                h = head.format(labels[f][r])
-                yield h + (end + h).join(later) + end
+            h, chunk = head.format(labels[f][r]), []  # line: head(u) label(v) end
+            if F.m == 1 and r:  # t: betas r - 1 + Y_c, the first n short of k
+                row = twice[r - 1:r - 1 + k]
+                for g in range(f, 5):
+                    t, n = picks[c := (f + g - i) % 5](row), bisect(Y[c], k - r)
+                    later = t[:n] if g == f else ("inf",) * (c == 0) + t[n:] + t[:n]
+                    if later:
+                        chunk += h, (tails[g] + h).join(later), tails[g]
+            else:  # chi read as 0 for inf, and class 5 from inf to inf
+                row = b"\0" + cls[(r - 1) * k:r * k] if r else b"\5" + bytes(k)
+                later = list(compress(labels[f][r + 1:], row[r + 1:].translate(
+                    masks[(2 * f - i) % 5])))
+                for g in range(f + 1, 5):
+                    later += compress(labels[g], row.translate(masks[(f + g - i) % 5]))
+                if later:
+                    chunk += h, (end + h).join(later), end
+            if chunk:
+                yield "".join(chunk)
     if fmt == "dot":
         yield "}\n"

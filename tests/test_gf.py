@@ -280,7 +280,7 @@ def test_add_matches_coordinatewise(s, m, data):
     assert coeffs(F, F.add(x, y)) == cs
 
 
-@pytest.mark.parametrize("s,m", [(3, 4), (2, 4)])
+@pytest.mark.parametrize("s,m", [(3, 4), (2, 4), (61, 1)])
 def test_add_exhaustive(s, m):
     F = field(s, m)
     for x in range(F.order):

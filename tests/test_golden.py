@@ -54,6 +54,11 @@ BUILD_SHA256 = {
         "e3801b3ffd8229db2c924be7d21b5794c526edbd1a160895be77c4c933192e2b",
     ("--k", "421", "--orbital", "1", "--format", "dot"):
         "ddf180b8e78d7020efd7be50fda8db01a223f6c07e2b80d991a91dfd0e2b4ba3",
+    # m = 1 edge lists, hashed on the export that masked every fiber
+    ("--k", "61", "--orbital", "4", "--format", "edgelist"):
+        "9dcdc386304eae0b9147946babc7228c12a6b30c179fd73852f2dcf708c57f6e",
+    ("--k", "421", "--orbital", "0", "--format", "edgelist"):
+        "e5dcb282d400ee5c56228f25a4eb20e0a873807d2cb191671f75de37fe70cb55",
 }
 
 # m = 1; the former add table (81, 121, 841); the former tuple add (2401,

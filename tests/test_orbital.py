@@ -117,6 +117,18 @@ def test_class_table_is_chi_of_field_subtraction(s, m):
         assert build_graph(field, i) == table
 
 
+@pytest.mark.parametrize("k", [61, 421])
+def test_prime_class_table_rows_are_row_0_turned(k):
+    # at m = 1, lex is the handle, so row j holds chi(x - j) = row 0 at x - j:
+    # export_chunks picks row j's class-c betas as j + (row 0's) mod k
+    field = Field(k, 1)
+    for i in range(5):
+        cls = build_graph(field, i)
+        row0 = cls[:k]
+        for j in range(k):
+            assert cls[j * k:(j + 1) * k] == row0[k - j:] + row0[:k - j]
+
+
 @pytest.mark.parametrize("k", [61, 81, 121])
 def test_exported_edges_are_the_edges_of_the_label_rule(k, fields):
     # each exported edge parses back to a pair that orbital_of puts in Y(i),
@@ -217,17 +229,18 @@ def test_build_checks_come_before_output(fmt, field61, tmp_path, monkeypatch):
 
 
 def test_build_memory_is_linear_in_k():
-    # the class table is k^2 bytes, 0.12 MiB at k = 361, and one row is
-    # held at a time; all 5k(k+1) row entries would take about 10 MiB
-    field = Field(19, 2)
-    tracemalloc.start()
-    try:
-        for _ in export_chunks(field, 1, build_graph(field, 1), "edgelist"):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    # the class table is k^2 bytes, 0.12 MiB at k = 361 and 0.17 MiB at the
+    # prime 421, and one row is held at a time (at m = 1, one slice of the
+    # doubled beta texts); all 5k(k+1) row entries would take about 10 MiB
+    for field in (Field(19, 2), Field(421, 1)):
+        tracemalloc.start()
+        try:
+            for _ in export_chunks(field, 1, build_graph(field, 1), "edgelist"):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, field
 
 
 def test_graph_structure_k61(cache):
