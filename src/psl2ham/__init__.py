@@ -7,9 +7,9 @@ stage is a function of the field.  Exact GF(s^m) arithmetic -> coset
 labels (beta, fiber), with closed-form representatives -> the ten orbits
 of the cyclic subgroup S of order p, held as two walks off one power
 walk of sigma, the other eight read by the fiber shift -> the quotient
-multigraph of an orbital graph, read off the two walks by the oracle
-`orbital_of` and cross-derived by 4 matrix-form neighborhoods -> voltage
-selection and a closed-form lift over the quotient cycle 0..9 -> a
+multigraph of an orbital graph, read off the two walks by the batched
+oracle `orbitals` and cross-derived by 4 matrix-form neighborhoods ->
+voltage selection and a closed-form lift over the quotient cycle 0..9 -> a
 certificate that carries its field, its claims and cycle edges checked by
 that oracle.  `verify_text`, the one verifier, holds certificate text to
 the writer's, `certificate_chunks`, of the header's lift.  Every point is
@@ -23,7 +23,7 @@ from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
                    weil_check)
 from .errors import InvariantViolation, ParameterError
 from .gf import Field, is_prime, list_instances
-from .orbital import build_graph, neighborhood, orbital_of
+from .orbital import build_graph, neighborhood, orbitals
 from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        build_quotient, certificate_chunks, lift, lift_cycle,
                        run_pipeline, verify_text)
@@ -34,7 +34,7 @@ __all__ = [
     "double_edge_equation", "m_pairs", "solution_profile", "weil_check",
     "InvariantViolation", "ParameterError",
     "Field", "is_prime", "list_instances",
-    "build_graph", "neighborhood", "orbital_of",
+    "build_graph", "neighborhood", "orbitals",
     "HamiltonCertificate", "QuotientMultigraph", "build_quotient",
     "certificate_chunks", "lift", "lift_cycle", "run_pipeline", "verify_text",
 ]

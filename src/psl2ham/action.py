@@ -119,8 +119,8 @@ def s_orbits(field: Field) -> tuple[array, array]:
         lx, ly = log[x], log[y]
         orb0.append(-(ly + 1) % 5 * k1 + exp[lx - ly - 1 + half] + 1)
         orb5.append(-lx % 5 * k1 + exp[ly - lx + half] + 1)
-        x, y = (F.add(F.mul(a, x), F.mul(bt, y)),
-                F.add(F.mul(a, y), F.mul(b, x)))
+        x, y = ((a * x + bt * y) % k, (a * y + b * x) % k) if F.m == 1 else (
+            F.add(F.mul(a, x), F.mul(bt, y)), F.add(F.mul(a, y), F.mul(b, x)))
     # at most k+1 codes: all k+1 betas are met iff each is met once
     seen = bytearray(k1)
     for orb in (orb0, orb5):

@@ -20,7 +20,7 @@ n and j of orbital graph i, with e = n + j - i:
 * both in the zero family:             the first form with j + 1 for j
 
 Then d(A,B) = N(x2 != 0)/10.  Proof: d(A,B) counts the points v of B
-with `orbital.orbital_of`(base of A, v) = i, f + f' = i + chi(beta' -
+with `orbital.orbitals` at (base of A, v) = i, f + f' = i + chi(beta' -
 beta) with chi = log mod 5, read as 0 at inf.  Position w of orbit j
 (5 + j) is the label (`action`) of sigma^w (l*sigma^w), fiber raised by
 j, sigma^w = +-[[x, y], [y*theta, x]], x^2 - theta*y^2 = 1.  Mod 5:

@@ -216,11 +216,11 @@ class Field:
         # doubled, so a sum of two logs indexes it without reduction
         self._exp = tuple(exp) * 2
         self._log = log
-        # for m > 1, zech[n] = log(1 + theta^n), None where that is 0 (log[0]
-        # is None); adding 1 to a handle adds 1 to its constant coordinate
+        # for m > 1, zech[n] = log(1 + theta^n), None where that is 0, doubled;
+        # adding 1 to a handle adds 1 to its constant coordinate
         if m > 1:
             self._zech = [log[h + 1 if h % s != s - 1 else h - (s - 1)]
-                          for h in exp]
+                          for h in exp] * 2
         # -1 = theta^((k-1)/2) for odd k, and -x = x in characteristic 2
         half = (k - 1) // 2
         self._neg = (range(k) if s == 2 else
@@ -229,9 +229,13 @@ class Field:
     # --- arithmetic ---
 
     def add(self, x: int, y: int) -> int:
-        if self.m == 1:
-            return (x + y) % self.s
-        if x and y:
+        return (x + y) % self.s if self.m == 1 else self._zech_add(x, y)
+
+    def sub(self, x: int, y: int) -> int:
+        return (x - y) % self.s if self.m == 1 else self._zech_add(x, self._neg[y])
+
+    def _zech_add(self, x: int, y: int) -> int:
+        if x and y:  # m > 1, for add and sub
             # x + y = x*(1 + y/x); a negative index wraps mod k-1 on zech
             lx = self._log[x]
             z = self._zech[self._log[y] - lx]
@@ -240,9 +244,6 @@ class Field:
 
     def neg(self, x: int) -> int:
         return self._neg[x]
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.s if self.m == 1 else self.add(x, self._neg[y])
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:

@@ -16,14 +16,15 @@ c != 0, its label is finite of fiber chi(a*beta + b) = chi(-1/c) =
 t^-f has c = theta^-(f+f') (beta' - beta), or +-theta^-(f+f') when one
 beta is inf, so it lies in long suborbit i, the finite points of fiber i.
 
-Every function here takes the field.  `orbital_of`, the rule in O(1), is
-the one adjacency oracle of `build_quotient` and the certificate checks;
-`neighborhood` keeps the matrix form to cross-check the quotient.
-`build_graph` fills the k^2 classes chi(x - beta) by rotating the chi
-row, with no field arithmetic, and checks Y(i) on them; `export_chunks`
-streams the edge text off that table, a mask per class over each row; at
-m = 1, lex is the handle and x - beta is (x - beta) mod s, so row j is row
-0 turned by j: its class-c betas are j plus row 0's (mod k), picked.
+Every function here takes the field.  `orbitals`, the rule in O(1) per
+pair over a batch of pairs, is the one adjacency oracle of `build_quotient`
+and the certificate checks; `neighborhood` keeps the matrix form to
+cross-check the quotient.  `build_graph` fills the k^2 classes
+chi(x - beta) by rotating the chi row, with no field arithmetic, and checks
+Y(i) on them; `export_chunks` streams the edge text off that table, a mask
+per class over each row; at m = 1, lex is the handle and x - beta is
+(x - beta) mod s, so row j is row 0 turned by j: its class-c betas are j
+plus row 0's (mod k), picked.
 """
 
 from __future__ import annotations
@@ -65,15 +66,27 @@ def neighborhood(field: Field, i: int, v: int) -> set[int]:
     return out
 
 
-def orbital_of(field: Field, v: int, w: int) -> int | None:
-    """The i with w ~ v in Y(i), or None when codes w and v are not adjacent."""
-    k1 = field.order + 1
-    rv, rw = v % k1, w % k1
-    if rv == rw:
-        return None
-    # chi(beta' - beta), read as 0 when a beta = r - 1 is inf (r = 0)
-    chi = field._log[field.sub(rw - 1, rv - 1)] if rv and rw else 0
-    return (v // k1 + w // k1 - chi) % 5
+def orbitals(field: Field, vs, ws):
+    """For each pair of codes v, w of vs and ws, the i with w ~ v in Y(i),
+    or None when they are not adjacent.  chi(beta' - beta) is read as 0 when
+    a beta = r - 1 is inf (r = 0); at m = 1 beta' - beta is (r' - r) mod s;
+    at m > 1 it is x - y = x*(1 - y/x), a Zech step with log(-y) = log(y) +
+    (k-1)/2, when x = beta' and y = beta are nonzero, else chi(x or -y)."""
+    k1, log = field.order + 1, field._log
+    zech, half = field._zech if field.m > 1 else None, field.order // 2
+    for v, w in zip(vs, ws):
+        rv, rw = v % k1, w % k1
+        if rv == rw:
+            yield None
+        elif not (rv and rw):
+            yield (v // k1 + w // k1) % 5
+        elif zech is None:  # a negative index wraps mod s
+            yield (v // k1 + w // k1 - log[rw - rv]) % 5
+        elif rv > 1 < rw:
+            lx = log[rw - 1]
+            yield (v // k1 + w // k1 - lx - zech[log[rv - 1] + half - lx]) % 5
+        else:
+            yield (v // k1 + w // k1 - log[rw + rv - 2]) % 5
 
 
 def build_graph(field: Field, i: int) -> bytearray:
@@ -157,8 +170,9 @@ def export_chunks(field: Field, i: int, cls, fmt: str):
     rs = (0, *(beta + 1 for beta in F.elements_lex))  # inf, then lex
     labels = [[texts[f * (k + 1) + r] for r in rs] for f in range(5)]
     masks = [bytes(b == c for b in range(256)) for c in range(5)]
-    Y = [[y for y in range(k) if cls[y] == c] for c in range(5)]  # on row 0
-    picks, twice = [itemgetter(*y) for y in Y], F.element_texts() * 2
+    if F.m == 1:  # row 0's class sets, picked for every row
+        Y = [[y for y in range(k) if cls[y] == c] for c in range(5)]
+        picks, twice = [itemgetter(*y) for y in Y], F.element_texts() * 2
     head, end = ('  "{}" -- "', '";\n') if fmt == "dot" else ("{} ", "\n")
     tails = [f":{g}{end}" for g in range(5)]  # a label is beta:g
     if fmt == "dot":

@@ -5,7 +5,7 @@ Collapsing an orbital graph along the ten S-orbits gives a multigraph on
 neighbor of A's base vertex inside B.  Each such edge carries a voltage
 w in Z_p, the position of that neighbor in B's cyclic order, so that
 v_A(c) ~ v_B(c + w) for every offset c.  Since S acts by automorphisms,
-the adjacency oracle `orbital.orbital_of` at the bases (inf, 0) and
+the batched adjacency oracle `orbital.orbitals` at the bases (inf, 0) and
 (0, 0), over the two walks of sigma `s_orbits` returns, orbits 0 and 5,
 gives every voltage, and four matrix-form neighborhoods cross-derive
 them (`build_quotient`); the full orbital graph is never built.
@@ -30,13 +30,14 @@ its record, whose vertices are that lift by construction.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .action import point_texts, s_orbits
 from .errors import InvariantViolation
 from .gf import Field, admissible, factor_prime_power
-from .orbital import neighborhood, orbital_of
+from .orbital import neighborhood, orbitals
 
 CERT_FORMAT = "psl2ham-certificate"
 CERT_VERSION = 1
@@ -61,7 +62,7 @@ class QuotientMultigraph(NamedTuple):
 
 def build_quotient(field: Field, i: int) -> QuotientMultigraph:
     """Collapse Y(i) along the ten S-orbits, recording voltages.  Position
-    w of walk e, orbit 5e, goes in bucket[c][e][o] when `orbital_of` puts
+    w of walk e, orbit 5e, goes in bucket[c][e][o] when `orbitals` puts
     it in Y(o) with code c, the base (inf, 0) or (0, 0).  Orbit 5e + j is
     walk e with every fiber raised by j, which raises the orbital of each
     pair by j, so voltages[a][b] = bucket[a // 5][b // 5][(i - a - b) % 5]:
@@ -74,12 +75,11 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
     k, p = field.order, (field.order + 1) // 2
     orbits = s_orbits(field)
     bucket = [[[[] for _ in range(5)] for _ in range(2)] for _ in range(2)]
-    for e in (0, 1):
-        for w, v in enumerate(orbits[e]):  # in order, so each is sorted
-            for base in (0, 1):
-                o = orbital_of(field, base, v)
-                if o is not None:
-                    bucket[base][e][o].append(w)
+    positions = [*range(p)]  # one int each, shared by the four passes
+    for e, base in ((0, 0), (0, 1), (1, 0), (1, 1)):  # w in order: sorted
+        for w, o in zip(positions, orbitals(field, repeat(base), orbits[e])):
+            if o is not None:
+                bucket[base][e][o].append(w)
     bucket = [[[tuple(ws) for ws in b5] for b5 in row] for row in bucket]
     volts = tuple(tuple(bucket[a // 5][b // 5][(i - a - b) % 5]
                         for b in range(10)) for a in range(10))
@@ -130,13 +130,18 @@ def lift(orbits, cycle, voltages) -> array:
     """The lift of the quotient cycle `cycle` under `voltages`: vertex
     10r + j is orbit a = cycle[j], walk a // 5 raised a % 5 fibers, at
     c_j + r*T (mod p), c_j the sum of the first j voltages and T of all
-    ten.  With T != 0 and p prime, T generates Z_p: one 10p-cycle.
+    ten.  With T != 0 and p prime, T generates Z_p: one 10p-cycle.  One
+    pick of the positions r*T mod p, any T, serves the ten steps: step j
+    takes it off walk a // 5 doubled and sliced at c_j, then raises it.
     """
     p = len(orbits[0])
     *starts, total = accumulate(voltages, initial=0)
-    steps = [(orbits[a // 5], a % 5 * 2 * p, c) for a, c in zip(cycle, starts)]
-    return array("l", ((walk[(c + r * total) % p] + up) % (10 * p)
-                       for r in range(p) for walk, up, c in steps))
+    pick = itemgetter(*(r * total % p for r in range(p)))
+    out = array("l", [0]) * (n := 10 * p)
+    for j, (a, c) in enumerate(zip(cycle, starts)):
+        walk, up, c = orbits[a // 5] * 2, a % 5 * 2 * p, c % p
+        out[j::10] = array("l", [(v + up) % n for v in pick(walk[c:c + p])])
+    return out
 
 
 def lift_cycle(q: QuotientMultigraph) -> HamiltonCertificate:
@@ -193,10 +198,10 @@ def _false_claim(cert: HamiltonCertificate, count: int) -> str | None:
 def _broken_edge(cert: HamiltonCertificate) -> str | None:
     """The first step of the cycle `cert.vertices` that is not in Y(i)."""
     field, i, verts = cert.field, cert.orbital_index, cert.vertices
-    for idx, v in enumerate(verts):
-        w = verts[idx + 1 - len(verts)]  # the closing step wraps to vertex 0
-        if orbital_of(field, v, w) != i:
-            texts = point_texts(field)
+    ws = chain(islice(verts, 1, None), verts[:1])  # the closing step to 0
+    for idx, o in enumerate(orbitals(field, verts, ws)):
+        if o != i:
+            v, w, texts = verts[idx], verts[idx + 1 - len(verts)], point_texts(field)
             return (f"step {idx}->{idx + 1}: {texts[v]} and {texts[w]} "
                     f"are not adjacent in orbital graph {i}")
 

@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psl2ham import (ParameterError, certificate_chunks, lift,
-                     list_instances, orbital_of, run_pipeline, s_orbits,
-                     verify_text)
+                     list_instances, run_pipeline, s_orbits, verify_text)
 from psl2ham.cli import (DESK_SCALE_MAX_K, INSTANCES_MAX_K, _resolve_params,
                          parse_args, run)
 from psl2ham.gf import admissible, factor_prime_power, prime_factors
 import reference
-from util import code, fresh_process_env, points, text_verdict
+from util import code, fresh_process_env, orbital_of, points, text_verdict
 
 
 def test_list_instances():

@@ -9,14 +9,14 @@ import tracemalloc
 import pytest
 
 from psl2ham import (Field, InvariantViolation, build_graph,
-                     neighborhood, orbital_of, point_texts, rep, s_orbits)
+                     neighborhood, orbitals, point_texts, rep, s_orbits)
 from psl2ham.cli import run
 from psl2ham.orbital import export_chunks
 import reference
 from reference import (edges, point_of, point_str, suborbits,
                        suborbits_by_h_orbits)
-from util import (ALPHA, OmegaPoint, code, point, points, random_words,
-                  ten_orbits, vertex_index)
+from util import (ALPHA, OmegaPoint, code, orbital_of, point, points,
+                  random_words, ten_orbits, vertex_index)
 
 
 def test_suborbit_profile(field61):
@@ -92,6 +92,29 @@ def test_orbital_of_matches_neighborhoods_sampled(fields, k):
     rng = random.Random(k)
     field = fields[k]
     assert_oracle_matches_neighborhoods(field, rng.sample(points(field), 20))
+
+
+@pytest.mark.parametrize("k", [81, 121])
+def test_orbitals_match_the_class_table(k, fields):
+    # every ordered pair of points at m = 4 and m = 2: the diagonal (None),
+    # inf or beta = 0 on either side, and the Zech step of beta' - beta,
+    # against chi(beta' - beta) of one Field.sub per class; elements_lex is
+    # an involution, so lex[beta] is the lex rank of beta
+    field, k1 = fields[k], k + 1
+    lex, table = field.elements_lex, reference.class_table(field)
+
+    def rule(v, w):
+        rv, rw = v % k1, w % k1
+        if rv == rw:
+            return None
+        chi = table[lex[rv - 1] * k + lex[rw - 1]] if rv and rw else 0
+        return (v // k1 + w // k1 - chi) % 5
+
+    codes = range(5 * k1)
+    vs, ws = [v for v in codes for _ in codes], [*codes] * len(codes)
+    want = list(map(rule, vs, ws))
+    assert want.count(None) == 5 * k1 * 5
+    assert list(orbitals(field, vs, ws)) == want
 
 
 @pytest.mark.parametrize("k", [61, 81, 121])

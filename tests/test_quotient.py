@@ -10,13 +10,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from psl2ham import (Field, build_graph, build_quotient, certificate_chunks,
                      lift, lift_cycle, list_instances, neighborhood,
-                     orbital_of, point_texts, run_pipeline, s_orbits,
+                     orbitals, point_texts, run_pipeline, s_orbits,
                      verify_text)
 from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
+from psl2ham.quotient import _broken_edge
 import reference
 from reference import base_voltages, point_str, unroll_lift
-from util import code, point, ten_orbits, text_verdict, vertex_index
+from util import (code, orbital_of, point, ten_orbits, text_verdict,
+                  vertex_index)
 
 
 def test_underlying_quotient_is_complete_k10(cache):
@@ -227,14 +229,16 @@ def _rebased(orbs):
 
 
 def _misread(orbits, base, a, w, o):
-    """orbital_of() reading o for code `base` and the point at position w
+    """orbitals() reading o for code `base` and the point at position w
     of orbit a, and the true orbital for every other pair."""
-    def fake(field, v, u):
-        return o if (v, u) == (base, orbits[a][w]) else orbital_of(field, v, u)
+    def fake(field, vs, ws):
+        pairs = list(zip(vs, ws))
+        for pair, real in zip(pairs, orbitals(field, *zip(*pairs))):
+            yield o if pair == (base, orbits[a][w]) else real
     return fake
 
 
-FAKES = {"neighborhood": _tampered, "s_orbits": _walked, "orbital_of": _misread}
+FAKES = {"neighborhood": _tampered, "s_orbits": _walked, "orbitals": _misread}
 
 # one case per check of build_quotient, each caught at k=61, orbital 0: a
 # tampered matrix form fails the cross-derivation, a tampered walk the
@@ -256,7 +260,7 @@ BROKEN_QUOTIENTS = [
     pytest.param("neighborhood", (lambda a, w: (a, w) == (0, 1), 1),
                  "neighbors differ across orbit 0: S-invariance broken$",
                  "quotient", id="same-counts"),
-    pytest.param("orbital_of", (0, 0, 0, 1),
+    pytest.param("orbitals", (0, 0, 0, 1),
                  "the neighbors of orbit 0's base differ from its voltages$",
                  "quotient", id="misread"),
     pytest.param("s_orbits", (_off_fiber,),
@@ -445,14 +449,16 @@ def test_lift_equals_the_walk(cache):
 @pytest.mark.parametrize("k", [61, 81, 121])
 def test_lift_in_any_orbit_order_reads_the_walked_orbits(k, fields):
     # orbit a of the cycle is walk a // 5 raised a % 5 fibers: over random
-    # orders of 0..9 and random voltages, against the ten walks of plain
-    # products of tests/reference.py
+    # orders of 0..9 and random voltages, the last draw with total 0 mod p,
+    # against the ten walks of plain products of tests/reference.py
     field, p = fields[k], (k + 1) // 2
     walks, walked = s_orbits(field), reference.walked_orbits(field)
     rng = random.Random(k + 9)
-    for _ in range(10):
+    for draw in range(11):
         cycle = rng.sample(range(10), 10)
         volts = [rng.randrange(p) for _ in range(10)]
+        if draw == 10:
+            volts[9] = -sum(volts[:9]) % p
         starts = [sum(volts[:j]) for j in range(10)]
         total = sum(volts)
         assert list(lift(walks, cycle, volts)) == [
@@ -626,6 +632,18 @@ def test_verify_closing_edge(cache):
     assert text_verdict(rotated) == (
         f"vertex 0 is {point_str(field, vs[1])}, but the header's cycle and "
         "voltages put inf:0 there")
+
+
+def test_edge_check_reads_the_closing_step(cache):
+    # a lift's closing step is its steps 10r + 9 -> 10r + 10 moved by S, so
+    # only a cycle that is no lift can break it alone: the emitted cycle
+    # with its last vertex dropped, whose new closing step leaves Y(0)
+    cert = lift_cycle(cache.quotient(61, 0))
+    vs, n = cert.vertices[:-1], len(cert.vertices) - 1
+    assert orbital_of(cert.field, vs[-1], vs[0]) != 0
+    assert _broken_edge(cert._replace(vertices=vs)) == (
+        f"step {n - 1}->{n}: {point_str(cert.field, vs[-1])} and inf:0 are "
+        "not adjacent in orbital graph 0")
 
 
 @pytest.fixture(scope="module")

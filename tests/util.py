@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import psl2ham
-from psl2ham import build_graph, certificate_chunks, verify_text
+from psl2ham import build_graph, certificate_chunks, orbitals, verify_text
 
 
 class OmegaPoint(NamedTuple):
@@ -85,6 +85,11 @@ def ten_orbits(walks):
     k1 = 2 * len(walks[0])
     return [array("l", [(v + j * k1) % (5 * k1) for v in walk])
             for walk in walks for j in range(5)]
+
+
+def orbital_of(field, v, w):
+    """The i with w ~ v in Y(i), or None: `orbitals` asked of one pair."""
+    return next(orbitals(field, (v,), (w,)))
 
 
 def vertex_index(field):
