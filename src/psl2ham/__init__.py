@@ -13,11 +13,12 @@ voltage selection and a closed-form lift over the quotient cycle 0..9 -> a
 certificate that carries its field, its claims and cycle edges checked by
 that oracle.  `verify_text`, the one verifier, holds certificate text to
 the writer's, `certificate_chunks`, of the header's lift.  Every point is
-one int code, spelled `point_texts`.  Records are NamedTuples.  The command line, `psl2ham.cli`, only parses
+one int code; `beta_texts` spells every beta, and `point_text` one point.
+Records are NamedTuples.  The command line, `psl2ham.cli`, only parses
 arguments and is not imported here.
 """
 
-from .action import point_texts, rep, s_orbits, sigma
+from .action import beta_texts, point_text, rep, s_orbits, sigma
 from .diag import (DiagonalEquation, SolutionProfile, WeilReport,
                    double_edge_equation, m_pairs, solution_profile,
                    weil_check)
@@ -29,7 +30,7 @@ from .quotient import (HamiltonCertificate, QuotientMultigraph,
                        run_pipeline, verify_text)
 
 __all__ = [
-    "point_texts", "rep", "s_orbits", "sigma",
+    "beta_texts", "point_text", "rep", "s_orbits", "sigma",
     "DiagonalEquation", "SolutionProfile", "WeilReport",
     "double_edge_equation", "m_pairs", "solution_profile", "weil_check",
     "InvariantViolation", "ParameterError",

@@ -10,9 +10,9 @@ Points of the coset space Omega are labeled (beta, fiber):
   decomposition K = H + Ht + ... + Ht^4, t = diag(theta, theta^-1).
 
 A point is one int, its code f*(k+1) + (0 if beta is inf else beta + 1),
-in 0..5(k+1)-1, so a table over the points, its texts `point_texts`
-included, is a flat array indexed by code.  It spells a point as the
-certificate writer does; a message that names a point builds it to raise.
+in 0..5(k+1)-1, so a table over the points is a flat array indexed by
+code.  `beta_texts` (by code mod k+1) spells every beta for the writer,
+its reader and the exports; a message names one point by `point_text`.
 
 A group element is a 4-tuple (a11, a12, a21, a22) of field handles with
 determinant 1; g and -g are the same element, and nothing here depends
@@ -51,10 +51,15 @@ from .gf import Field, admissible
 Mat = tuple[int, int, int, int]
 
 
-def point_texts(field: Field) -> list[str]:
-    """The text "beta:fiber" of every point, indexed by code."""
-    betas = ["inf", *field.element_texts()]
-    return [f"{beta}:{f}" for f in range(5) for beta in betas]
+def beta_texts(field: Field) -> list[str]:
+    """Every beta's text, "inf" then the k element texts, by code mod k+1."""
+    return ["inf", *field.element_texts()]
+
+
+def point_text(field: Field, v: int) -> str:
+    """The text "beta:fiber" of the point of code v."""
+    f, r = divmod(v, field.order + 1)
+    return f"{beta_texts(field)[r]}:{f}"
 
 
 def rep(field: Field, v: int) -> Mat:
@@ -129,6 +134,6 @@ def s_orbits(field: Field) -> tuple[array, array]:
     if 0 in seen:  # the first point missed: the first beta missed, fiber 0
         raise InvariantViolation(
             "S-orbits do not partition the point set: "
-            f"{point_texts(field)[seen.index(0)]} lies in no orbit",
+            f"{point_text(field, seen.index(0))} lies in no orbit",
             stage="action")
     return orb0, orb5

@@ -229,18 +229,17 @@ class Field:
     # --- arithmetic ---
 
     def add(self, x: int, y: int) -> int:
-        return (x + y) % self.s if self.m == 1 else self._zech_add(x, y)
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.s if self.m == 1 else self._zech_add(x, self._neg[y])
-
-    def _zech_add(self, x: int, y: int) -> int:
-        if x and y:  # m > 1, for add and sub
+        if self.m == 1:
+            return (x + y) % self.s
+        if x and y:
             # x + y = x*(1 + y/x); a negative index wraps mod k-1 on zech
             lx = self._log[x]
             z = self._zech[self._log[y] - lx]
             return 0 if z is None else self._exp[lx + z]
         return x or y
+
+    def sub(self, x: int, y: int) -> int:
+        return (x - y) % self.s if self.m == 1 else self.add(x, self._neg[y])
 
     def neg(self, x: int) -> int:
         return self._neg[x]

@@ -33,7 +33,7 @@ from bisect import bisect
 from itertools import compress
 from operator import itemgetter
 
-from .action import point_texts, rep
+from .action import beta_texts, point_text, rep
 from .errors import InvariantViolation
 from .gf import Field
 
@@ -133,21 +133,20 @@ def build_graph(field: Field, i: int) -> bytearray:
         row = cls[j * k:(j + 1) * k]
         if row.count(5) != 1:
             raise InvariantViolation(
-                f"vertex {point_texts(F)[beta + 1]} has {k1 - row.count(5)} "
+                f"vertex {point_text(F, beta + 1)} has {k1 - row.count(5)} "
                 f"neighbors, expected {k}", stage="orbital")
         if row[j] != 5:
             f = 3 * (i + row[j]) % 5  # 2f = i + chi(0)
             raise InvariantViolation(
-                f"loop at vertex {point_texts(F)[f * k1 + beta + 1]}",
+                f"loop at vertex {point_text(F, f * k1 + beta + 1)}",
                 stage="orbital")
         if row != cls[j::k]:
             x = next(x for x in range(k) if row[x] != cls[x * k + j])
             # the edge of the smaller class is there one way only
             g = (i + min(row[x], cls[x * k + j])) % 5
-            texts = point_texts(F)
             raise InvariantViolation(
-                f"asymmetric adjacency between {texts[beta + 1]} and "
-                f"{texts[g * k1 + lex[x] + 1]}", stage="orbital")
+                f"asymmetric adjacency between {point_text(F, beta + 1)} and "
+                f"{point_text(F, g * k1 + lex[x] + 1)}", stage="orbital")
     # one class c pairs star f with star i + c - f, and two classes a, b
     # give the shift f -> f + a - b, which reaches all five
     present = [c for c in range(5) if c in cls]
@@ -166,13 +165,13 @@ def export_chunks(field: Field, i: int, cls, fmt: str):
     each undirected edge once, (u, v) with u < v, u-major in vertex order,
     fiber-major, infinity first, then lex.  Fiber g holds row beta's class
     f + g - i: masked out, or at m = 1 picked as beta + Y_c, Y_c row 0's."""
-    F, k, texts = field, field.order, point_texts(field)
+    F, k, betas = field, field.order, beta_texts(field)
     rs = (0, *(beta + 1 for beta in F.elements_lex))  # inf, then lex
-    labels = [[texts[f * (k + 1) + r] for r in rs] for f in range(5)]
+    labels = [[f"{betas[r]}:{f}" for r in rs] for f in range(5)]
     masks = [bytes(b == c for b in range(256)) for c in range(5)]
     if F.m == 1:  # row 0's class sets, picked for every row
         Y = [[y for y in range(k) if cls[y] == c] for c in range(5)]
-        picks, twice = [itemgetter(*y) for y in Y], F.element_texts() * 2
+        picks, twice = [itemgetter(*y) for y in Y], betas[1:] * 2
     head, end = ('  "{}" -- "', '";\n') if fmt == "dot" else ("{} ", "\n")
     tails = [f":{g}{end}" for g in range(5)]  # a label is beta:g
     if fmt == "dot":
@@ -184,7 +183,7 @@ def export_chunks(field: Field, i: int, cls, fmt: str):
                 row = twice[r - 1:r - 1 + k]
                 for g in range(f, 5):
                     t, n = picks[c := (f + g - i) % 5](row), bisect(Y[c], k - r)
-                    later = t[:n] if g == f else ("inf",) * (c == 0) + t[n:] + t[:n]
+                    later = t[:n] if g == f else (betas[0],) * (c == 0) + t[n:] + t[:n]
                     if later:
                         chunk += h, (tails[g] + h).join(later), tails[g]
             else:  # chi read as 0 for inf, and class 5 from inf to inf

@@ -34,7 +34,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .action import point_texts, s_orbits
+from .action import beta_texts, point_text, s_orbits
 from .errors import InvariantViolation
 from .gf import Field, admissible, factor_prime_power
 from .orbital import neighborhood, orbitals
@@ -99,7 +99,7 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
         for c, v in enumerate(orbits[a // 5][:2]):  # v ~ orbit b at w + c
             nb = neighborhood(field, i, v)
             if len(nb) != k or v in nb:  # formats the point only to raise
-                at = point_texts(field)[v]
+                at = point_text(field, v)
                 raise InvariantViolation(
                     f"vertex {at} has {len(nb)} neighbors, expected {k}"
                     if len(nb) != k else f"loop at vertex {at}", stage="orbital")
@@ -201,9 +201,9 @@ def _broken_edge(cert: HamiltonCertificate) -> str | None:
     ws = chain(islice(verts, 1, None), verts[:1])  # the closing step to 0
     for idx, o in enumerate(orbitals(field, verts, ws)):
         if o != i:
-            v, w, texts = verts[idx], verts[idx + 1 - len(verts)], point_texts(field)
-            return (f"step {idx}->{idx + 1}: {texts[v]} and {texts[w]} "
-                    f"are not adjacent in orbital graph {i}")
+            v, w = verts[idx], verts[idx + 1 - len(verts)]
+            return (f"step {idx}->{idx + 1}: {point_text(field, v)} and "
+                    f"{point_text(field, w)} are not adjacent in orbital graph {i}")
 
 
 def run_pipeline(field: Field, i: int) -> HamiltonCertificate:
@@ -220,15 +220,15 @@ def run_pipeline(field: Field, i: int) -> HamiltonCertificate:
 
 def certificate_chunks(cert: HamiltonCertificate):
     """The text of `cert`: the ten header lines, then 4096 vertex lines a
-    chunk, code f*(k+1) + r as betas[r] + ":f", its `point_texts` entry,
-    with betas "inf" and the k element texts."""
+    chunk, code f*(k+1) + r as betas[r] + ":f" off `beta_texts`, the
+    `point_text` of the code."""
     field, verts = cert.field, cert.vertices
     yield (f"{CERT_FORMAT} {CERT_VERSION}\ns {field.s}\nm {field.m}\n"
            f"k {field.order}\np {cert.p}\norbital {cert.orbital_index}\n"
            f"cycle {' '.join(map(str, cert.cycle))}\n"
            f"voltages {' '.join(map(str, cert.chosen_voltages))}\n"
            f"total {cert.total_voltage}\nvertices {len(verts)}\n")
-    betas, k1 = ["inf", *field.element_texts()], field.order + 1
+    betas, k1 = beta_texts(field), field.order + 1
     ends = [f":{f}\n" for f in range(5)]
     for at in range(0, len(verts), 4096):
         yield "".join([betas[v % k1] + ends[v // k1]
@@ -250,8 +250,8 @@ def verify_text(text: str) -> tuple[HamiltonCertificate, str | None]:
     says: the record its header names, with its lift as the vertices once
     the claims hold, and the first failure or None; ValueError where the
     text is no certificate.  A valid body is the text `certificate_chunks`
-    writes of that lift, so no vertex line is parsed: the first line that
-    differs decides.  A record `cert` is verified as
+    writes of that lift, so only the first line that differs is parsed,
+    against `beta_texts`, and decides.  A record `cert` is verified as
     `verify_text("".join(certificate_chunks(cert)))`."""
     lines = text.split("\n", 10)
     head = lines[0].split(" ")
@@ -292,22 +292,22 @@ def verify_text(text: str) -> tuple[HamiltonCertificate, str | None]:
         raise ValueError(f"expected {n} vertex lines, found {found}")
     pos = 0  # the header chunk is the header read above
     for chunk in certificate_chunks(cert):
-        if text.startswith(chunk, pos):
-            pos += len(chunk)
-            continue
-        idx = text.count("\n", 0, pos) - 10
-        for want in chunk.splitlines(keepends=True):
-            got = text[pos:text.find("\n", pos) + 1 or len(text)]
-            if got != want:
-                break
-            pos, idx = pos + len(got), idx + 1
-        if got[-1] != "\n":
-            raise ValueError(f"vertex {idx}: {got!r} has no line end")
-        # the lift is every point once, so a line is a point iff the
-        # writer writes it in some chunk of the body
-        chunks = islice(certificate_chunks(cert), 1, None)
-        if any(f"\n{got}" in f"\n{c}" for c in chunks):
-            return cert, MISPLACED.format(idx, got[:-1], want[:-1])
-        raise ValueError(f"vertex {idx}: {got[:-1]!r} is not a point "
-                         f"beta:fiber of {cert.field!r}")
-    return cert, _broken_edge(cert)
+        if not text.startswith(chunk, pos):
+            break  # and the writer, with its betas, is freed
+        pos += len(chunk)
+    else:
+        return cert, _broken_edge(cert)
+    idx = text.count("\n", 0, pos) - 10
+    for want in chunk.splitlines(keepends=True):
+        got = text[pos:text.find("\n", pos) + 1 or len(text)]
+        if got != want:
+            break
+        pos, idx = pos + len(got), idx + 1
+    if got[-1] != "\n":
+        raise ValueError(f"vertex {idx}: {got!r} has no line end")
+    # the lift is every point once, so a line is misplaced iff it is a point
+    beta, _, f = got[:-1].rpartition(":")
+    if f in ("0", "1", "2", "3", "4") and beta in beta_texts(cert.field):
+        return cert, MISPLACED.format(idx, got[:-1], want[:-1])
+    raise ValueError(f"vertex {idx}: {got[:-1]!r} is not a point "
+                     f"beta:fiber of {cert.field!r}")

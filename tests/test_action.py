@@ -6,12 +6,12 @@ import random
 import pytest
 
 from psl2ham import (Field, InvariantViolation, build_graph,
-                     list_instances, point_texts, rep, s_orbits, sigma)
+                     list_instances, point_text, rep, s_orbits, sigma)
 from psl2ham.cli import run
 import reference
 from reference import PSL2, from_coeffs, point_of, point_str
-from util import (ALPHA, OmegaPoint, code, point, points, random_words,
-                  ten_orbits)
+from util import (ALPHA, OmegaPoint, code, point, point_texts, points,
+                  random_words, ten_orbits)
 
 
 def test_requires_divisibility(monkeypatch):
@@ -248,9 +248,11 @@ def test_point_serialization(field61, field81):
 
 @pytest.mark.parametrize("k", [61, 81, 121])
 def test_point_texts_are_point_str(k, fields):
-    # the table against the reference writer, built from the coordinates
+    # every code's text against the reference writer, built from the
+    # coordinates
     F = fields[k]
-    assert point_texts(F) == [point_str(F, v) for v in range(5 * (k + 1))]
+    assert ([point_text(F, v) for v in range(5 * (k + 1))]
+            == [point_str(F, v) for v in range(5 * (k + 1))])
 
 
 def test_vertex_order_is_fiber_major(cache, field61):

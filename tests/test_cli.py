@@ -227,6 +227,10 @@ NONCANONICAL = [
     (61, "17:0", "1_7:0"),
     (61, "17:0", "\u0661\u0667:0"),  # 17 in Arabic-Indic digits, which int() reads
     (61, "17:0", "1" * 5000 + ":0"),  # past int()'s digit limit
+    # a fiber "" or "12" is a substring of "01234"; ":0" is no beta
+    (61, "17:0", "17:"),
+    (61, "17:0", "17:12"),
+    (61, "17:0", ":0"),
     (81, "[2,0,1,1]:4", "[2,0,1]:4"),
     (81, "[2,0,1,1]:4", "[2, 0,1,1]:4"),
     (81, "[2,0,1,1]:4", "[02,0,1,1]:4"),
@@ -234,6 +238,7 @@ NONCANONICAL = [
     (81, "inf:0", "inf:00"),
     (81, "[2,0,1,1]:4", "+17:0"),
     (81, "[2,0,1,1]:4", "[2,0,1,1]:7"),
+    (81, "[2,0,1,1]:4", "[2,0,1,1]:"),
 ]
 
 

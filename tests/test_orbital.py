@@ -9,14 +9,14 @@ import tracemalloc
 import pytest
 
 from psl2ham import (Field, InvariantViolation, build_graph,
-                     neighborhood, orbitals, point_texts, rep, s_orbits)
+                     neighborhood, orbitals, rep, s_orbits)
 from psl2ham.cli import run
 from psl2ham.orbital import export_chunks
 import reference
 from reference import (edges, point_of, point_str, suborbits,
                        suborbits_by_h_orbits)
-from util import (ALPHA, OmegaPoint, code, orbital_of, point, points,
-                  random_words, ten_orbits, vertex_index)
+from util import (ALPHA, OmegaPoint, code, orbital_of, point, point_texts,
+                  points, random_words, ten_orbits, vertex_index)
 
 
 def test_suborbit_profile(field61):

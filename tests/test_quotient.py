@@ -10,15 +10,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from psl2ham import (Field, build_graph, build_quotient, certificate_chunks,
                      lift, lift_cycle, list_instances, neighborhood,
-                     orbitals, point_texts, run_pipeline, s_orbits,
-                     verify_text)
+                     orbitals, run_pipeline, s_orbits, verify_text)
 from psl2ham.cli import run
 from psl2ham.errors import InvariantViolation
 from psl2ham.quotient import _broken_edge
 import reference
 from reference import base_voltages, point_str, unroll_lift
-from util import (code, orbital_of, point, ten_orbits, text_verdict,
-                  vertex_index)
+from util import (code, orbital_of, point, point_texts, ten_orbits,
+                  text_verdict, vertex_index)
 
 
 def test_underlying_quotient_is_complete_k10(cache):
@@ -288,7 +287,7 @@ def test_build_quotient_checks_fire(name, args, message, stage, field61,
 def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
     # the 4 neighborhoods are checked on codes; text is for the messages.
     # So are the checks of s_orbits, build_graph, the pipeline and verify:
-    # each message that names a point builds the text table as it fails
+    # each message that names a point spells it as it fails
     cert = lift_cycle(build_quotient(field61, 0))
     text = "".join(certificate_chunks(cert))
 
@@ -296,7 +295,7 @@ def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
         raise AssertionError("point text formatted on the passing path")
 
     for module in ("quotient", "orbital", "action"):
-        monkeypatch.setattr(f"psl2ham.{module}.point_texts", refuse)
+        monkeypatch.setattr(f"psl2ham.{module}.point_text", refuse)
     assert sum(build_quotient(field61, 0).mult[0]) == 61
     assert len(s_orbits(field61)) == 2
     assert len(build_graph(field61, 2)) == 61 * 61
@@ -699,7 +698,7 @@ def test_parse_rejects_malformed():
 
 @pytest.mark.parametrize("s,m", [(61, 1), (3, 4)])
 def test_certificate_writes_each_point_as_point_texts(s, m, cache):
-    # the writer's line of every code is its point_texts entry: one spelling
+    # the writer's line of every code is its point_text: one spelling
     field = Field(s, m)
     n = 5 * (field.order + 1)
     cert = lift_cycle(cache.quotient(field.order, 0))
@@ -730,3 +729,52 @@ def test_hamilton_path_memory_is_linear_in_codes():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * 2**20
+
+
+def test_verify_failures_peak_no_higher_than_a_valid_verify(monkeypatch):
+    # a failure names its points one at a time, and a line that differs is
+    # parsed, not sought in a second writer pass: at k = 4621 each failing
+    # certificate peaks within 5% of the valid one, and the writer runs once
+    field = Field(4621, 1)
+    cert = run_pipeline(field, 0)
+    w = cert.chosen_voltages
+    rotated = w[1:] + w[:1]  # the same total: the claims hold
+    forged = cert._replace(chosen_voltages=rotated, vertices=lift(
+        s_orbits(field), range(10), rotated))
+    valid = "".join(certificate_chunks(cert))
+    lines = valid.split("\n")
+    moved = "\n".join(lines[:11] + [lines[12]] + lines[12:])
+    beta = lines[11].rpartition(":")[0]
+    fiber7 = "\n".join(lines[:11] + [f"{beta}:7"] + lines[12:])
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return certificate_chunks(c)
+
+    monkeypatch.setattr("psl2ham.quotient.certificate_chunks", counted)
+    peaks = {}
+    for name, text in [("valid", valid),
+                       ("step", "".join(certificate_chunks(forged))),
+                       ("misplaced", moved), ("not-a-point", fiber7)]:
+        calls.clear()
+        tracemalloc.start()
+        try:
+            try:
+                verdict = verify_text(text)[1]
+            except ValueError as exc:
+                verdict = str(exc)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 1, name
+        assert verdict == {
+            "valid": None,
+            "step": "step 0->1: inf:0 and 269:3 are not adjacent in "
+                    "orbital graph 0",
+            "misplaced": f"vertex 1 is {lines[12]}, but the header's cycle "
+                         f"and voltages put {lines[11]} there",
+            "not-a-point": f"vertex 1: '{beta}:7' is not a point beta:fiber "
+                           "of GF(4621)"}[name]
+    for name in ("step", "misplaced", "not-a-point"):
+        assert peaks[name] <= 1.05 * peaks["valid"], (name, peaks)

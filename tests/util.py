@@ -7,7 +7,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import psl2ham
-from psl2ham import build_graph, certificate_chunks, orbitals, verify_text
+from psl2ham import (build_graph, certificate_chunks, orbitals, point_text,
+                     verify_text)
 
 
 class OmegaPoint(NamedTuple):
@@ -90,6 +91,11 @@ def ten_orbits(walks):
 def orbital_of(field, v, w):
     """The i with w ~ v in Y(i), or None: `orbitals` asked of one pair."""
     return next(orbitals(field, (v,), (w,)))
+
+
+def point_texts(field):
+    """The text of every point, indexed by code: `point_text` of each."""
+    return [point_text(field, v) for v in range(5 * (field.order + 1))]
 
 
 def vertex_index(field):
