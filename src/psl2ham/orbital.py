@@ -21,16 +21,14 @@ pair over a batch of pairs, is the one adjacency oracle of `build_quotient`
 and the certificate checks; `neighborhood` keeps the matrix form to
 cross-check the quotient.  `build_graph` fills the k^2 classes
 chi(x - beta) by rotating the chi row, with no field arithmetic, and checks
-Y(i) on them; `export_chunks` streams the edge text off that table, a mask
-per class over each row; at m = 1, lex is the handle and x - beta is
-(x - beta) mod s, so row j is row 0 turned by j: its class-c betas are j
-plus row 0's (mod k), picked.
+Y(i) on them; `export_chunks` streams the edge text off that table: x - beta
+subtracts digit by digit mod s, so with S = k/s, row a*S + b is row b turned
+by a*S, and its class-c betas are a*S plus row b's (mod k), picked.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import compress
 from operator import itemgetter
 
 from .action import beta_texts, point_text, rep
@@ -163,38 +161,40 @@ def export_chunks(field: Field, i: int, cls, fmt: str):
     """The edge list of Y(i) read off its class table from `build_graph`, or
     with fmt "dot" the DOT text, one chunk per vertex with later neighbors:
     each undirected edge once, (u, v) with u < v, u-major in vertex order,
-    fiber-major, infinity first, then lex.  Fiber g holds row beta's class
-    f + g - i: masked out, or at m = 1 picked as beta + Y_c, Y_c row 0's."""
+    fiber-major, infinity first, then lex.  Fiber g holds row j's class
+    f + g - i; with S = k/s and j = a*S + b, row j is row b turned by a*S,
+    so its class-c betas are a*S + Y_bc (mod k), picked off the lex betas."""
     F, k, betas = field, field.order, beta_texts(field)
-    rs = (0, *(beta + 1 for beta in F.elements_lex))  # inf, then lex
-    labels = [[f"{betas[r]}:{f}" for r in rs] for f in range(5)]
-    masks = [bytes(b == c for b in range(256)) for c in range(5)]
-    if F.m == 1:  # row 0's class sets, picked for every row
-        Y = [[y for y in range(k) if cls[y] == c] for c in range(5)]
-        picks, twice = [itemgetter(*y) for y in Y], betas[1:] * 2
+    S, ints = k // F.s, list(range(k))  # one int object per position
+    lex = [betas[beta + 1] for beta in F.elements_lex]
+    twice = lex * 2
+    Y = []  # Y[b][c]: row b's class-c positions, ascending
+    for b in range(S):
+        Y.append(ys := [[] for _ in range(6)])
+        for y, c in zip(ints, cls[b * k:(b + 1) * k]):
+            ys[c].append(y)
+    picks = [[itemgetter(*y) for y in ys[:5]] for ys in Y]
     head, end = ('  "{}" -- "', '";\n') if fmt == "dot" else ("{} ", "\n")
     tails = [f":{g}{end}" for g in range(5)]  # a label is beta:g
     if fmt == "dot":
         yield f'graph "Y{i}_k{F.order}" {{\n'
     for f in range(5):
-        for r in range(k + 1):
-            h, chunk = head.format(labels[f][r]), []  # line: head(u) label(v) end
-            if F.m == 1 and r:  # t: betas r - 1 + Y_c, the first n short of k
-                row = twice[r - 1:r - 1 + k]
+        head_of = head.format(f"{{}}:{f}").format  # line: head(u) label(v) end
+        h = head_of(betas[0])
+        if (g := (i - f) % 5) >= f:  # (inf, f): the k finite points of fiber i - f
+            yield h + (tails[g] + h).join(lex) + tails[g]
+        for a in range(F.s):
+            row, top = twice[a * S:a * S + k], k - 1 - a * S  # top: the last unturned y
+            for b in range(S):
+                h, chunk = head_of(lex[a * S + b]), []
                 for g in range(f, 5):
-                    t, n = picks[c := (f + g - i) % 5](row), bisect(Y[c], k - r)
-                    later = t[:n] if g == f else (betas[0],) * (c == 0) + t[n:] + t[:n]
+                    y = Y[b][c := (f + g - i) % 5]
+                    t, n = picks[b][c](row), bisect(y, top)
+                    later = (t[bisect(y, b):n] if g == f else  # after j; inf, then lex
+                             (betas[0],) * (c == 0) + t[n:] + t[:n])
                     if later:
                         chunk += h, (tails[g] + h).join(later), tails[g]
-            else:  # chi read as 0 for inf, and class 5 from inf to inf
-                row = b"\0" + cls[(r - 1) * k:r * k] if r else b"\5" + bytes(k)
-                later = list(compress(labels[f][r + 1:], row[r + 1:].translate(
-                    masks[(2 * f - i) % 5])))
-                for g in range(f + 1, 5):
-                    later += compress(labels[g], row.translate(masks[(f + g - i) % 5]))
-                if later:
-                    chunk += h, (end + h).join(later), end
-            if chunk:
-                yield "".join(chunk)
+                if chunk:
+                    yield "".join(chunk)
     if fmt == "dot":
         yield "}\n"

@@ -54,6 +54,11 @@ BUILD_SHA256 = {
         "e3801b3ffd8229db2c924be7d21b5794c526edbd1a160895be77c4c933192e2b",
     ("--k", "421", "--orbital", "1", "--format", "dot"):
         "ddf180b8e78d7020efd7be50fda8db01a223f6c07e2b80d991a91dfd0e2b4ba3",
+    # m = 4 and m = 2, hashed on the export that masked every fiber at m > 1
+    ("--k", "81", "--orbital", "3", "--format", "dot"):
+        "1b55f960dcc913c1dd2c89140a9698c8431363f19cd339c9cf87df11e05e4b41",
+    ("--k", "841", "--orbital", "2"):
+        "ca689b16c8d51c81ac7522de9b691418a5785e45f3065c8fb498b57477bab7fe",
     # m = 1 edge lists, hashed on the export that masked every fiber
     ("--k", "61", "--orbital", "4", "--format", "edgelist"):
         "9dcdc386304eae0b9147946babc7228c12a6b30c179fd73852f2dcf708c57f6e",

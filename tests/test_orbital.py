@@ -140,16 +140,21 @@ def test_class_table_is_chi_of_field_subtraction(s, m):
         assert build_graph(field, i) == table
 
 
-@pytest.mark.parametrize("k", [61, 421])
-def test_prime_class_table_rows_are_row_0_turned(k):
-    # at m = 1, lex is the handle, so row j holds chi(x - j) = row 0 at x - j:
-    # export_chunks picks row j's class-c betas as j + (row 0's) mod k
-    field = Field(k, 1)
+@pytest.mark.parametrize("s,m", [pytest.param(s, m, id=str(s**m)) for s, m in
+                                 [(61, 1), (3, 4), (11, 2), (19, 2), (421, 1)]])
+def test_class_table_rows_are_base_rows_turned(s, m):
+    # x - beta subtracts digit by digit mod s, so with S = k/s row a*S + b
+    # holds chi(x - a*S - b) = row b at x - a*S: export_chunks picks row
+    # j's class-c betas as a*S + (row b's) mod k; at m = 1, S = 1
+    field = Field(s, m)
+    k = field.order
+    S = k // s
     for i in range(5):
         cls = build_graph(field, i)
-        row0 = cls[:k]
         for j in range(k):
-            assert cls[j * k:(j + 1) * k] == row0[k - j:] + row0[:k - j]
+            a, b = divmod(j, S)
+            row = cls[b * k:(b + 1) * k]
+            assert cls[j * k:(j + 1) * k] == row[k - a * S:] + row[:k - a * S]
 
 
 @pytest.mark.parametrize("k", [61, 81, 121])
@@ -332,17 +337,21 @@ def test_edgelist_deterministic(cache):
     assert len(parts) == 2
 
 
-def test_export_chunks_are_vertex_rows(cache):
+@pytest.mark.parametrize("i", range(5))
+@pytest.mark.parametrize("k", [61, 81])
+def test_export_chunks_are_vertex_rows(cache, k, i):
     # one chunk per vertex row with edges to later vertices, holding them
-    g = cache.graph(61, 0)
-    rows = [n for n in (sum(v > u for v in nb) for u, nb in enumerate(g.neighbors)) if n]
-    cls = build_graph(g.field, 0)
-    chunks = list(export_chunks(g.field, 0, cls, "edgelist"))
-    assert len(chunks) == len(rows) < 310  # the last vertices have no later edges
-    for n, chunk in zip(rows, chunks):
+    # under that vertex's label; the rows of infinity included, fiber 0's too
+    g = cache.graph(k, i)
+    texts = point_texts(g.field)
+    rows = [(u, n) for u, nb in enumerate(g.neighbors) if (n := sum(v > u for v in nb))]
+    cls = build_graph(g.field, i)
+    chunks = list(export_chunks(g.field, i, cls, "edgelist"))
+    assert len(chunks) == len(rows) < 5 * (k + 1)  # the last vertices have no later edges
+    for (u, n), chunk in zip(rows, chunks):
         lines = chunk.splitlines()
-        assert len(lines) == n and len({line.split()[0] for line in lines}) == 1
-    dot = list(export_chunks(g.field, 0, cls, "dot"))
+        assert len(lines) == n and {line.split()[0] for line in lines} == {texts[g.vertices[u]]}
+    dot = list(export_chunks(g.field, i, cls, "dot"))
     assert len(dot) == len(rows) + 2 and dot[-1] == "}\n"
 
 
