@@ -77,11 +77,11 @@ def sigma(field: Field) -> Mat:
     k = 1 mod 4, 1 + theta*b^2 = theta^e != 0, and a is the lex-smaller of
     +-theta^(e/2) for even e (elements_lex, a digit reversal, is an
     involution, so it maps h to its lex rank)."""
-    F, exp, lex = field, field._exp, field.elements_lex
+    F, exp, lex, h = field, field._exp, field.elements_lex, field._log_neg1
     for b in lex[1:]:  # [0] is the zero element
         e = F._log[F.add(1, F.mul(F.theta, F.mul(b, b)))]
         if e % 2 == 0:
-            a = min(exp[e // 2], F._neg[exp[e // 2]], key=lex.__getitem__)
+            a = min(exp[e // 2], exp[e // 2 + h], key=lex.__getitem__)
             return (a, b, F.mul(b, F.theta), a)
     raise AssertionError("S has no element besides the identity")
 
@@ -112,7 +112,7 @@ def s_orbits(field: Field) -> tuple[array, array]:
     if not admissible(k):
         raise ValueError(f"k = {k} is not an admissible instance")
     p, k1 = (k + 1) // 2, k + 1
-    F, exp, log, half = field, field._exp, field._log, (k - 1) // 2
+    F, exp, log, h = field, field._exp, field._log, field._log_neg1
     a, b, bt, _ = sigma(field)
     orb0, orb5 = array("l", [0]), array("l", [1])  # w = 0: (inf, 0), (0, 0)
     x, y = a, b
@@ -122,8 +122,8 @@ def s_orbits(field: Field) -> tuple[array, array]:
         # the labels of H*sigma^w and H*l*sigma^w by the module docstring,
         # with theta = exp[1]
         lx, ly = log[x], log[y]
-        orb0.append(-(ly + 1) % 5 * k1 + exp[lx - ly - 1 + half] + 1)
-        orb5.append(-lx % 5 * k1 + exp[ly - lx + half] + 1)
+        orb0.append(-(ly + 1) % 5 * k1 + exp[lx - ly - 1 + h] + 1)
+        orb5.append(-lx % 5 * k1 + exp[ly - lx + h] + 1)
         x, y = ((a * x + bt * y) % k, (a * y + b * x) % k) if F.m == 1 else (
             F.add(F.mul(a, x), F.mul(bt, y)), F.add(F.mul(a, y), F.mul(b, x)))
     # at most k+1 codes: all k+1 betas are met iff each is met once

@@ -51,7 +51,8 @@ log c mod g, which as g | 10 is fixed by e mod 5 (log c = 2e - 1 or 2e,
 plus log(-1)).  a1, b, d1 = gcd(2, q-1) and d2 = g do not involve e, so
 N, N(x2 != 0), the bound and its verdict agree across the class.  For
 admissible k the ten J = log(a2/b) mod 10 of `solution_profile` are 2e - 1
-and 2e, as 20 | k-1: a report reads 1 - t once for each t != 0, 1.
+and 2e, as 20 | k-1: a report reads log(1 - t) once for each t != 0, 1,
+off the field's tables with no Field call (`solution_profile`).
 """
 
 from __future__ import annotations
@@ -94,19 +95,22 @@ def solution_profile(field: Field, eq: DiagonalEquation) -> SolutionProfile:
     a*x^e = v != 0 has d = gcd(e, q-1) roots x if d | log(v/a), else none.
     b != 0: each t = theta^n, n = log(a2/b) mod d2, is a2*x2^k2/b for d2
     x2, and b*(1 - t) = a1*x1^k1 for x1 = 0 alone if t = 1, else for d1 x1
-    iff log(1 - t) = log(a1/b) mod d1; x2 = 0 adds a1*x1^k1 = b.  b = 0:
+    iff log(1 - t) = log(a1/b) mod d1: log[1 - t] at m = 1, zech[n + log(-1)]
+    at m > 1, as -t = theta^(n + log(-1)); x2 = 0 adds a1*x1^k1 = b.  b = 0:
     a1*x1^k1 = -a2*x2^k2 has (q-1)*g solutions x2 != 0 if g = gcd(d1, d2)
     divides log(-a2/a1), else none, as lcm(d1, d2) | q-1; and x1 = x2 = 0."""
     eq.validate(field)
-    km1, log = field.order - 1, field._log
+    km1, log, h = field.order - 1, field._log, field._log_neg1
     d1, d2 = math.gcd(eq.k1, km1), math.gcd(eq.k2, km1)
     l1, l2, lb = log[eq.a1], log[eq.a2], log[eq.b]
     if eq.b == 0:
         g = math.gcd(d1, d2)
-        nz = km1 * g * ((l2 + log[field.neg(1)] - l1) % g == 0)
+        nz = km1 * g * ((l2 + h - l1) % g == 0)
         return SolutionProfile(total=nz + 1, nonzero_x2=nz)
-    J, r, sub = (l2 - lb) % d2, (l1 - lb) % d1, field.sub
-    logs = [log[sub(1, t)] % d1 for t in field._exp[J or d2:km1:d2]]
+    J, r = (l2 - lb) % d2, (l1 - lb) % d1
+    logs = ([log[1 - t] % d1 for t in field._exp[J or d2:km1:d2]]
+            if field.m == 1 else  # a negative index wraps mod s
+            [z % d1 for z in field._zech[(J or d2) + h:km1 + h:d2]])
     nz = d2 * ((J == 0) + d1 * logs.count(r))
     return SolutionProfile(total=nz + d1 * (r == 0), nonzero_x2=nz)
 

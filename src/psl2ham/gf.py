@@ -18,11 +18,13 @@ x^m ... x^(2m-2) mod the modulus; then each digit is reduced mod s.  The
 generator search powers candidates so, and exp steps x -> x*theta (x*theta
 mod s when m = 1, else a table step on the two halves of x's base-s
 digits, from tables of each half's packed products with theta); log
-inverts exp, negation is -x = theta^((k-1)/2)*x, and the coordinate order
-reverses base-s digits.  Addition for m > 1 goes through the Zech logarithm
-zech[n] = log(1 + theta^n): x + y = x*(1 + y/x), so every table is O(k).
-Coordinates exist only as text: `element_texts` writes all k elements by
-one product over the digit strings, the one writer of element text.
+inverts exp, and the coordinate order reverses base-s digits.  Negation is a
+log offset with no table, log(-x) = log x + log(-1), where log(-1) is (k-1)/2,
+or 0 in characteristic 2; x - y is add(x, neg(y)), with no `sub`.  Addition
+for m > 1 goes through the Zech logarithm zech[n] = log(1 + theta^n):
+x + y = x*(1 + y/x), so every table is O(k).  Coordinates exist only as text:
+`element_texts` writes all k elements by one product over the digit strings,
+the one writer of element text.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def smallest_irreducible(s: int, m: int) -> tuple[int, ...]:
 
 
 class Field:
-    """GF(s^m) with a fixed generator theta and full exp/log/Zech tables."""
+    """GF(s^m) with generator theta, exp/log/Zech tables, no negation table."""
 
     def __init__(self, s: int, m: int):
         if not is_prime(s):
@@ -221,10 +223,8 @@ class Field:
         if m > 1:
             self._zech = [log[h + 1 if h % s != s - 1 else h - (s - 1)]
                           for h in exp] * 2
-        # -1 = theta^((k-1)/2) for odd k, and -x = x in characteristic 2
-        half = (k - 1) // 2
-        self._neg = (range(k) if s == 2 else
-                     (0, *(self._exp[e + half] for e in log[1:])))
+        # log(-1): -1 = theta^((k-1)/2) for odd k, -1 = 1 in characteristic 2
+        self._log_neg1 = (k - 1) // 2 if s != 2 else 0
 
     # --- arithmetic ---
 
@@ -238,11 +238,8 @@ class Field:
             return 0 if z is None else self._exp[lx + z]
         return x or y
 
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.s if self.m == 1 else self.add(x, self._neg[y])
-
     def neg(self, x: int) -> int:
-        return self._neg[x]
+        return x and self._exp[self._log[x] + self._log_neg1]
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:

@@ -41,12 +41,11 @@ def neighborhood(field: Field, i: int, v: int) -> set[int]:
     log(a*beta + b) mod 5), or (inf, log(a) mod 5) if c = 0, of
     [[a,b],[c,d]] = [[0,-theta^i],[theta^-i,x]] * rep(v) over x in GF(k)."""
     F, k = field, field.order
-    exp, log, neg, add, mul = F._exp, F._log, F._neg, F.add, F.mul
+    exp, log, h, add, mul = F._exp, F._log, F._log_neg1, F.add, F.mul
     r1, r2, r3, r4 = rep(F, v)
-    th_i, th_mi = F.pow(F.theta, i), F.pow(F.theta, -i)
-    # [[0,-th^i],[th^-i,x]] * rep: first row constant, second affine in x
-    a, b = mul(neg[th_i], r3), mul(neg[th_i], r4)
-    c0, d0 = mul(th_mi, r1), mul(th_mi, r2)
+    # [[0,-th^i],[th^-i,x]] * rep, th = exp[1]: row 1 constant, row 2 affine in x
+    a, b = mul(exp[i + h], r3), mul(exp[i + h], r4)
+    c0, d0 = mul(exp[-i], r1), mul(exp[-i], r2)
     # x*r3 and x*r4 for x = 0, theta^0, theta^1, ...
     col3, col4 = ([0, *exp[log[r]:log[r] + k - 1]] if r else [0] * k
                   for r in (r3, r4))
@@ -58,7 +57,7 @@ def neighborhood(field: Field, i: int, v: int) -> set[int]:
             out.add(la % 5 * k1)
             continue
         d = add(d0, w)
-        beta = neg[exp[log[d] - log[c]]] if d else 0  # a negative index wraps
+        beta = exp[log[d] - log[c] + h] if d else 0  # a negative index wraps
         ab = exp[la + log[beta]] if a and beta else 0
         out.add(log[add(ab, b)] % 5 * k1 + beta + 1)
     return out
@@ -71,7 +70,7 @@ def orbitals(field: Field, vs, ws):
     at m > 1 it is x - y = x*(1 - y/x), a Zech step with log(-y) = log(y) +
     (k-1)/2, when x = beta' and y = beta are nonzero, else chi(x or -y)."""
     k1, log = field.order + 1, field._log
-    zech, half = field._zech if field.m > 1 else None, field.order // 2
+    zech, h = field._zech if field.m > 1 else None, field._log_neg1
     for v, w in zip(vs, ws):
         rv, rw = v % k1, w % k1
         if rv == rw:
@@ -82,7 +81,7 @@ def orbitals(field: Field, vs, ws):
             yield (v // k1 + w // k1 - log[rw - rv]) % 5
         elif rv > 1 < rw:
             lx = log[rw - 1]
-            yield (v // k1 + w // k1 - lx - zech[log[rv - 1] + half - lx]) % 5
+            yield (v // k1 + w // k1 - lx - zech[log[rv - 1] + h - lx]) % 5
         else:
             yield (v // k1 + w // k1 - log[rw + rv - 2]) % 5
 

@@ -14,7 +14,9 @@ the closed form `quotient.lift` is checked, and the quotient's voltages
 read off the matrix-form neighborhoods of the ten orbit bases
 (`base_voltages`), against which the label-rule reading of
 `build_quotient` is checked.  It also keeps
-the helpers that only tests call: `coeffs`, `from_coeffs`, `point_of`,
+the helpers that only tests call: `coeffs`, `from_coeffs`, `minus`, the
+one subtraction and negation of the oracles, digit by digit, so that they
+share no table of the field with the code they check, `point_of`,
 `equation_for_orbit_pair`, `brute_count`, `class_table`, `edges`,
 `per_row_report`, the weil-report checking each row's own equation,
 against which `diag.solvability_report` is checked, and
@@ -73,6 +75,16 @@ def from_coeffs(field: Field, cs) -> int:
     return sum(c % field.s * field.s**i for i, c in enumerate(cs))
 
 
+def minus(field: Field, x: int, y: int) -> int:
+    """x - y, digit by digit mod s on the base-s digits of the handles,
+    with no table of the field and no `Field.neg`: -y is minus(field, 0, y)."""
+    s, out, place = field.s, 0, 1
+    for _ in range(field.m):
+        out += (x // place - y // place) % s * place
+        place *= s
+    return out
+
+
 def element_str(field: Field, x: int) -> str:
     """The text of the element with handle x, from its coordinates: the
     residue for m = 1, else "[c0,c1,...]"."""
@@ -109,7 +121,7 @@ def point_of(field: Field, g: Mat) -> OmegaPoint:
     a, b, c, d = g
     if c == 0:
         return OmegaPoint(None, field._log[a] % 5)
-    beta = field.mul(field._neg[d], field.pow(c, -1))
+    beta = field.mul(minus(field, 0, d), field.pow(c, -1))
     return OmegaPoint(beta, field._log[field.add(field.mul(a, beta), b)] % 5)
 
 
@@ -144,10 +156,10 @@ def walked_orbits(field: Field) -> list[list[int]]:
 
 def class_table(field: Field) -> bytes:
     """The classes chi(x - beta) over beta, then x, in coordinate-lex
-    order, one `Field.sub` each; 5 where x = beta."""
+    order, one digit-wise `minus` each; 5 where x = beta."""
     chi = [5 if e is None else e % 5 for e in field._log]
     lex = field.elements_lex
-    return bytes(chi[field.sub(x, beta)] for beta in lex for x in lex)
+    return bytes(chi[minus(field, x, beta)] for beta in lex for x in lex)
 
 
 def edges(graph):
@@ -209,8 +221,8 @@ def value_count_profile(field: Field, eq: DiagonalEquation) -> SolutionProfile:
     eq.validate(field)
     c1 = term_values(field, eq.a1, eq.k1)
     c2 = term_values(field, eq.a2, eq.k2)
-    sub, b = field.sub, eq.b
-    nonzero_x2 = sum(n * (c1.get(sub(b, v), 0) + (v == b))
+    b = eq.b
+    nonzero_x2 = sum(n * (c1.get(minus(field, b, v), 0) + (v == b))
                      for v, n in c2.items())
     return SolutionProfile(total=nonzero_x2 + c1.get(b, 0) + (b == 0),
                            nonzero_x2=nonzero_x2)
@@ -296,6 +308,8 @@ class PSL2:
         self._pos = [False] * k
         for e in range(1, k):
             self._pos[e] = field._log[e] < half
+        # _neg[e] = -e, digit by digit: no table or method of the field
+        self._neg = [minus(field, 0, e) for e in range(k)]
         self.identity: Mat = (1, 0, 0, 1)
 
     # --- element operations ---
@@ -305,13 +319,13 @@ class PSL2:
             if e:
                 if self._pos[e]:
                     return g
-                n = self.field._neg
+                n = self._neg
                 return (n[g[0]], n[g[1]], n[g[2]], n[g[3]])
         raise ValueError("zero matrix is not a group element")
 
     def det(self, g: Mat) -> int:
         F = self.field
-        return F.sub(F.mul(g[0], g[3]), F.mul(g[1], g[2]))
+        return minus(F, F.mul(g[0], g[3]), F.mul(g[1], g[2]))
 
     def mul(self, g: Mat, h: Mat) -> Mat:
         F = self.field
@@ -324,7 +338,7 @@ class PSL2:
 
     def inv(self, g: Mat) -> Mat:
         a, b, c, d = g
-        n = self.field._neg
+        n = self._neg
         return self.canon((d, n[b], n[c], a))
 
     def power(self, g: Mat, e: int) -> Mat:

@@ -28,8 +28,8 @@ from psl2ham import (DiagonalEquation, Field, build_quotient,
                      s_orbits, solution_profile, weil_check)
 from psl2ham.diag import le_times_sqrt
 from psl2ham.gf import is_prime
-from reference import (PSL2, brute_count, equation_for_orbit_pair, mulclose,
-                       suborbits, unroll_lift)
+from reference import (PSL2, brute_count, equation_for_orbit_pair, minus,
+                       mulclose, suborbits, unroll_lift)
 from util import fresh_process_env, held_graph, ten_orbits, text_verdict
 
 PRIME_POWERS_TO_121 = [
@@ -69,7 +69,7 @@ def single_edge_pairs(field: Field, i: int) -> set[tuple[int, int]]:
             eq = equation_for_orbit_pair(field, i, a, b)
             assert (eq.k1, eq.k2) == (2, 10)
             first = {field.mul(eq.a1, v) for v in squares}
-            if not any(field.sub(eq.b, field.mul(eq.a2, t)) in first
+            if not any(minus(field, eq.b, field.mul(eq.a2, t)) in first
                        for t in tenths):
                 out.add((a, b))
     return out

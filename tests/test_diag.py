@@ -13,8 +13,8 @@ from psl2ham import (DiagonalEquation, Field, build_quotient,
                      solution_profile, weil_check)
 from psl2ham.diag import (PAIR_INF_INF, PAIR_INF_ZERO, PAIR_ZERO_ZERO,
                           le_times_sqrt, solvability_report)
-from reference import (brute_count, equation_for_orbit_pair, per_row_report,
-                       value_count_profile)
+from reference import (brute_count, equation_for_orbit_pair, minus,
+                       per_row_report, value_count_profile)
 
 PRIME_POWERS_TO_121 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
@@ -45,8 +45,11 @@ def test_linear_equation_counts_q():
 
 
 def test_count_matches_brute_force():
+    # GF(16) and GF(32): in characteristic 2 log(-1) = 0, so the Zech reads
+    # of 1 - t take no offset
     rng = random.Random(6)
-    for s, m in [(3, 1), (5, 1), (7, 1), (3, 2), (2, 4), (13, 1), (61, 1)]:
+    for s, m in [(3, 1), (5, 1), (7, 1), (3, 2), (2, 4), (13, 1), (61, 1),
+                 (2, 5)]:
         F = Field(s, m)
         for _ in range(8):
             eq = DiagonalEquation(
@@ -57,11 +60,12 @@ def test_count_matches_brute_force():
                 brute_count(F, eq), brute_count(F, eq, True))
 
 
-@pytest.mark.parametrize("s,m", [(7, 1), (3, 2), (2, 4), (13, 1)])
+@pytest.mark.parametrize("s,m", [(7, 1), (3, 2), (2, 4), (13, 1), (2, 5)])
 def test_count_matches_brute_force_at_the_edges(s, m):
     # the closed-form value counts where they are most easily wrong: b = 0,
     # exponent 1, gcd(k, q-1) = 1 (k = q) and k a multiple of q-1 (a term
-    # with one nonzero value, taken q-1 times)
+    # with one nonzero value, taken q-1 times); over GF(32), whose q - 1 is
+    # prime, only k = q-1 gives a d > 1 to test log(-1) = 0 on
     F = Field(s, m)
     q = F.order
     rng = random.Random(q)
@@ -435,21 +439,46 @@ def test_report_counts_each_distinct_equation_once(field61, monkeypatch):
         assert rows[1 + 125 * (pair_type - 1) + 25 * i + 5 * j + n] == row
 
 
-@pytest.mark.parametrize("k", [61, 81])
-def test_report_subtracts_once_per_element(k, fields, monkeypatch):
-    # the ten counts read disjoint index classes of 1 - t, which cover
-    # every t != 0, 1 once: q - 2 subtractions in one report
+def test_report_makes_no_field_call_per_element(monkeypatch):
+    # the ten counts read log(1 - t) straight off the tables, so a report's
+    # Field calls are those that write its ten equations: as many at
+    # k = 61 (m = 1, log[1 - t]) as at k = 3481 (m = 2, the Zech table)
+    small, large = Field(61, 1), Field(59, 2)
     calls = []
-    sub = Field.sub
 
-    def counted(field, x, y):
-        calls.append(y)
-        return sub(field, x, y)
+    def counted(name, method):
+        def call(field, *args):
+            calls.append((field.order, name))
+            return method(field, *args)
+        return call
 
-    monkeypatch.setattr(Field, "sub", counted)
-    solvability_report(fields[k])
-    assert len(calls) == k - 2
-    assert sorted(calls) == list(range(2, k))
+    for name in ("add", "mul", "neg", "pow"):
+        monkeypatch.setattr(Field, name, counted(name, getattr(Field, name)))
+    solvability_report(small)
+    solvability_report(large)
+    per_k = [sorted(n for k, n in calls if k == q) for q in (61, 3481)]
+    assert per_k[0] and per_k[0] == per_k[1]
+
+
+@pytest.mark.parametrize("k", [61, 81, 121])
+def test_report_classes_cover_each_n_once(k, fields):
+    # count J of the ten reads log(1 - theta^n) over n = J mod d2 with
+    # 0 < n < k - 1: at m > 1 as zech[n + log(-1)], as 1 - theta^n =
+    # 1 + theta^(n + log(-1)), at m = 1 as log[1 - theta^n].  The ten
+    # classes cover every n in 1..k-2 once, and each read is log(1 - t)
+    # by the digit-wise subtraction
+    F = fields[k]
+    log, h = F._log, F._log_neg1
+    ns = []
+    for t, e in product((PAIR_INF_INF, PAIR_INF_ZERO), range(5)):
+        eq = double_edge_equation(F, t, 0, 0, e)
+        d2 = math.gcd(eq.k2, k - 1)
+        J = (log[eq.a2] - log[eq.b]) % d2
+        ns += range(J or d2, k - 1, d2)
+    assert sorted(ns) == list(range(1, k - 1))
+    for n in ns:
+        got = log[1 - F._exp[n]] if F.m == 1 else F._zech[n + h]
+        assert got == log[minus(F, 1, F._exp[n])]
 
 
 @pytest.mark.parametrize("s,m", [

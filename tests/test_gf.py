@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from psl2ham import Field
 from psl2ham.gf import is_prime, prime_factors, smallest_irreducible
-from reference import coeffs, element_str, from_coeffs
+from reference import coeffs, element_str, from_coeffs, minus
 
 
 # --- naive polynomial oracle, independent of the Field internals ---
@@ -280,6 +280,17 @@ def test_add_matches_coordinatewise(s, m, data):
     assert coeffs(F, F.add(x, y)) == cs
 
 
+@pytest.mark.parametrize("s,m", [(2, 1), (2, 4), (2, 5), (3, 4), (5, 2),
+                                 (7, 3), (11, 2), (61, 1)])
+def test_neg_is_digitwise_negation(s, m):
+    # neg adds log(-1) to a log, (k-1)/2 for odd k and 0 in characteristic
+    # 2, where -x = x; the oracle negates each base-s digit mod s
+    F = field(s, m)
+    for x in range(F.order):
+        assert F.neg(x) == minus(F, 0, x)
+        assert F.add(x, F.neg(x)) == 0
+
+
 @pytest.mark.parametrize("s,m", [(3, 4), (2, 4), (61, 1)])
 def test_add_exhaustive(s, m):
     F = field(s, m)
@@ -288,7 +299,7 @@ def test_add_exhaustive(s, m):
         for y in range(F.order):
             cs = tuple((a + b) % s for a, b in zip(coeffs(F, x), coeffs(F, y)))
             assert coeffs(F, F.add(x, y)) == cs
-            assert F.sub(F.add(x, y), y) == x
+            assert minus(F, F.add(x, y), y) == x
 
 
 def test_serialization_round_trip():

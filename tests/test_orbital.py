@@ -98,8 +98,8 @@ def test_orbital_of_matches_neighborhoods_sampled(fields, k):
 def test_orbitals_match_the_class_table(k, fields):
     # every ordered pair of points at m = 4 and m = 2: the diagonal (None),
     # inf or beta = 0 on either side, and the Zech step of beta' - beta,
-    # against chi(beta' - beta) of one Field.sub per class; elements_lex is
-    # an involution, so lex[beta] is the lex rank of beta
+    # against chi(beta' - beta) of one digit-wise subtraction per class;
+    # elements_lex is an involution, so lex[beta] is the lex rank of beta
     field, k1 = fields[k], k + 1
     lex, table = field.elements_lex, reference.class_table(field)
 
@@ -133,7 +133,8 @@ def test_build_graph_matches_neighborhoods(k, cache, fields):
 @pytest.mark.parametrize("s,m", [pytest.param(s, m, id=str(s**m)) for s, m in
                                  [(61, 1), (3, 4), (11, 2), (19, 2), (421, 1)]])
 def test_class_table_is_chi_of_field_subtraction(s, m):
-    # the rotated chi row against one Field.sub per entry, for m = 1, 2, 4
+    # the rotated chi row against one digit-wise subtraction per entry, for
+    # m = 1, 2, 4
     field = Field(s, m)
     table = reference.class_table(field)
     for i in range(5):
