@@ -16,19 +16,28 @@ c != 0, its label is finite of fiber chi(a*beta + b) = chi(-1/c) =
 t^-f has c = theta^-(f+f') (beta' - beta), or +-theta^-(f+f') when one
 beta is inf, so it lies in long suborbit i, the finite points of fiber i.
 
+The other orbitals of G are the diagonal and, for j = 1..4, (w, w raised j
+fibers): the fiber shift commutes with G (`s_orbits`) and H*t^j is the fixed
+point (inf, j) of H.  As j pairs with 5 - j, they give two undirected graphs
+of k + 1 5-cycles, one over each beta.  So a graph X on Omega that G acts on
+is a union of seven undirected graphs, Y(0..4) and these two, and of the 127
+nonempty unions the connected ones are the 124 that contain some Y(i), as
+each Y(i) is connected and the cycles never leave a beta.
+
 Every function here takes the field.  `orbitals`, the rule in O(1) per
-pair over a batch of pairs, is the one adjacency oracle of `build_quotient`
-and the certificate checks; `neighborhood` keeps the matrix form to
-cross-check the quotient.  `build_graph` fills the k^2 classes
-chi(x - beta) by rotating the chi row, with no field arithmetic, and checks
-Y(i) on them; `export_chunks` streams the edge text off that table: x - beta
-subtracts digit by digit mod s, so with S = k/s, row a*S + b is row b turned
-by a*S, and its class-c betas are a*S plus row b's (mod k), picked.
+pair over a batch of pairs, is the one adjacency oracle of `build_quotient`,
+the certificate checks and `build_graph`; `neighborhood` keeps the matrix
+form to cross-check the quotient.  x - beta subtracts digit by digit mod s,
+so with S = k/s, row a*S + b of the k^2 classes chi(x - beta) is row b
+turned by a*S: `build_graph` reads the S base rows off `orbitals` and checks
+Y(i) on them, and `export_chunks` streams the edge text off them, row
+a*S + b's class-c betas being a*S plus row b's (mod k), picked.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from itertools import repeat
 from operator import itemgetter
 
 from .action import beta_texts, point_text, rep
@@ -87,18 +96,18 @@ def orbitals(field: Field, vs, ws):
 
 
 def build_graph(field: Field, i: int) -> bytearray:
-    """Check the i-th basic orbital graph and return its byte table of
-    classes, cls[j*k + x] = chi(lex[x] - lex[j]): by the rule, (beta, f)
-    has in fiber g the point inf when f + g = i and the beta' with
-    chi(beta' - beta) = f + g - i.  A lex index is the base-s number of
-    the coordinates, constant term most significant, and x - beta
-    subtracts them digit by digit mod s, so row beta is the chi row in lex
-    order with its s-blocks rotated at every digit level by beta's digits.
-    The checks run on the table before this returns.  Each is exact:
+    """Check the i-th basic orbital graph and return the S = k/s base rows
+    of its class table, cls[b*k + x] = chi(lex[x] - lex[b]) for b < S, read
+    off `orbitals` at fiber 0: by the rule, (beta, f) has in fiber g the
+    point inf when f + g = i and the beta' with chi(beta' - beta) = f + g - i.
+    Row a*S + b of the k^2 table is base row b turned by a*S, and each check
+    is exact and holds on a row iff on its base row, so the first row that
+    fails one is a base row:
     - degree and loop: (beta, f) has 1 + #{x : chi(x - beta) != 5}
       neighbors, and a loop iff 2f = i + chi(0), so each vertex over beta
       has k neighbors and no loop iff row beta holds one 5, on the diagonal;
-    - symmetry: the rule is symmetric in f and f', so Y(i) is iff cls is;
+    - symmetry: the rule is symmetric in f and f', so Y(i) is iff the table
+      is; entry (x, b) with x = d*S + y is base row y at (-d mod s)*S + b;
     - connectivity: the finite points of fiber f are all joined to
       (inf, i - f), so Y(i) is connected iff these five stars are.  Stars
       f and g meet iff class f + g - i (mod 5) occurs in the table.
@@ -109,38 +118,27 @@ def build_graph(field: Field, i: int) -> bytearray:
     if (k - 1) % 10:
         raise ValueError("coset space requires 10 | k-1")
     s, lex, k1 = F.s, F.elements_lex, k + 1
-    # class 5 holds x - beta = 0 (log[0] is None): no edge
-    chi = [5 if e is None else e % 5 for e in F._log]
-
-    def rows(c):
-        """Row j of c(x - beta_j), for s^n classes c in lex order."""
-        n = len(c) // s
-        for j in range(s):  # the leading digit of beta
-            if n == 1:
-                yield (c + c)[s - j:2 * s - j]
-                continue
-            for parts in zip(*(rows(c[a * n:(a + 1) * n]) for a in range(s))):
-                yield b"".join((parts + parts)[s - j:2 * s - j])
-
-    cls = bytearray()
-    for row in rows(bytes(chi[x] for x in lex)):
-        cls += row
-
-    for j, beta in enumerate(lex):
-        row = cls[j * k:(j + 1) * k]
+    S, codes = k // s, [beta + 1 for beta in lex]
+    cls = bytearray()  # class 5 where x = beta (orbitals says None): no edge
+    for v in codes[:S]:
+        cls += bytes(5 if o is None else -o % 5
+                     for o in orbitals(F, repeat(v), codes))
+    for b, beta in enumerate(lex[:S]):
+        row = cls[b * k:(b + 1) * k]
         if row.count(5) != 1:
             raise InvariantViolation(
                 f"vertex {point_text(F, beta + 1)} has {k1 - row.count(5)} "
                 f"neighbors, expected {k}", stage="orbital")
-        if row[j] != 5:
-            f = 3 * (i + row[j]) % 5  # 2f = i + chi(0)
+        if row[b] != 5:
+            f = 3 * (i + row[b]) % 5  # 2f = i + chi(0)
             raise InvariantViolation(
                 f"loop at vertex {point_text(F, f * k1 + beta + 1)}",
                 stage="orbital")
-        if row != cls[j::k]:
-            x = next(x for x in range(k) if row[x] != cls[x * k + j])
+        col = b"".join(cls[-d % s * S + b::k] for d in range(s))
+        if row != col:
+            x = next(x for x in range(k) if row[x] != col[x])
             # the edge of the smaller class is there one way only
-            g = (i + min(row[x], cls[x * k + j])) % 5
+            g = (i + min(row[x], col[x])) % 5
             raise InvariantViolation(
                 f"asymmetric adjacency between {point_text(F, beta + 1)} and "
                 f"{point_text(F, g * k1 + lex[x] + 1)}", stage="orbital")
@@ -157,12 +155,12 @@ def build_graph(field: Field, i: int) -> bytearray:
 # --- exports ---
 
 def export_chunks(field: Field, i: int, cls, fmt: str):
-    """The edge list of Y(i) read off its class table from `build_graph`, or
+    """The edge list of Y(i) read off the base rows from `build_graph`, or
     with fmt "dot" the DOT text, one chunk per vertex with later neighbors:
     each undirected edge once, (u, v) with u < v, u-major in vertex order,
     fiber-major, infinity first, then lex.  Fiber g holds row j's class
-    f + g - i; with S = k/s and j = a*S + b, row j is row b turned by a*S,
-    so its class-c betas are a*S + Y_bc (mod k), picked off the lex betas."""
+    f + g - i; with S = k/s and j = a*S + b, row j is base row b turned by
+    a*S, so its class-c betas are a*S + Y_bc (mod k), picked off lex betas."""
     F, k, betas = field, field.order, beta_texts(field)
     S, ints = k // F.s, list(range(k))  # one int object per position
     lex = [betas[beta + 1] for beta in F.elements_lex]

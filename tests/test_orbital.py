@@ -1,6 +1,5 @@
 """Suborbits and orbital graphs: sizes, symmetry, regularity, exports."""
 
-import copy
 import itertools
 import random
 import re
@@ -16,7 +15,7 @@ import reference
 from reference import (edges, point_of, point_str, suborbits,
                        suborbits_by_h_orbits)
 from util import (ALPHA, OmegaPoint, code, orbital_of, point, point_texts,
-                  points, random_words, ten_orbits, vertex_index)
+                  points, random_words, ten_orbits, turned, vertex_index)
 
 
 def test_suborbit_profile(field61):
@@ -133,29 +132,31 @@ def test_build_graph_matches_neighborhoods(k, cache, fields):
 @pytest.mark.parametrize("s,m", [pytest.param(s, m, id=str(s**m)) for s, m in
                                  [(61, 1), (3, 4), (11, 2), (19, 2), (421, 1)]])
 def test_class_table_is_chi_of_field_subtraction(s, m):
-    # the rotated chi row against one digit-wise subtraction per entry, for
-    # m = 1, 2, 4
+    # the base rows read off orbitals, turned, against one digit-wise
+    # subtraction per entry, for m = 1, 2, 4
     field = Field(s, m)
     table = reference.class_table(field)
     for i in range(5):
-        assert build_graph(field, i) == table
+        assert turned(field, build_graph(field, i)) == table
 
 
 @pytest.mark.parametrize("s,m", [pytest.param(s, m, id=str(s**m)) for s, m in
                                  [(61, 1), (3, 4), (11, 2), (19, 2), (421, 1)]])
 def test_class_table_rows_are_base_rows_turned(s, m):
     # x - beta subtracts digit by digit mod s, so with S = k/s row a*S + b
-    # holds chi(x - a*S - b) = row b at x - a*S: export_chunks picks row
-    # j's class-c betas as a*S + (row b's) mod k; at m = 1, S = 1
+    # holds chi(x - a*S - b) = row b at x - a*S: build_graph keeps the S
+    # base rows alone, and export_chunks picks row j's class-c betas as
+    # a*S + (row b's) mod k; at m = 1, S = 1
     field = Field(s, m)
     k = field.order
     S = k // s
+    table = reference.class_table(field)
+    for j in range(k):
+        a, b = divmod(j, S)
+        row = table[b * k:(b + 1) * k]
+        assert table[j * k:(j + 1) * k] == row[k - a * S:] + row[:k - a * S]
     for i in range(5):
-        cls = build_graph(field, i)
-        for j in range(k):
-            a, b = divmod(j, S)
-            row = cls[b * k:(b + 1) * k]
-            assert cls[j * k:(j + 1) * k] == row[k - a * S:] + row[:k - a * S]
+        assert build_graph(field, i) == table[:S * k]
 
 
 @pytest.mark.parametrize("k", [61, 81, 121])
@@ -181,53 +182,56 @@ def test_exported_edges_are_the_edges_of_the_label_rule(k, fields):
             assert index[u] < index[v]
 
 
-def tampered(field, edit):
-    """A copy of a GF(61) field with its log table edited.
+def injected(monkeypatch, fault):
+    """Route the oracle of build_graph through fault(v, w, o), o the orbital
+    that `orbitals` gives the pair (v, w).  build_graph asks it of finite
+    points of fiber 0 alone, where o = -chi(beta' - beta), or None where
+    beta' = beta, and at m = 1 beta' - beta is (w - v) mod k."""
+    def faulty(field, vs, ws):
+        vs, ws = zip(*zip(vs, ws))
+        return map(fault, vs, ws, orbitals(field, vs, ws))
 
-    build_graph fills its table by rotating the chi row, with no field
-    arithmetic, so the edit reaches it through chi alone."""
-    field = copy.copy(field)
-    field._log = list(field._log)
-    edit(field._log)
-    return field
-
-
-def drop_chi_of_2(log):
-    log[2] = None  # chi(2) undefined: beta + 2 drops out of each row of beta
+    monkeypatch.setattr("psl2ham.orbital.orbitals", faulty)
 
 
-def chi_of_zero_and_drop_2(log):
-    drop_chi_of_2(log)
-    log[0] = 0  # beta' = beta joins class 0: a loop, sizes stay k
+def drop_chi_of_2(v, w, o):
+    # chi(2) undefined: beta + 2 drops out of each row of beta
+    return None if (w - v) % 61 == 2 else o
 
 
-def shift_chi_of_2(log):
-    log[2] += 1  # chi(2) != chi(-2)
+def chi_of_zero_and_drop_2(v, w, o):
+    # beta' = beta joins class 0: a loop, sizes stay k
+    return 0 if v == w else drop_chi_of_2(v, w, o)
 
 
-def flatten_chi(log):
+def shift_chi_of_2(v, w, o):
+    # chi(2) + 1 != chi(-2)
+    return (o - 1) % 5 if (w - v) % 61 == 2 else o
+
+
+def flatten_chi(v, w, o):
     # chi = 0 everywhere: (beta, f) ~ (beta', f') iff f + f' = i, which
     # pairs the fibers and leaves three components
-    log[:] = [None if e is None else 5 * e for e in log]
+    return None if o is None else 0
 
 
-@pytest.mark.parametrize("edit,message", [
+@pytest.mark.parametrize("fault,message", [
     (drop_chi_of_2, "has 60 neighbors, expected 61"),
     (chi_of_zero_and_drop_2, "loop at vertex"),
     (shift_chi_of_2, "asymmetric adjacency"),
     (flatten_chi, "is disconnected"),
 ])
-def test_build_graph_checks_raise(field61, edit, message):
-    field = tampered(field61, edit)
+def test_build_graph_checks_raise(field61, fault, message, monkeypatch):
+    injected(monkeypatch, fault)
     for i in range(5):
         with pytest.raises(InvariantViolation, match=message) as exc:
-            build_graph(field, i)
+            build_graph(field61, i)
         assert exc.value.stage == "orbital"
-    assert field61._log[2] is not None  # the original is untouched
+    monkeypatch.undo()
     build_graph(field61, 0)
 
 
-def test_build_graph_messages_are_exact(field61):
+def test_build_graph_messages_are_exact(field61, monkeypatch):
     # each message names its points by their full text: the row of beta = 0
     # fails first, and a loop sits at fiber f with 2f = i
     expected = {
@@ -237,19 +241,68 @@ def test_build_graph_messages_are_exact(field61):
         shift_chi_of_2: [f"asymmetric adjacency between 0:0 and "
                          f"2:{(i + 1) % 5}" for i in range(5)],
     }
-    for edit, messages in expected.items():
-        field = tampered(field61, edit)
+    for fault, messages in expected.items():
+        injected(monkeypatch, fault)
         for i, message in enumerate(messages):
             with pytest.raises(InvariantViolation) as exc:
-                build_graph(field, i)
+                build_graph(field61, i)
             assert str(exc.value) == message
 
 
+def scan(field, i, table):
+    """The first row of the whole k^2 class table that fails a check of
+    build_graph, row by row (degree, loop, symmetry), and its message."""
+    k, k1, lex = field.order, field.order + 1, field.elements_lex
+    for j, beta in enumerate(lex):
+        row, col = table[j * k:(j + 1) * k], table[j::k]
+        if row.count(5) != 1:
+            return j, (f"vertex {point_str(field, beta + 1)} has "
+                       f"{k1 - row.count(5)} neighbors, expected {k}")
+        if row[j] != 5:
+            f = 3 * (i + row[j]) % 5
+            return j, f"loop at vertex {point_str(field, f * k1 + beta + 1)}"
+        if row != col:
+            x = next(x for x in range(k) if row[x] != col[x])
+            g = (i + min(row[x], col[x])) % 5
+            return j, (f"asymmetric adjacency between "
+                       f"{point_str(field, beta + 1)} and "
+                       f"{point_str(field, g * k1 + lex[x] + 1)}")
+    return None
+
+
+@pytest.mark.parametrize("check", ["degree", "loop", "symmetry"])
+@pytest.mark.parametrize("k", [81, 121])
+def test_build_graph_checks_a_fault_in_one_base_row(k, check, fields,
+                                                    monkeypatch):
+    # a fault in base row b = 1 alone is in every row a*S + 1 of the k^2
+    # table; at x = 2S + 3 no row before b meets it, so build_graph must
+    # name the point that a scan of the turned table names, reading
+    # row x's entry for the symmetry check off base row 3 turned by 2S
+    F = fields[k]
+    lex, S = F.elements_lex, k // F.s
+    b, x = 1, 2 * S + 3
+    base = bytearray(reference.class_table(F)[:S * k])
+    edits = {"degree": {x: 5}, "loop": {b: 0, x: 5},
+             "symmetry": {x: (base[b * k + x] + 1) % 5}}[check]
+    at = {}
+    for y, c in edits.items():
+        base[b * k + y] = c
+        at[lex[b] + 1, lex[y] + 1] = None if c == 5 else -c % 5
+    injected(monkeypatch, lambda v, w, o: at.get((v, w), o))
+    table = turned(F, base)
+    for i in range(5):
+        j, message = scan(F, i, table)
+        assert j == b and message.startswith(
+            {"degree": "vertex", "loop": "loop", "symmetry": "asymmetric"}[check])
+        with pytest.raises(InvariantViolation) as exc:
+            build_graph(F, i)
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("fmt", ["edgelist", "dot"])
-def test_build_checks_come_before_output(fmt, field61, tmp_path, monkeypatch):
+def test_build_checks_come_before_output(fmt, tmp_path, monkeypatch):
     path = tmp_path / "g.txt"
-    monkeypatch.setattr("psl2ham.cli.Field",
-                        lambda s, m: tampered(field61, shift_chi_of_2))
+    injected(monkeypatch, shift_chi_of_2)
     assert run(["build", "--k", "61", "--format", fmt, "--out", str(path)]) == 3
     assert not path.exists()
     monkeypatch.undo()
@@ -258,10 +311,12 @@ def test_build_checks_come_before_output(fmt, field61, tmp_path, monkeypatch):
 
 
 def test_build_memory_is_linear_in_k():
-    # the class table is k^2 bytes, 0.12 MiB at k = 361 and 0.17 MiB at the
-    # prime 421, and one row is held at a time (at m = 1, one slice of the
-    # doubled beta texts); all 5k(k+1) row entries would take about 10 MiB
-    for field in (Field(19, 2), Field(421, 1)):
+    # the class table is its k/s base rows, k^2/s bytes: 6.9 kB at k = 361
+    # and k bytes at the primes 421 and 1201; one row is held at a time (at
+    # m = 1, one slice of the doubled beta texts); all 5k(k+1) row entries
+    # would take about 10 MiB at 421, and the k^2 table 1.4 MiB at 1201
+    for field, bound in ((Field(19, 2), 2**20), (Field(421, 1), 2**20),
+                         (Field(1201, 1), 2**19)):
         tracemalloc.start()
         try:
             for _ in export_chunks(field, 1, build_graph(field, 1), "edgelist"):
@@ -269,7 +324,7 @@ def test_build_memory_is_linear_in_k():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20, field
+        assert peak < bound, field
 
 
 def test_graph_structure_k61(cache):
@@ -295,6 +350,60 @@ def test_graph_is_connected_and_symmetric(cache):
             frontier = {v for u in frontier for v in nbs[u]} - seen
             seen |= frontier
         assert len(seen) == len(nbs) == 5 * (k + 1)
+
+
+def joined(n, roots):
+    """Whether the stars u -- roots[u] of each root list join all n points
+    into one component: the union of the graphs whose components they are
+    is connected iff they do."""
+    up, merged = list(range(n)), 0
+    for u, r in itertools.chain.from_iterable(map(enumerate, roots)):
+        while up[u] != u:
+            u = up[u]
+        while up[r] != r:
+            r = up[r]
+        if u != r:
+            up[u], merged = r, merged + 1
+    return merged == n - 1
+
+
+@pytest.mark.parametrize("k", [61, 81])
+def test_connected_unions_are_those_with_some_basic_orbital(k, cache):
+    # the reduction of the orbital docstring: the diagonal, Y(0..4) and the
+    # two fiber-shift graphs (steps +-1 and +-2; the shift commutes with G,
+    # test_action) partition Omega x Omega, and of the 127 nonempty unions
+    # of the seven graphs the connected ones are the 124 with some Y(i)
+    k1 = k + 1
+    n = 5 * k1  # the vertex order of `points` shifts fibers as codes do
+    graphs = [cache.graph(k, i).neighbors for i in range(5)]
+    graphs += [[sorted({(u + j * k1) % n, (u - j * k1) % n}) for u in range(n)]
+               for j in (1, 2)]
+    cover = bytearray(n * n)
+    for u in range(n):
+        cover[u * n + u] += 1
+    for nbs in graphs:
+        for u, nb in enumerate(nbs):
+            for v in nb:
+                cover[u * n + v] += 1
+    assert cover.count(1) == n * n
+    roots = []  # each graph's components, as the first point of each
+    for nbs in graphs:
+        root, todo = [None] * n, []
+        for u in range(n):
+            if root[u] is None:
+                root[u], todo = u, [u]
+            while todo:
+                for v in nbs[todo.pop()]:
+                    if root[v] is None:
+                        root[v] = u
+                        todo.append(v)
+        roots.append(root)
+    # Y(i) is connected, and each shift graph is k + 1 5-cycles, one a beta
+    assert [len(set(r)) for r in roots] == [1] * 5 + [k1] * 2
+    connected = [mask for mask in range(1, 128) if joined(
+        n, [r for g, r in enumerate(roots) if mask >> g & 1])]
+    assert connected == [mask for mask in range(1, 128) if mask & 31]
+    assert len(connected) == 124
 
 
 def test_invalid_orbital_index(field61):

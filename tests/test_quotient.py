@@ -298,7 +298,7 @@ def test_build_quotient_formats_points_only_to_raise(field61, monkeypatch):
         monkeypatch.setattr(f"psl2ham.{module}.point_text", refuse)
     assert sum(build_quotient(field61, 0).mult[0]) == 61
     assert len(s_orbits(field61)) == 2
-    assert len(build_graph(field61, 2)) == 61 * 61
+    assert len(build_graph(field61, 2)) == 61  # S = 1 base row at m = 1
     assert run_pipeline(field61, 0) == cert
     assert verify_text(text)[1] is None
 

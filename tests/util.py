@@ -59,13 +59,23 @@ class HeldGraph(NamedTuple):
     neighbors: tuple[list[int], ...]  # vertex indices, sorted
 
 
+def turned(field, base):
+    """The k^2 class table rebuilt from the k/s base rows that `build_graph`
+    returns: with S = k/s, row a*S + b is base row b turned by a*S."""
+    k = field.order
+    S = k // field.s
+    rows = [base[b * k:(b + 1) * k] for b in range(S)]
+    return b"".join(row[k - a * S:] + row[:k - a * S]
+                    for a in range(field.s) for row in rows)
+
+
 def held_graph(field, i):
-    """Y(i) with every row read off the class table of `build_graph`:
-    (beta, f) has in fiber g the points of class f + g - i of row beta,
-    with inf in front as class 0; (inf, f) has the finite points of fiber
-    i - f."""
+    """Y(i) with every row read off the class table of `build_graph`,
+    `turned` whole: (beta, f) has in fiber g the points of class f + g - i
+    of row beta, with inf in front as class 0; (inf, f) has the finite
+    points of fiber i - f."""
     k, k1 = field.order, field.order + 1
-    cls = build_graph(field, i)
+    cls = turned(field, build_graph(field, i))
     fibers = [range(g * k1, (g + 1) * k1) for g in range(5)]
     masks = [bytes(b == c for b in range(256)) for c in range(5)]
     neighbors = []
