@@ -19,7 +19,13 @@ determinant 1; g and -g are the same element, and nothing here depends
 on the sign.  For g = [[a,b],[c,d]] the label is computed in O(1):
 beta = -d/c (infinity when c = 0), and fiber = log(a*beta + b) mod 5
 (log(a) mod 5 in the infinity case).  This is well defined on cosets and
-independent of the sign representative because 10 | k-1.
+independent of the sign representative because 10 | k-1.  With
+chi(x) = log(x) mod 5, chi(-1) = 0, as -1 = theta^((k-1)/2); so, as
+det g = ad - bc = 1, the label is read off the second row (c, d) alone:
+
+    (-d/c, -chi(c)) if c != 0,   (inf, -chi(d)) if c = 0,
+
+since a*beta + b = (bc - ad)/c = -1/c when c != 0, and a = 1/d when c = 0.
 
 The representative of (beta, f) is rep = t^f * T_beta with T_inf the
 identity and T_beta = [[0,1],[-1,beta]], in closed form
@@ -30,15 +36,12 @@ admissible k alone.  Its powers are sigma^w = [[x, y], [y*theta, x]],
 x^2 - theta*y^2 = 1, and w = 0, the identity, labels (inf, 0), (0, 0).
 Every later power w < p has y != 0, as sigma has prime order p, and
 x != 0: x = 0 needs theta*y^2 = -1, but -1 is a square as 4 | k-1 and
-theta is not.  So with chi(x) = log(x) mod 5 each gives two labels:
+theta is not.  So each gives two labels, read off the second rows
+(y*theta, x) of sigma^w and (x, y) of l*sigma^w = -[[y*theta, x], [-x, -y]],
+l = [[0,-1],[1,0]]:
 
     H*sigma^w:   (-x/(y*theta), -chi(y*theta))
     H*l*sigma^w: (-y/x, -chi(x))
-
-with l = [[0,-1],[1,0]] and l*sigma^w = -[[y*theta, x], [-x, -y]].  In
-the first, a*beta + b = (theta*y^2 - x^2)/(y*theta) = -1/(y*theta); in
-the second, a*beta + b = (x^2 - theta*y^2)/x = 1/x; and chi(-1) = 0, as
--1 = theta^((k-1)/2) and 10 | k-1.
 """
 
 from __future__ import annotations
@@ -98,10 +101,10 @@ def s_orbits(field: Field) -> tuple[array, array]:
 
     Orbits 0 and 5 are read off one walk of the powers of
     sigma = [[a, b], [b*theta, a]], (x, y) <- (a*x + b*theta*y, a*y + b*x),
-    by the labels of the module docstring, for an admissible k alone (else
-    ValueError): codes 0 and 1 at w = 0, then one formula each.  A walk
-    that meets y = 0 before w = p stops, and the partition check names a
-    point it missed.  The fiber shift (beta, f) -> (beta, f+1 mod 5),
+    by the second-row labels of the module docstring, for an admissible k
+    alone (else ValueError): codes 0 and 1 at w = 0, then one formula each.
+    A walk that meets y = 0 before w = p stops, and the partition check
+    names a point it missed.  The fiber shift (beta, f) -> (beta, f+1 mod 5),
     code v -> v + (k+1) mod 5(k+1), commutes with the right action:
     rep(beta, f+1) = t * rep(beta, f), and t normalizes H, so
     H*rep(beta, f+1)*g = t*(H*rep(beta, f)*g); for f = 4 the product t^5

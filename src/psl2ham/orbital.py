@@ -10,9 +10,9 @@ chi(-1) = 0 as 10 | k-1, adjacency is one rule on labels:
     (beta, f) ~ (beta', f') in Y(i)  iff  f + f' = i + chi(beta' - beta)  (mod 5)
 
 for beta != beta', with chi read as 0 when either beta is inf; points
-with beta = beta' are never adjacent.  Proof: if g = [[a,b],[c,d]] has
-c != 0, its label is finite of fiber chi(a*beta + b) = chi(-1/c) =
--chi(c), as det g = 1; and rep(w)*rep(v)^-1 = t^f' [[1,0],[beta'-beta,1]]
+with beta = beta' are never adjacent.  Proof: by the second-row rule of
+the `action` docstring, a g = [[a,b],[c,d]] with c != 0 labels a finite
+point of fiber -chi(c); and rep(w)*rep(v)^-1 = t^f' [[1,0],[beta'-beta,1]]
 t^-f has c = theta^-(f+f') (beta' - beta), or +-theta^-(f+f') when one
 beta is inf, so it lies in long suborbit i, the finite points of fiber i.
 
@@ -46,29 +46,25 @@ from .gf import Field
 
 
 def neighborhood(field: Field, i: int, v: int) -> set[int]:
-    """Codes of the neighbors of v in Y(i): the labels (beta = -d/c,
-    log(a*beta + b) mod 5), or (inf, log(a) mod 5) if c = 0, of
-    [[a,b],[c,d]] = [[0,-theta^i],[theta^-i,x]] * rep(v) over x in GF(k)."""
+    """Codes of the neighbors of v in Y(i): the labels of the products
+    [[0,-theta^i],[theta^-i,x]] * rep(v) over x in GF(k), each read off
+    its second row (c, d) by the rule of the `action` docstring."""
     F, k = field, field.order
     exp, log, h, add, mul = F._exp, F._log, F._log_neg1, F.add, F.mul
     r1, r2, r3, r4 = rep(F, v)
-    # [[0,-th^i],[th^-i,x]] * rep, th = exp[1]: row 1 constant, row 2 affine in x
-    a, b = mul(exp[i + h], r3), mul(exp[i + h], r4)
+    # the second row of [[0,-th^i],[th^-i,x]] * rep, th = exp[1], affine in x
     c0, d0 = mul(exp[-i], r1), mul(exp[-i], r2)
     # x*r3 and x*r4 for x = 0, theta^0, theta^1, ...
     col3, col4 = ([0, *exp[log[r]:log[r] + k - 1]] if r else [0] * k
                   for r in (r3, r4))
-    k1, la = k + 1, log[a]  # la is None when a = 0, and then c != 0
-    out = set()
+    k1, out = k + 1, set()
     for u, w in zip(col3, col4):
-        c = add(c0, u)
+        c, d = add(c0, u), add(d0, w)
         if c == 0:
-            out.add(la % 5 * k1)
-            continue
-        d = add(d0, w)
-        beta = exp[log[d] - log[c] + h] if d else 0  # a negative index wraps
-        ab = exp[la + log[beta]] if a and beta else 0
-        out.add(log[add(ab, b)] % 5 * k1 + beta + 1)
+            out.add(-log[d] % 5 * k1)
+        else:  # a negative index wraps
+            lc = log[c]
+            out.add(-lc % 5 * k1 + (exp[log[d] - lc + h] if d else 0) + 1)
     return out
 
 

@@ -48,7 +48,7 @@ class QuotientMultigraph(NamedTuple):
     field: Field
     orbital_index: int
     orbits: tuple[array, array]  # the two walks of codes, orbits 0 and 5
-    voltages: tuple[tuple[tuple[int, ...], ...], ...]  # 10x10, sorted Z_p offsets
+    voltages: tuple[tuple[array, ...], ...]  # 10x10, sorted Z_p offsets
 
     @property
     def p(self) -> int:
@@ -66,7 +66,7 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
     it in Y(o) with code c, the base (inf, 0) or (0, 0).  Orbit 5e + j is
     walk e with every fiber raised by j, which raises the orbital of each
     pair by j, so voltages[a][b] = bucket[a // 5][b // 5][(i - a - b) % 5]:
-    100 cells, 20 sorted tuples.  Rows 0 and 5 hold all 20, and
+    100 cells, 20 sorted arrays.  Rows 0 and 5 hold all 20, and
     `neighborhood` at positions 0 and 1 of the two walks cross-derives
     them over the ten orbits so read, at 1 an exact S-invariance check.
     """
@@ -74,13 +74,11 @@ def build_quotient(field: Field, i: int) -> QuotientMultigraph:
         raise ValueError(f"orbital index {i} out of range 0..4")
     k, p = field.order, (field.order + 1) // 2
     orbits = s_orbits(field)
-    bucket = [[[[] for _ in range(5)] for _ in range(2)] for _ in range(2)]
-    positions = [*range(p)]  # one int each, shared by the four passes
+    bucket = [[[array("l") for _ in range(5)] for _ in (0, 1)] for _ in (0, 1)]
     for e, base in ((0, 0), (0, 1), (1, 0), (1, 1)):  # w in order: sorted
-        for w, o in zip(positions, orbitals(field, repeat(base), orbits[e])):
+        for w, o in enumerate(orbitals(field, repeat(base), orbits[e])):
             if o is not None:
                 bucket[base][e][o].append(w)
-    bucket = [[[tuple(ws) for ws in b5] for b5 in row] for row in bucket]
     volts = tuple(tuple(bucket[a // 5][b // 5][(i - a - b) % 5]
                         for b in range(10)) for a in range(10))
 

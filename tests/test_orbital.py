@@ -490,3 +490,23 @@ def test_neighborhood_is_image_of_long_suborbit(k, fields):
                 assert nb == {reference.act(F, q, g) for q in long[i]}
                 betas |= {w % (k + 1) for w in nb} & {0, 1}
     assert betas == {0, 1}
+
+
+@pytest.mark.parametrize("k", [61, 81])
+def test_neighborhood_reads_each_label_off_the_second_row(k, fields,
+                                                          monkeypatch):
+    # each product's label is (-d/c, -chi(c)), or (inf, -chi(d)) when c = 0,
+    # off its second row (c, d) alone: two Field.add calls per x, for
+    # beta = inf (code 0), beta = 0 (code 1) and a point of fiber 2.  Forming
+    # a*beta + b as well would add one more per x with c != 0
+    F, add, calls = fields[k], Field.add, []
+
+    def counted(field, x, y):
+        calls.append(field.order)
+        return add(field, x, y)
+
+    monkeypatch.setattr(Field, "add", counted)
+    for v in (0, 1, 2 * (k + 1) + 7):
+        calls.clear()
+        assert len(neighborhood(F, 3, v)) == k
+        assert calls == [k] * (2 * k), v

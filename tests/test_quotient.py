@@ -17,7 +17,7 @@ from psl2ham.quotient import _broken_edge
 import reference
 from reference import base_voltages, point_str, unroll_lift
 from util import (code, orbital_of, point, point_texts, ten_orbits,
-                  text_verdict, vertex_index)
+                  text_verdict, vertex_index, voltage_tuples)
 
 
 def test_underlying_quotient_is_complete_k10(cache):
@@ -80,7 +80,7 @@ def test_quotient_equals_collapse_of_full_graph(k, cache, fields):
     for i in range(5):
         q = cache.quotient(k, i)
         volts = collapse(cache.graph(k, i), ten_orbits(s_orbits(fields[k])))
-        assert q.voltages == volts
+        assert voltage_tuples(q.voltages) == volts
         assert q.mult == tuple(tuple(len(vs) for vs in row) for row in volts)
         assert q.orbital_index == i
 
@@ -92,8 +92,8 @@ def test_quotient_equals_the_reading_of_the_ten_bases(s, m):
     field = Field(s, m)
     orbits = ten_orbits(s_orbits(field))
     for i in range(5):
-        assert build_quotient(field, i).voltages == base_voltages(field, i,
-                                                                 orbits)
+        assert voltage_tuples(build_quotient(field, i).voltages) == \
+            base_voltages(field, i, orbits)
 
 
 def test_build_quotient_reads_four_neighborhoods(field61, monkeypatch):
@@ -719,7 +719,7 @@ def test_corrupt_quotient_raises(cache):
 
 def test_hamilton_path_memory_is_linear_in_codes():
     # orbits and the lift are flat arrays of codes, and the voltages 20
-    # tuples of positions: at k=4621 (23,110 points) the pipeline and the
+    # arrays of positions: at k=4621 (23,110 points) the pipeline and the
     # verify of its text peak below 3.5 MB
     field = Field(4621, 1)
     tracemalloc.start()
@@ -729,6 +729,22 @@ def test_hamilton_path_memory_is_linear_in_codes():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * 2**20
+
+
+def test_quotient_record_holds_its_positions_in_arrays():
+    # the 20 buckets are filled once as arrays, with no list of p positions
+    # beside them and no tuple copies: with the record alive, build_quotient
+    # at k = 131^2 = 17161 (p = 8581) holds its two walks and about 4p
+    # positions of 8 bytes each, below 0.5 MiB
+    field = Field(131, 2)
+    tracemalloc.start()
+    try:
+        q = build_quotient(field, 0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(sum, q.mult)) == 10 * 17161
+    assert held < 0.5 * 2**20
 
 
 def test_verify_failures_peak_no_higher_than_a_valid_verify(monkeypatch):

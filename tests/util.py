@@ -98,6 +98,13 @@ def ten_orbits(walks):
             for walk in walks for j in range(5)]
 
 
+def voltage_tuples(volts):
+    """The 10x10 voltage cells of a quotient, each a sorted `array` of
+    positions in the package, as tuples."""
+    assert all(isinstance(vs, array) for row in volts for vs in row)
+    return tuple(tuple(tuple(vs) for vs in row) for row in volts)
+
+
 def orbital_of(field, v, w):
     """The i with w ~ v in Y(i), or None: `orbitals` asked of one pair."""
     return next(orbitals(field, (v,), (w,)))
